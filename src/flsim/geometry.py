@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .acoustics import EnvironmentParams, SonarConfig, max_range
+
 
 @dataclass(frozen=True)
 class BinLayout:
@@ -70,6 +72,14 @@ class BinLayout:
         return self.center(np.arange(1, self.num_bins + 1))
 
 
+def layout_for(env: EnvironmentParams, sonar: SonarConfig) -> BinLayout:
+    """Bin layout of one ping: whole bins of sonar.bin_length_m within the
+    maximum unambiguous range at the environment's sound speed."""
+    return BinLayout.from_range(
+        max_range(env.sound_speed(), sonar.ping_rate_hz), sonar.bin_length_m
+    )
+
+
 def bin_index(distance_m, layout: BinLayout):
     """1-based bin index ceil(d / d_b) for half-open bins (d_{n-1}, d_n].
 
@@ -80,11 +90,6 @@ def bin_index(distance_m, layout: BinLayout):
     if idx.ndim == 0:
         return int(idx)
     return idx
-
-
-def bin_center(n, layout: BinLayout):
-    """Distance d_n - d_b/2 to the center of bin n."""
-    return layout.center(n)
 
 
 def ring_radius(d_n, h: float):
@@ -215,25 +220,6 @@ def shell_volume(n: int, layout: BinLayout, h: float, h_d: float) -> float:
     """Water volume of the hollow shell for bin n (bottom at h below the
     sonar, surface at h_d above)."""
     return shell_volume_between(layout.edge(n - 1), layout.edge(n), h, h_d)
-
-
-def hemisphere_cut_volume(d_inner: float, d_outer: float, plane_distance: float) -> float:
-    """Hemisphere-shaped approximation of the volume cut from the hollow
-    shell by a plane at plane_distance from the center: (2/3) pi rho^3 built
-    on the projected circle radii rho = sqrt(d^2 - plane_distance^2).
-
-    Kept alongside the exact-cap form used by shell_volume; the guards are
-    arranged so every radicand is nonnegative. Retained for side-by-side
-    study, not used in the expected-return pipeline.
-    """
-    p = plane_distance
-    if p >= d_outer:
-        return 0.0
-    outer = 2.0 / 3.0 * math.pi * (d_outer**2 - p**2) ** 1.5
-    if p > d_inner:
-        return outer
-    inner = 2.0 / 3.0 * math.pi * (d_inner**2 - p**2) ** 1.5
-    return outer - inner
 
 
 def cutoff_angle(d_inner: float, d_outer: float, plane_distance: float) -> float:

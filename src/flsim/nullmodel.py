@@ -20,14 +20,20 @@ Averaging modes
     dB-domain averages with 1/pi (ring) and 1/pi^2 (sphere) prefactors,
     retained for side-by-side study with the linear forms.
 
-Quadrature is adaptive panel-doubling trapezoid integration, converged when
-a doubling changes the result by at most 0.01 dB. Integration domains are
-restricted to the closed-form gate intervals, so integrands stay smooth;
-beams with nonzero yaw fall back to pointwise gating of the shell integral.
+Every component is a power sum over bins and their resolution cells, taken
+in one loop, _cell_sum; each mode sets the (bp_t, bp_r) pair of a cell.
+Quadrature is trapezoid integration under one panel-doubling loop,
+_panel_doubling, for the 1-D ring and the 2-D shell integrals alike: the
+panel count doubles from 16 until a doubling changes the result by at most
+0.01 dB, else QuadratureError names the beam, component, bin and cell.
+Integration domains are restricted to the closed-form gate intervals, so
+integrands stay smooth; beams with nonzero yaw fall back to pointwise gating
+of the shell integral.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +45,6 @@ from .acoustics import (
     SonarConfig,
     absorption_coeff,
     beam_gain,
-    max_range,
     range_resolution,
     transmission_loss,
 )
@@ -51,6 +56,7 @@ from .geometry import (
     beam_angles_volume,
     cutoff_angle,
     grazing_between,
+    layout_for,
     ring_radius,
     rotate_to_sonar_frame,
 )
@@ -118,62 +124,64 @@ def _trapz2(values: np.ndarray, dx: float, du: float) -> float:
     return float(du * (inner.sum() - 0.5 * (inner[0] + inner[-1])))
 
 
-def _converged(previous: float, current: float, tol_db: float) -> bool:
+def _converged(previous: float, current: float, signed: bool) -> bool:
+    if signed:
+        # dB-domain integrals may be negative; compare absolutely in dB units.
+        return abs(current - previous) <= TOLERANCE_DB
     if previous == 0.0 and current == 0.0:
         return True
     if previous <= 0.0 or current <= 0.0:
         return False
-    return abs(10.0 * math.log10(current / previous)) <= tol_db
+    return abs(10.0 * math.log10(current / previous)) <= TOLERANCE_DB
 
 
-def _converged_signed(previous: float, current: float, tol_db: float) -> bool:
-    # dB-domain integrals may be negative; compare absolutely in dB units.
-    return abs(current - previous) <= tol_db
+def _panel_doubling(estimate, max_panels: int, signed: bool) -> float:
+    """Double the panel count n of estimate(n) from 16 until two successive
+    estimates agree to TOLERANCE_DB, or raise once n reaches max_panels."""
+    n = 16
+    previous = estimate(n)
+    while n < max_panels:
+        n *= 2
+        current = estimate(n)
+        if _converged(previous, current, signed):
+            return current
+        previous = current
+    raise QuadratureError(
+        f"quadrature did not converge to {TOLERANCE_DB} dB "
+        f"within {MAX_PANELS} panels"
+    )
 
 
 def _adaptive_trapezoid(f, a: float, b: float, *, signed: bool = False) -> float:
     """Integrate vectorized f over [a, b] with panel doubling."""
     if b - a <= 0.0:
         return 0.0
-    n = 16
-    x = np.linspace(a, b, n + 1)
-    previous = _trapz(f(x), (b - a) / n)
-    check = _converged_signed if signed else _converged
-    while n < MAX_PANELS:
-        n *= 2
-        x = np.linspace(a, b, n + 1)
-        current = _trapz(f(x), (b - a) / n)
-        if check(previous, current, TOLERANCE_DB):
-            return current
-        previous = current
-    raise QuadratureError(
-        f"trapezoid integration did not converge to {TOLERANCE_DB} dB "
-        f"within {MAX_PANELS} panels"
-    )
+
+    def estimate(n):
+        return _trapz(f(np.linspace(a, b, n + 1)), (b - a) / n)
+
+    return _panel_doubling(estimate, MAX_PANELS, signed)
 
 
 def _adaptive_trapezoid_2d(f, a: float, b: float, *, signed: bool = False) -> float:
     """Integrate f(x_grid, u_grid) -> matrix over [a, b] x [0, 1]."""
     if b - a <= 0.0:
         return 0.0
-    n = 16
-    max_side = int(math.isqrt(MAX_PANELS))
-    x = np.linspace(a, b, n + 1)
-    u = np.linspace(0.0, 1.0, n + 1)
-    previous = _trapz2(f(x, u), (b - a) / n, 1.0 / n)
-    check = _converged_signed if signed else _converged
-    while n < max_side:
-        n *= 2
+
+    def estimate(n):
         x = np.linspace(a, b, n + 1)
         u = np.linspace(0.0, 1.0, n + 1)
-        current = _trapz2(f(x, u), (b - a) / n, 1.0 / n)
-        if check(previous, current, TOLERANCE_DB):
-            return current
-        previous = current
-    raise QuadratureError(
-        f"tensor trapezoid integration did not converge to {TOLERANCE_DB} dB "
-        f"within {MAX_PANELS} panels"
-    )
+        return _trapz2(f(x, u), (b - a) / n, 1.0 / n)
+
+    return _panel_doubling(estimate, math.isqrt(MAX_PANELS), signed)
+
+
+def _printed_db(gain: np.ndarray) -> np.ndarray:
+    """dB of a "printed"-mode integrand, floored at PRINTED_FLOOR_DB."""
+    out = np.full(gain.shape, PRINTED_FLOOR_DB)
+    pos = gain > 0
+    out[pos] = np.maximum(10.0 * np.log10(gain[pos]), PRINTED_FLOOR_DB)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -259,47 +267,31 @@ def ring_bp_average(
     by ``beam`` (callers evaluate the transmitter with a second call).
     """
     _check_mode(mode)
-    pitch_r, yaw_r = _orientation(pose, beam)
+    orientations = [_orientation(pose, beam)]
     if mode == "coupled":
         tx = transmit_beam if transmit_beam is not None else beam
-        pitch_t, yaw_t = _orientation(pose, tx)
-        domain = _intersect_intervals(
-            _ring_front_arc(rho_mid, z, pitch_r, yaw_r),
-            _ring_front_arc(rho_mid, z, pitch_t, yaw_t),
-        )
-        if not domain:
-            return NO_RESPONSE
-
-        def integrand(theta_r):
-            return _ring_gain(theta_r, rho_mid, z, pitch_r, yaw_r, sonar, c) * _ring_gain(
-                theta_r, rho_mid, z, pitch_t, yaw_t, sonar, c
-            )
-
-        total = sum(_adaptive_trapezoid(integrand, lo, hi) for lo, hi in domain)
-        return to_db(total / (2.0 * math.pi))
-
-    domain = _ring_front_arc(rho_mid, z, pitch_r, yaw_r)
+        orientations.append(_orientation(pose, tx))
+    domain = functools.reduce(
+        _intersect_intervals,
+        [_ring_front_arc(rho_mid, z, pitch, yaw) for pitch, yaw in orientations],
+    )
     if not domain:
         return NO_RESPONSE
-    if mode == "independent":
+    signed = mode == "printed"
 
-        def integrand(theta_r):
-            return _ring_gain(theta_r, rho_mid, z, pitch_r, yaw_r, sonar, c)
-
-        total = sum(_adaptive_trapezoid(integrand, lo, hi) for lo, hi in domain)
-        return to_db(total / (2.0 * math.pi))
-
-    def integrand_db(theta_r):
-        gain = _ring_gain(theta_r, rho_mid, z, pitch_r, yaw_r, sonar, c)
-        out = np.full(gain.shape, PRINTED_FLOOR_DB)
-        pos = gain > 0
-        out[pos] = np.maximum(10.0 * np.log10(gain[pos]), PRINTED_FLOOR_DB)
-        return out
+    def integrand(theta_r):
+        product = math.prod(
+            _ring_gain(theta_r, rho_mid, z, pitch, yaw, sonar, c)
+            for pitch, yaw in orientations
+        )
+        return _printed_db(product) if signed else product
 
     total = sum(
-        _adaptive_trapezoid(integrand_db, lo, hi, signed=True) for lo, hi in domain
+        _adaptive_trapezoid(integrand, lo, hi, signed=signed) for lo, hi in domain
     )
-    return total / math.pi
+    if signed:
+        return total / math.pi
+    return to_db(total / (2.0 * math.pi))
 
 
 def avg_ring_bp_loss(
@@ -437,12 +429,7 @@ def shell_bp_average(
             vals = _shell_gain_pointwise(
                 theta_h, theta_v, orientations, theta_ha, theta_hd, sonar, c
             )
-            if signed:
-                out = np.full(vals.shape, PRINTED_FLOOR_DB)
-                pos = vals > 0
-                out[pos] = np.maximum(10.0 * np.log10(vals[pos]), PRINTED_FLOOR_DB)
-                return out
-            return vals
+            return _printed_db(vals) if signed else vals
 
         def on_unit_square(theta_h, u):
             return integrand(theta_h, -math.pi + u * 2.0 * math.pi) * (2.0 * math.pi)
@@ -478,12 +465,7 @@ def shell_bp_average(
                 vb = rotate_to_sonar_frame(v, pitch, yaw)
                 theta, psi = beam_angles_volume(vb)
                 product = product * beam_gain(theta, psi, sonar, c)
-            if signed:
-                out = np.full(product.shape, PRINTED_FLOOR_DB)
-                pos = product > 0
-                out[pos] = np.maximum(10.0 * np.log10(product[pos]), PRINTED_FLOOR_DB)
-                return out * width[:, None]
-            return product * width[:, None]
+            return (_printed_db(product) if signed else product) * width[:, None]
 
         total = _adaptive_trapezoid_2d(
             integrand, -math.pi / 2.0, math.pi / 2.0, signed=signed
@@ -533,10 +515,50 @@ def _resolution_cells(layout: BinLayout, delta_y: float):
     return m, layout.bin_length_m / m
 
 
-def _bp_terms(avg_combined, avg_t, avg_r, mode: str) -> tuple:
-    if mode == "coupled":
-        return avg_combined, 0.0
-    return avg_t, avg_r
+def _cell_sum(component, env, sonar, beam, layout, transmit_beam, mode, cell):
+    """Expected reverberation level per bin (dB): the power sum over each
+    bin's resolution cells.
+
+    cell(n, a, b) describes the cell (a, b] of bin n as (average, coeff_db,
+    measure), where average(beam=..., transmit_beam=...) is the cell's ring
+    or shell beam-pattern average, or is None for a cell that returns
+    nothing. The mode sets the (bp_t, bp_r) pair: the coupled average and
+    0 dB, or the transmit and receive averages taken apart.
+    """
+    _check_mode(mode)
+    c = env.sound_speed()
+    alpha_w = absorption_coeff(sonar.frequency_khz, env)
+    m, cell_len = _resolution_cells(layout, range_resolution(c, sonar.bandwidth_hz))
+    tx = transmit_beam if transmit_beam is not None else beam
+
+    out = np.full(layout.num_bins, NO_RESPONSE)
+    for n in range(1, layout.num_bins + 1):
+        bin_start = layout.edge(n - 1)
+        acc = 0.0
+        for i in range(m):
+            a = bin_start + i * cell_len
+            b = a + cell_len
+            terms = cell(n, a, b)
+            if terms is None:
+                continue
+            average, coeff, measure = terms
+            try:
+                if mode == "coupled":
+                    bp_t, bp_r = average(beam=beam, transmit_beam=tx), 0.0
+                else:
+                    bp_t, bp_r = average(beam=tx), average(beam=beam)
+            except QuadratureError as err:
+                raise QuadratureError(
+                    f"{component} bin {n}, cell ({a:.4f}, {b:.4f}] m: {err}"
+                ) from err
+            d_c = b - cell_len / 2.0
+            rl = reverb_level(
+                sonar.source_level_db, transmission_loss(d_c, alpha_w),
+                bp_t, bp_r, coeff, measure,
+            )
+            acc += to_linear(rl)
+        out[n - 1] = to_db(acc)
+    return out
 
 
 def bottom_return_bins(
@@ -576,61 +598,32 @@ def surface_return_bins(
 
 
 def _ring_return_bins(env, sonar, pose, beam, layout, *, kind, transmit_beam, mode):
-    _check_mode(mode)
     c = env.sound_speed()
-    alpha_w = absorption_coeff(sonar.frequency_khz, env)
-    delta_y = range_resolution(c, sonar.bandwidth_hz)
-    m, cell_len = _resolution_cells(layout, delta_y)
     f = sonar.frequency_khz
-    sl = sonar.source_level_db
-    tx = transmit_beam if transmit_beam is not None else beam
+    offset = pose.altitude_m if kind == "bottom" else pose.depth_m
+    z = offset if kind == "bottom" else -offset
 
-    if kind == "bottom":
-        offset = pose.altitude_m
-        z = offset
-    else:
-        offset = pose.depth_m
-        z = -offset
+    def cell(n, a, b):
+        # A bin that ends short of the plane stays empty, whatever the
+        # rounding of its last cell edge.
+        if offset >= layout.edge(n) or offset >= b:
+            return None
+        r_a = ring_radius(a, offset)
+        r_b = ring_radius(b, offset)
+        area = math.pi * (r_b * r_b - r_a * r_a)
+        if area <= 0.0:
+            return None
+        grazing = grazing_between(a, b, offset)
+        if kind == "bottom":
+            coeff = bottom_coeff(env.bottom_type, grazing, f)
+        else:
+            coeff = surface_coeff(env.wind_knots, grazing, f)
+        average = functools.partial(
+            ring_bp_average, (r_a + r_b) / 2.0, z, pose, sonar=sonar, c=c, mode=mode
+        )
+        return average, coeff, area
 
-    out = np.full(layout.num_bins, NO_RESPONSE)
-    for n in range(1, layout.num_bins + 1):
-        bin_start = layout.edge(n - 1)
-        if offset >= layout.edge(n):
-            continue
-        acc = 0.0
-        for i in range(m):
-            a = bin_start + i * cell_len
-            b = a + cell_len
-            if offset >= b:
-                continue
-            r_a = ring_radius(a, offset)
-            r_b = ring_radius(b, offset)
-            area = math.pi * (r_b * r_b - r_a * r_a)
-            if area <= 0.0:
-                continue
-            grazing = grazing_between(a, b, offset)
-            if kind == "bottom":
-                coeff = bottom_coeff(env.bottom_type, grazing, f)
-            else:
-                coeff = surface_coeff(env.wind_knots, grazing, f)
-            rho_mid = (r_a + r_b) / 2.0
-            avg_combined = avg_t = avg_r = NO_RESPONSE
-            if mode == "coupled":
-                avg_combined = ring_bp_average(
-                    rho_mid, z, pose, beam, sonar, c,
-                    transmit_beam=tx, mode=mode,
-                )
-            else:
-                avg_t = ring_bp_average(rho_mid, z, pose, tx, sonar, c, mode=mode)
-                avg_r = ring_bp_average(rho_mid, z, pose, beam, sonar, c, mode=mode)
-            bp_t, bp_r = _bp_terms(avg_combined, avg_t, avg_r, mode)
-            d_c = b - cell_len / 2.0
-            rl = reverb_level(
-                sl, transmission_loss(d_c, alpha_w), bp_t, bp_r, coeff, area
-            )
-            acc += to_linear(rl)
-        out[n - 1] = to_db(acc)
-    return out
+    return _cell_sum(kind, env, sonar, beam, layout, transmit_beam, mode, cell)
 
 
 def volume_return_bins(
@@ -646,43 +639,17 @@ def volume_return_bins(
     """Expected volume reverberation level per bin (dB). The ensonified
     volume of a cell is the full hollow shell; the bottom and surface cuts
     are accounted for by the gated beam-pattern average."""
-    _check_mode(mode)
     c = env.sound_speed()
-    alpha_w = absorption_coeff(sonar.frequency_khz, env)
-    delta_y = range_resolution(c, sonar.bandwidth_hz)
-    m, cell_len = _resolution_cells(layout, delta_y)
     coeff = volume_coeff(env.particle_density_db, sonar.frequency_khz)
-    sl = sonar.source_level_db
-    tx = transmit_beam if transmit_beam is not None else beam
 
-    out = np.full(layout.num_bins, NO_RESPONSE)
-    for n in range(1, layout.num_bins + 1):
-        bin_start = layout.edge(n - 1)
-        acc = 0.0
-        for i in range(m):
-            a = bin_start + i * cell_len
-            b = a + cell_len
-            volume = 4.0 / 3.0 * math.pi * (b**3 - a**3)
-            avg_combined = avg_t = avg_r = NO_RESPONSE
-            if mode == "coupled":
-                avg_combined = shell_bp_average(
-                    a, b, pose, beam, sonar, c, transmit_beam=tx, mode=mode
-                )
-                if avg_combined == NO_RESPONSE:
-                    continue
-            else:
-                avg_t = shell_bp_average(a, b, pose, tx, sonar, c, mode=mode)
-                avg_r = shell_bp_average(a, b, pose, beam, sonar, c, mode=mode)
-                if avg_t == NO_RESPONSE or avg_r == NO_RESPONSE:
-                    continue
-            bp_t, bp_r = _bp_terms(avg_combined, avg_t, avg_r, mode)
-            d_c = b - cell_len / 2.0
-            rl = reverb_level(
-                sl, transmission_loss(d_c, alpha_w), bp_t, bp_r, coeff, volume
-            )
-            acc += to_linear(rl)
-        out[n - 1] = to_db(acc)
-    return out
+    def cell(n, a, b):
+        volume = 4.0 / 3.0 * math.pi * (b**3 - a**3)
+        average = functools.partial(
+            shell_bp_average, a, b, pose, sonar=sonar, c=c, mode=mode
+        )
+        return average, coeff, volume
+
+    return _cell_sum("volume", env, sonar, beam, layout, transmit_beam, mode, cell)
 
 
 def expected_null(
@@ -702,27 +669,27 @@ def expected_null(
     surface and volume reverberation. Components can be excluded to match a
     scene that disables them."""
     if layout is None:
-        c = env.sound_speed()
-        layout = BinLayout.from_range(
-            max_range(c, sonar.ping_rate_hz), sonar.bin_length_m
-        )
+        layout = layout_for(env, sonar)
     empty = np.full(layout.num_bins, NO_RESPONSE)
     kwargs = {"transmit_beam": transmit_beam, "mode": mode}
-    bottom = (
-        bottom_return_bins(env, sonar, pose, beam, layout, **kwargs)
-        if include_bottom
-        else empty.copy()
-    )
-    surface = (
-        surface_return_bins(env, sonar, pose, beam, layout, **kwargs)
-        if include_surface
-        else empty.copy()
-    )
-    volume = (
-        volume_return_bins(env, sonar, pose, beam, layout, **kwargs)
-        if include_volume
-        else empty.copy()
-    )
+    try:
+        bottom = (
+            bottom_return_bins(env, sonar, pose, beam, layout, **kwargs)
+            if include_bottom
+            else empty.copy()
+        )
+        surface = (
+            surface_return_bins(env, sonar, pose, beam, layout, **kwargs)
+            if include_surface
+            else empty.copy()
+        )
+        volume = (
+            volume_return_bins(env, sonar, pose, beam, layout, **kwargs)
+            if include_volume
+            else empty.copy()
+        )
+    except QuadratureError as err:
+        raise QuadratureError(f"beam {beam.name!r}: {err}") from err
     return NullModelReturn(
         layout=layout,
         pose=pose,

@@ -6,6 +6,13 @@ accumulates per-bin reverberation and echo intensity weighted by the
 transmit and receive beam patterns, adds volume reverberation along every
 ray, and follows one specular bounce per ray for first-order multipath.
 
+Every bounce goes through one batch path, _bounce: reflect the ray about the
+hit normal, offset the new origin along the reflection, and retrace with the
+range left. ping calls it on all its impacts; trace_ray and multipath_bounce
+are single-ray wrappers over _trace_batch and _bounce. A bounce's echo is
+binned and attenuated at the path length t1 + t2 and received with the
+beam weight of the direct line from the second impact to the sonar.
+
 All per-bin accumulators are linear intensities; dB views are provided on
 the result object. Ambient noise is added separately by add_noise so a
 simulated ping can be compared against the analytic expectation with the
@@ -25,7 +32,6 @@ from .acoustics import (
     SonarConfig,
     absorption_coeff,
     beam_gain,
-    max_range,
     noise_level_band,
     transmission_loss,
 )
@@ -35,6 +41,7 @@ from .geometry import (
     SonarPose,
     beam_angles_surface,
     bin_index,
+    layout_for,
     rotate_to_sonar_frame,
 )
 from .scatter import ObjectMaterial, bottom_coeff, surface_coeff, volume_coeff
@@ -203,28 +210,20 @@ class Hit:
 
 
 # ---------------------------------------------------------------------------
-# Batch intersection kernels. Each returns (t, normal, extra) with t = +inf
-# where there is no hit in (t_min, t_max].
+# Batch intersection kernels. Each returns (t, normals) with t = +inf where
+# there is no hit beyond t_min; the plane kernel gives one normal for all.
 
 
-def _trace_surface(origins, dirs, t_min):
+def _trace_plane(origins, dirs, z, heading, t_min):
+    """Crossing of the horizontal plane at depth z by the rays travelling
+    toward it from the water: heading +1 (down) for the bottom, -1 (up) for
+    the surface. The normal faces the water."""
     t = np.full(origins.shape[0], np.inf)
-    going_up = dirs[:, 2] < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        cand = -origins[:, 2] / dirs[:, 2]
-    ok = going_up & (cand > t_min) & np.isfinite(cand)
+        cand = (z - origins[:, 2]) / dirs[:, 2]
+    ok = (heading * dirs[:, 2] > 0.0) & (cand > t_min) & np.isfinite(cand)
     t[ok] = cand[ok]
-    return t
-
-
-def _trace_flat_bottom(origins, dirs, depth, t_min):
-    t = np.full(origins.shape[0], np.inf)
-    going_down = dirs[:, 2] > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cand = (depth - origins[:, 2]) / dirs[:, 2]
-    ok = going_down & (cand > t_min) & np.isfinite(cand)
-    t[ok] = cand[ok]
-    return t
+    return t, (0.0, 0.0, -heading)
 
 
 def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
@@ -269,7 +268,11 @@ def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
     ty_next[pos_y] = (hf.y0 + (iy[pos_y] + 1) * s - oy[pos_y]) / dy[pos_y]
     ty_next[neg_y] = (hf.y0 + iy[neg_y] * s - oy[neg_y]) / dy[neg_y]
 
-    max_steps = 4 * (nx + ny) + int(np.ceil(float(np.max(t_stop)) / s)) + 8
+    # Over a parameter length L a ray crosses at most ceil(L |dx| / s) + 1 x
+    # walls and as many y walls; each step crosses a wall or ends the ray.
+    # The constant covers those +1s, the last step and rounding.
+    crossings = np.ceil((t_stop - t_min) * (np.abs(dx) + np.abs(dy)) / s)
+    max_steps = int(crossings[active].max()) + 8
     for _ in range(max_steps):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
@@ -375,6 +378,11 @@ def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
         iy[sub] += np.sign(dy[sub]).astype(np.int64)
         ty_next[sub] += step_ty[sub]
         active[gi[done]] = False
+    if np.any(active):
+        raise RuntimeError(
+            f"heightfield trace: {np.count_nonzero(active)} rays still active "
+            f"after {max_steps} cell steps"
+        )
     return t_hit, normals
 
 
@@ -459,35 +467,24 @@ def _trace_batch(scene: Scene, origins, dirs, t_min, t_max):
     normals = np.zeros((n, 3))
     roughness = np.full(n, np.nan)
 
-    if scene.surface_enabled:
-        t_s = _trace_surface(origins, dirs, t_min)
-        better = t_s < t_best
-        t_best = np.where(better, t_s, t_best)
-        kind[better] = KIND_SURFACE
-        normals[better] = (0.0, 0.0, 1.0)
-
-    if isinstance(scene.bottom, FlatBottom):
-        t_b = _trace_flat_bottom(origins, dirs, scene.bottom.depth_m, t_min)
-        better = t_b < t_best
-        t_best = np.where(better, t_b, t_best)
-        kind[better] = KIND_BOTTOM
-        normals[better] = (0.0, 0.0, -1.0)
-    elif isinstance(scene.bottom, Heightfield):
-        t_b, n_b = _trace_heightfield(scene.bottom, origins, dirs, t_min, t_max)
-        better = t_b < t_best
-        t_best = np.where(better, t_b, t_best)
-        kind[better] = KIND_BOTTOM
-        normals[better] = n_b[better]
-
-    for obj in scene.objects:
-        if isinstance(obj, Box):
-            t_o, n_o = _trace_box(obj, origins, dirs, t_min)
-        else:
-            t_o, n_o = _trace_mesh(obj, origins, dirs, t_min)
+    def nearer(code, t_o, normal):
         better = t_o < t_best
-        t_best = np.where(better, t_o, t_best)
-        kind[better] = KIND_OBJECT
-        normals[better] = n_o[better]
+        t_best[better] = t_o[better]
+        kind[better] = code
+        normals[better] = normal if np.ndim(normal) == 1 else normal[better]
+        return better
+
+    if scene.surface_enabled:
+        nearer(KIND_SURFACE, *_trace_plane(origins, dirs, 0.0, -1.0, t_min))
+    if isinstance(scene.bottom, FlatBottom):
+        depth = scene.bottom.depth_m
+        nearer(KIND_BOTTOM, *_trace_plane(origins, dirs, depth, 1.0, t_min))
+    elif isinstance(scene.bottom, Heightfield):
+        hf = scene.bottom
+        nearer(KIND_BOTTOM, *_trace_heightfield(hf, origins, dirs, t_min, t_max))
+    for obj in scene.objects:
+        kernel = _trace_box if isinstance(obj, Box) else _trace_mesh
+        better = nearer(KIND_OBJECT, *kernel(obj, origins, dirs, t_min))
         roughness[better] = obj.material.rms_roughness
 
     beyond = t_best > np.broadcast_to(np.asarray(t_max, dtype=float), (n,))
@@ -511,59 +508,61 @@ def _trace_batch(scene: Scene, origins, dirs, t_min, t_max):
 _KIND_NAMES = {KIND_BOTTOM: "bottom", KIND_SURFACE: "surface", KIND_OBJECT: "object"}
 
 
+def _hit_at(trace, i: int) -> Hit | None:
+    """Row i of a _trace_batch result as a Hit, or None for a miss."""
+    kind, t, points, normals, grazing, roughness = trace
+    if kind[i] < 0:
+        return None
+    material = None
+    if kind[i] == KIND_OBJECT:
+        material = ObjectMaterial(rms_roughness=float(roughness[i]))
+    return Hit(
+        kind=_KIND_NAMES[int(kind[i])],
+        distance_m=float(t[i]),
+        point=tuple(points[i]),
+        normal=tuple(normals[i]),
+        grazing_rad=float(grazing[i]),
+        material=material,
+    )
+
+
+def _bounce(scene: Scene, points, dirs, normals, remaining):
+    """Specular bounce of a batch of impacts: reflected directions, origins
+    offset along them, the mask of rays with range left to retrace
+    (remaining > BOUNCE_MIN_T), and the _trace_batch result of those rays
+    (None when there are none)."""
+    refl = dirs - 2.0 * np.einsum("rc,rc->r", dirs, normals)[:, None] * normals
+    refl /= np.linalg.norm(refl, axis=1, keepdims=True)
+    origins = points + BOUNCE_OFFSET_M * refl
+    live = remaining > BOUNCE_MIN_T
+    trace = None
+    if np.any(live):
+        trace = _trace_batch(
+            scene, origins[live], refl[live], BOUNCE_MIN_T, remaining[live]
+        )
+    return origins, refl, live, trace
+
+
 def trace_ray(scene: Scene, ray: Ray) -> Hit | None:
     """Trace a single ray to its nearest impact within its remaining range."""
     origins = np.asarray([ray.origin], dtype=float)
     dirs = np.asarray([ray.direction], dtype=float)
-    kind, t, points, normals, grazing, roughness = _trace_batch(
-        scene, origins, dirs, 0.0, ray.remaining_range_m
-    )
-    if kind[0] < 0:
-        return None
-    material = None
-    if kind[0] == KIND_OBJECT:
-        material = ObjectMaterial(rms_roughness=float(roughness[0]))
-    return Hit(
-        kind=_KIND_NAMES[int(kind[0])],
-        distance_m=float(t[0]),
-        point=tuple(points[0]),
-        normal=tuple(normals[0]),
-        grazing_rad=float(grazing[0]),
-        material=material,
-    )
+    return _hit_at(_trace_batch(scene, origins, dirs, 0.0, ray.remaining_range_m), 0)
 
 
 def multipath_bounce(scene: Scene, hit: Hit, ray: Ray) -> tuple:
     """Specular bounce at a hit: the reflected ray and its own first impact,
     or (ray, None) when no range remains or nothing is struck."""
     remaining = ray.remaining_range_m - hit.distance_m
-    d = np.asarray(ray.direction)
-    n = np.asarray(hit.normal)
-    refl = d - 2.0 * float(d @ n) * n
-    refl = refl / np.linalg.norm(refl)
-    origin = np.asarray(hit.point) + BOUNCE_OFFSET_M * refl
-    if remaining <= 0.0:
-        return Ray(tuple(origin), tuple(refl), 0.0), None
-    bounced = Ray(tuple(origin), tuple(refl), float(remaining))
-    origins = origin[None, :]
-    dirs = refl[None, :]
-    kind, t, points, normals, grazing, roughness = _trace_batch(
-        scene, origins, dirs, BOUNCE_MIN_T, remaining
+    origins, refl, _, trace = _bounce(
+        scene,
+        np.asarray([hit.point], dtype=float),
+        np.asarray([ray.direction], dtype=float),
+        np.asarray([hit.normal], dtype=float),
+        np.asarray([remaining]),
     )
-    if kind[0] < 0:
-        return bounced, None
-    material = None
-    if kind[0] == KIND_OBJECT:
-        material = ObjectMaterial(rms_roughness=float(roughness[0]))
-    second = Hit(
-        kind=_KIND_NAMES[int(kind[0])],
-        distance_m=float(t[0]),
-        point=tuple(points[0]),
-        normal=tuple(normals[0]),
-        grazing_rad=float(grazing[0]),
-        material=material,
-    )
-    return bounced, second
+    bounced = Ray(tuple(origins[0]), tuple(refl[0]), max(remaining, 0.0))
+    return bounced, None if trace is None else _hit_at(trace, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +720,7 @@ def ping(
     tx = transmit_beam if transmit_beam is not None else beam
     env = scene.env
     c = env.sound_speed()
-    layout = BinLayout.from_range(max_range(c, sonar.ping_rate_hz), sonar.bin_length_m)
+    layout = layout_for(env, sonar)
     t_max = layout.end_m
     f = sonar.frequency_khz
     alpha_w = absorption_coeff(f, env)
@@ -798,18 +797,12 @@ def ping(
     # First-order multipath: one specular bounce per impacted ray.
     if np.any(hit):
         idx = np.nonzero(hit)[0]
-        d1 = dirs[idx]
-        n1 = normals[idx]
-        refl = d1 - 2.0 * np.einsum("rc,rc->r", d1, n1)[:, None] * n1
-        refl /= np.linalg.norm(refl, axis=1, keepdims=True)
-        origins2 = points[idx] + BOUNCE_OFFSET_M * refl
-        remaining = t_max - t[idx]
-        live = remaining > BOUNCE_MIN_T
-        if np.any(live):
+        _, _, live, trace2 = _bounce(
+            scene, points[idx], dirs[idx], normals[idx], t_max - t[idx]
+        )
+        if trace2 is not None:
             idx = idx[live]
-            kind2, t2, points2, normals2, grazing2, roughness2 = _trace_batch(
-                scene, origins2[live], refl[live], BOUNCE_MIN_T, remaining[live]
-            )
+            kind2, t2, points2, normals2, grazing2, roughness2 = trace2
             hit2 = kind2 >= 0
             if np.any(hit2):
                 gi = idx[hit2]

@@ -20,7 +20,7 @@ import numpy as np
 from .acoustics import absorption_coeff, max_range, range_resolution
 from .db import is_response, to_db
 from .detect import detect_ping
-from .geometry import BinLayout
+from .geometry import layout_for
 from .nullmodel import NullModelReturn, expected_null
 from .raysim import add_noise, ping
 from .scenario import Scenario, _build, build_scene, normalize
@@ -72,12 +72,30 @@ def _ping_rng(seed: int, beam_idx: int, ping_idx: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
+def _write_csv(out_dir: str, name: str, header: list, rows) -> None:
+    """Write a CSV table: the header line, then one line per row of
+    already formatted fields."""
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(row) + "\n")
+
+
+def _write_bins(out_dir: str, name: str, centers, columns: dict) -> None:
+    """Per-bin CSV table: bin number and centre, then the named columns of
+    formatted fields."""
+    rows = (
+        [str(i + 1), f"{d:.6f}", *fields]
+        for i, (d, *fields) in enumerate(zip(centers, *columns.values()))
+    )
+    _write_csv(out_dir, name, ["bin", "d_center_m", *columns], rows)
+
+
 def _write_meta(out_dir: str, name: str, scenario: Scenario, command: str) -> None:
     c = scenario.env.sound_speed()
     sonar = scenario.sonar
-    layout = BinLayout.from_range(
-        max_range(c, sonar.ping_rate_hz), sonar.bin_length_m
-    )
+    layout = layout_for(scenario.env, sonar)
     meta = {
         "command": command,
         "scenario": scenario.raw,
@@ -98,13 +116,6 @@ def _write_meta(out_dir: str, name: str, scenario: Scenario, command: str) -> No
         handle.write("\n")
 
 
-def _layout_for(scenario: Scenario) -> BinLayout:
-    c = scenario.env.sound_speed()
-    return BinLayout.from_range(
-        max_range(c, scenario.sonar.ping_rate_hz), scenario.sonar.bin_length_m
-    )
-
-
 def _null_includes(scenario: Scenario) -> dict:
     scene_spec = scenario.raw["scene"]
     return {
@@ -114,9 +125,9 @@ def _null_includes(scenario: Scenario) -> dict:
     }
 
 
-def compute_null(scenario: Scenario, *, mode: str = "coupled") -> dict:
+def compute_null(scenario: Scenario) -> dict:
     """Expected returns per beam, keyed by beam name."""
-    layout = _layout_for(scenario)
+    layout = layout_for(scenario.env, scenario.sonar)
     out = {}
     for beam in scenario.sonar.beams:
         out[beam.name] = expected_null(
@@ -126,29 +137,26 @@ def compute_null(scenario: Scenario, *, mode: str = "coupled") -> dict:
             beam,
             layout,
             transmit_beam=scenario.transmitter,
-            mode=mode,
             **_null_includes(scenario),
         )
     return out
 
 
-def run_null(scenario: Scenario, out_dir: str, *, mode: str = "coupled") -> dict:
+def run_null(scenario: Scenario, out_dir: str) -> dict:
     """Compute and write the expected no-obstacle return for every beam."""
     os.makedirs(out_dir, exist_ok=True)
-    nulls = compute_null(scenario, mode=mode)
+    nulls = compute_null(scenario)
     for beam in scenario.sonar.beams:
         null = nulls[beam.name]
-        centers = null.bin_centers
-        total = null.total_db
-        path = os.path.join(out_dir, f"null_{_beam_slug(beam.name)}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write("bin,d_center_m,total_db,bottom_db,surface_db,volume_db\n")
-            for i in range(null.layout.num_bins):
-                handle.write(
-                    f"{i + 1},{centers[i]:.6f},{_fmt_db(total[i])},"
-                    f"{_fmt_db(null.bottom_db[i])},{_fmt_db(null.surface_db[i])},"
-                    f"{_fmt_db(null.volume_db[i])}\n"
-                )
+        _write_bins(
+            out_dir, f"null_{_beam_slug(beam.name)}.csv", null.bin_centers,
+            {
+                "total_db": map(_fmt_db, null.total_db),
+                "bottom_db": map(_fmt_db, null.bottom_db),
+                "surface_db": map(_fmt_db, null.surface_db),
+                "volume_db": map(_fmt_db, null.volume_db),
+            },
+        )
     _write_meta(out_dir, "null_meta.json", scenario, "null")
     return nulls
 
@@ -191,34 +199,22 @@ def run_sim(scenario: Scenario, out_dir: str) -> dict:
         slug = _beam_slug(beam.name)
         beam_result = results[beam.name]
         for ping_idx, p in enumerate(beam_result["pings"]):
-            centers = p.bin_centers
-            total_db = p.total_db
-            bottom_db = p.bottom_db
-            surface_db = p.surface_db
-            object_db = p.object_db
-            volume_db = p.volume_db
-            multipath_db = p.multipath_db
-            path = os.path.join(out_dir, f"sim_{slug}_ping{ping_idx + 1}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(
-                    "bin,d_center_m,intensity_db,bottom_db,surface_db,"
-                    "object_db,volume_db,multipath_db\n"
-                )
-                for i in range(p.layout.num_bins):
-                    handle.write(
-                        f"{i + 1},{centers[i]:.6f},{_fmt_db(total_db[i])},"
-                        f"{_fmt_db(bottom_db[i])},{_fmt_db(surface_db[i])},"
-                        f"{_fmt_db(object_db[i])},{_fmt_db(volume_db[i])},"
-                        f"{_fmt_db(multipath_db[i])}\n"
-                    )
+            _write_bins(
+                out_dir, f"sim_{slug}_ping{ping_idx + 1}.csv", p.bin_centers,
+                {
+                    "intensity_db": map(_fmt_db, p.total_db),
+                    "bottom_db": map(_fmt_db, p.bottom_db),
+                    "surface_db": map(_fmt_db, p.surface_db),
+                    "object_db": map(_fmt_db, p.object_db),
+                    "volume_db": map(_fmt_db, p.volume_db),
+                    "multipath_db": map(_fmt_db, p.multipath_db),
+                },
+            )
         mean_db = to_db(beam_result["mean_linear"])
-        layout = beam_result["pings"][0].layout
-        centers = layout.centers
-        path = os.path.join(out_dir, f"sim_{slug}_mean.csv")
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write("bin,d_center_m,mean_db\n")
-            for i in range(layout.num_bins):
-                handle.write(f"{i + 1},{centers[i]:.6f},{_fmt_db(mean_db[i])}\n")
+        _write_bins(
+            out_dir, f"sim_{slug}_mean.csv", beam_result["pings"][0].bin_centers,
+            {"mean_db": map(_fmt_db, mean_db)},
+        )
     _write_meta(out_dir, "sim_meta.json", scenario, "sim")
     return results
 
@@ -251,11 +247,11 @@ def compare_beam(
     return gaps, eligible, passed
 
 
-def run_compare(scenario: Scenario, out_dir: str, *, mode: str = "coupled") -> bool:
+def run_compare(scenario: Scenario, out_dir: str) -> bool:
     """Expected vs simulated mean per beam; True when every beam stays
     within the configured gap over the comparison window."""
     os.makedirs(out_dir, exist_ok=True)
-    nulls = compute_null(scenario, mode=mode)
+    nulls = compute_null(scenario)
     results = simulate(scenario)
     params = scenario.compare_params
     all_passed = True
@@ -270,27 +266,24 @@ def run_compare(scenario: Scenario, out_dir: str, *, mode: str = "coupled") -> b
             min_expected_db=params["min_expected_db"],
         )
         all_passed = all_passed and passed
-        expected = null.total_db
-        mean_db = to_db(mean_linear)
-        centers = null.bin_centers
-        path = os.path.join(out_dir, f"compare_{_beam_slug(beam.name)}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write("bin,d_center_m,expected_db,sim_mean_db,gap_db,evaluated\n")
-            for i in range(null.layout.num_bins):
-                gap = "null" if np.isnan(gaps[i]) else f"{gaps[i]:.6f}"
-                handle.write(
-                    f"{i + 1},{centers[i]:.6f},{_fmt_db(expected[i])},"
-                    f"{_fmt_db(mean_db[i])},{gap},{int(eligible[i])}\n"
-                )
+        _write_bins(
+            out_dir, f"compare_{_beam_slug(beam.name)}.csv", null.bin_centers,
+            {
+                "expected_db": map(_fmt_db, null.total_db),
+                "sim_mean_db": map(_fmt_db, to_db(mean_linear)),
+                "gap_db": ("null" if np.isnan(g) else f"{g:.6f}" for g in gaps),
+                "evaluated": (str(int(e)) for e in eligible),
+            },
+        )
     _write_meta(out_dir, "compare_meta.json", scenario, "compare")
     return all_passed
 
 
-def run_detect(scenario: Scenario, out_dir: str, *, mode: str = "coupled") -> dict:
+def run_detect(scenario: Scenario, out_dir: str) -> dict:
     """Run the likelihood-ratio detector on every simulated ping and write
     per-ping decisions plus a summary."""
     os.makedirs(out_dir, exist_ok=True)
-    nulls = compute_null(scenario, mode=mode)
+    nulls = compute_null(scenario)
     results = simulate(scenario)
     params = scenario.detect_params
     summary_rows = []
@@ -308,36 +301,32 @@ def run_detect(scenario: Scenario, out_dir: str, *, mode: str = "coupled") -> di
                 alt_offset_db=params["alt_offset_db"],
             )
             beam_detections.append(detection)
-            centers = p.bin_centers
-            path = os.path.join(out_dir, f"detect_{slug}_ping{ping_idx + 1}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write("bin,d_center_m,z_db,lambda,decision\n")
-                for i in range(p.layout.num_bins):
-                    if detection.excluded[i]:
-                        decision = "excluded"
-                    else:
-                        decision = str(int(detection.decisions[i]))
-                    handle.write(
-                        f"{i + 1},{centers[i]:.6f},{_fmt_db(detection.z_db[i])},"
-                        f"{_fmt_lambda(detection.lambdas[i])},{decision}\n"
-                    )
+            decisions = [
+                "excluded" if excluded else str(int(decision))
+                for excluded, decision in zip(detection.excluded, detection.decisions)
+            ]
+            _write_bins(
+                out_dir, f"detect_{slug}_ping{ping_idx + 1}.csv", p.bin_centers,
+                {
+                    "z_db": map(_fmt_db, detection.z_db),
+                    "lambda": map(_fmt_lambda, detection.lambdas),
+                    "decision": decisions,
+                },
+            )
             summary_rows.append(
-                (
+                [
                     beam.name,
-                    ping_idx + 1,
-                    params["gamma"],
-                    detection.pd,
-                    detection.pfa,
-                    int(detection.decisions.sum()),
-                )
+                    str(ping_idx + 1),
+                    f"{params['gamma']:.6g}",
+                    f"{detection.pd:.6g}",
+                    f"{detection.pfa:.6g}",
+                    str(int(detection.decisions.sum())),
+                ]
             )
         detections[beam.name] = beam_detections
-    path = os.path.join(out_dir, "detect_summary.csv")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("beam,ping,gamma,pd,pfa,num_detections\n")
-        for name, ping_no, gamma, pd, pfa, count in summary_rows:
-            handle.write(
-                f"{name},{ping_no},{gamma:.6g},{pd:.6g},{pfa:.6g},{count}\n"
-            )
+    _write_csv(
+        out_dir, "detect_summary.csv",
+        ["beam", "ping", "gamma", "pd", "pfa", "num_detections"], summary_rows,
+    )
     _write_meta(out_dir, "detect_meta.json", scenario, "detect")
     return detections

@@ -23,25 +23,6 @@ SURFACE_GRAZING_CAP_RAD = math.radians(85.0)
 
 
 @dataclass(frozen=True)
-class ScatterGeometry:
-    """Geometry of one ensonified patch: grazing angle plus area or volume."""
-
-    grazing_rad: float
-    ensonified_area_m2: float | None = None
-    ensonified_volume_m3: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.grazing_rad <= math.pi / 2:
-            raise ValueError(
-                f"grazing_rad must be in (0, pi/2], got {self.grazing_rad}"
-            )
-        for attr in ("ensonified_area_m2", "ensonified_volume_m3"):
-            value = getattr(self, attr)
-            if value is not None and value < 0:
-                raise ValueError(f"{attr} must be >= 0, got {value}")
-
-
-@dataclass(frozen=True)
 class ObjectMaterial:
     """Acoustic surface description of a placed object.
 

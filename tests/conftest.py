@@ -1,6 +1,6 @@
 import pytest
 
-from flsim import BinLayout, load_scenario, max_range
+from flsim import layout_for, load_scenario
 
 
 @pytest.fixture(scope="session")
@@ -15,8 +15,4 @@ def scenario2():
 
 @pytest.fixture(scope="session")
 def s1_layout(scenario1):
-    c = scenario1.env.sound_speed()
-    return BinLayout.from_range(
-        max_range(c, scenario1.sonar.ping_rate_hz),
-        scenario1.sonar.bin_length_m,
-    )
+    return layout_for(scenario1.env, scenario1.sonar)

@@ -6,7 +6,6 @@ import pytest
 from flsim import (
     BinLayout,
     SonarPose,
-    bin_center,
     bin_index,
     cutoff_angles,
     ring_area,
@@ -64,8 +63,8 @@ def test_bin_index_array():
 
 def test_bin_center():
     layout = BinLayout(bin_length_m=0.25, num_bins=161)
-    assert bin_center(1, layout) == pytest.approx(0.125)
-    assert bin_center(41, layout) == pytest.approx(10.125)
+    assert layout.center(1) == pytest.approx(0.125)
+    assert layout.center(41) == pytest.approx(10.125)
     np.testing.assert_allclose(layout.centers[:3], [0.125, 0.375, 0.625])
 
 

@@ -70,6 +70,22 @@ def test_adaptive_trapezoid_raises_on_divergent_integrand():
         _adaptive_trapezoid(f, 0.0, 1.0)
 
 
+def test_quadrature_error_names_beam_component_and_bin(scenario1, monkeypatch):
+    """With a panel cap no integral can meet, the first cell to integrate
+    fails: the bottom's first wet bin, 21 at 5 m altitude."""
+    monkeypatch.setattr("flsim.nullmodel.MAX_PANELS", 16)
+    with pytest.raises(QuadratureError) as exc:
+        expected_null(scenario1.env, scenario1.sonar, POSE, FORWARD)
+    message = str(exc.value)
+    assert "'forward'" in message
+    assert "bottom bin 21" in message
+    with pytest.raises(QuadratureError) as exc:
+        expected_null(scenario1.env, scenario1.sonar, POSE, FORWARD,
+                      include_bottom=False, include_surface=False)
+    assert "'forward'" in str(exc.value)
+    assert "volume bin 1," in str(exc.value)
+
+
 # --- ring averages ----------------------------------------------------------------
 
 

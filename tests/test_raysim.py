@@ -118,6 +118,23 @@ def test_heightfield_extends_beyond_grid(scenario1):
     assert hit.distance_m == pytest.approx(5.0 / math.sin(0.5), rel=1e-9)
 
 
+def test_heightfield_ray_crossing_many_cells_is_not_dropped(scenario1):
+    # About 490 walls of 0.1 m cells lie between the sonar and the impact at
+    # 35 m, far more than the grid's own 2 x 2 nodes; every one is stepped.
+    hf = Heightfield(x0=-0.1, y0=-0.1, spacing_m=0.1,
+                     depths=np.full((2, 2), 12.0))
+    dz = 5.0 / 35.0
+    horizontal = np.array([1.0, 0.8]) / math.hypot(1.0, 0.8)
+    d = np.append(horizontal * math.sqrt(1.0 - dz * dz), dz)
+    ray = Ray(origin=(0.0, 0.0, 7.0), direction=tuple(d / np.linalg.norm(d)),
+              remaining_range_m=40.0)
+    flat = trace_ray(flat_scene(scenario1.env), ray)
+    hit = trace_ray(Scene(env=scenario1.env, bottom=hf), ray)
+    assert flat is not None and flat.distance_m == pytest.approx(35.0, rel=1e-9)
+    assert hit is not None and hit.kind == "bottom"
+    assert hit.distance_m == pytest.approx(flat.distance_m, abs=1e-9)
+
+
 def test_box_face_hit(scenario1):
     box = Box(center_m=(10.0, 0.0, 6.0), size_m=(2.0, 2.0, 2.0))
     scene = Scene(env=scenario1.env, objects=(box,))
@@ -190,6 +207,47 @@ def test_trace_batch_accounts_for_every_ray(scenario1):
     assert int(missed.sum()) + int((~missed).sum()) == 4096
     # every hit in this scene is a horizontal plane
     assert np.all(np.abs(normals[~missed][:, 2]) == 1.0)
+
+
+def box_mesh(box):
+    """The 12-triangle mesh of a Box, with its material."""
+    corners = np.array(
+        [[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)]
+    ) * np.array(box.size_m) + np.array(box.center_m)
+    # corner index = 4 * (x side) + 2 * (y side) + (z side)
+    faces = [
+        (0, 1, 3), (0, 3, 2), (4, 6, 7), (4, 7, 5),  # x = lo, x = hi
+        (0, 4, 5), (0, 5, 1), (2, 3, 7), (2, 7, 6),  # y = lo, y = hi
+        (0, 2, 6), (0, 6, 4), (1, 5, 7), (1, 7, 3),  # z = lo, z = hi
+    ]
+    return TriangleMesh(vertices=corners, faces=np.array(faces),
+                        material=box.material)
+
+
+def test_box_and_its_triangle_mesh_give_the_same_hits(scenario1):
+    box = Box(center_m=(10.0, 1.0, 6.5), size_m=(2.0, 3.0, 1.5),
+              material=ObjectMaterial(rms_roughness=2.5))
+    rng = np.random.default_rng(2024)
+    n = 400
+    # origins around the sonar, aimed at points scattered about the box so
+    # that some rays hit it and the rest pass it
+    origins = np.array([0.0, 0.0, 7.0]) + rng.uniform(-1.0, 1.0, (n, 3))
+    targets = np.array(box.center_m) + rng.uniform(-1.0, 1.0, (n, 3)) * np.array(
+        box.size_m)
+    dirs = targets - origins
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    results = []
+    for obj in (box, box_mesh(box)):
+        scene = flat_scene(scenario1.env, objects=(obj,))
+        results.append(_trace_batch(scene, origins, dirs, 0.0, 40.25))
+    (kind_b, t_b, _, n_b, _, r_b), (kind_m, t_m, _, n_m, _, r_m) = results
+    on_box = kind_b == 2
+    assert 50 <= int(on_box.sum()) <= n - 50
+    np.testing.assert_array_equal(kind_m, kind_b)
+    np.testing.assert_array_equal(r_m, r_b)
+    np.testing.assert_allclose(t_m, t_b, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(n_m, n_b, rtol=0.0, atol=1e-9)
+    assert np.all(r_b[on_box] == 2.5)
 
 
 # --- per-ray measures -----------------------------------------------------------
