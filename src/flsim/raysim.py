@@ -144,7 +144,10 @@ class TriangleMesh:
 
     def __post_init__(self):
         vertices = np.asarray(self.vertices, dtype=float)
-        faces = np.asarray(self.faces, dtype=int)
+        try:
+            faces = np.asarray(self.faces, dtype=int)
+        except OverflowError:
+            raise ValueError("faces index outside the vertex array") from None
         if vertices.ndim != 2 or vertices.shape[1] != 3 or vertices.shape[0] < 3:
             raise ValueError("vertices must be an (n, 3) array with n >= 3")
         if faces.ndim != 2 or faces.shape[1] != 3 or faces.shape[0] < 1:
@@ -189,11 +192,12 @@ class Ray:
         if len(origin) != 3 or len(direction) != 3:
             raise ValueError("origin and direction must have 3 components")
         norm = math.sqrt(sum(c * c for c in direction))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"direction must be a unit vector, |d| = {norm}")
-        if self.remaining_range_m < 0:
+        if not 0.0 <= self.remaining_range_m < math.inf:
             raise ValueError(
-                f"remaining_range_m must be >= 0, got {self.remaining_range_m}"
+                f"remaining_range_m must be finite and >= 0, got "
+                f"{self.remaining_range_m}"
             )
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "direction", direction)

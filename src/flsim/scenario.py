@@ -2,26 +2,34 @@
 
 A scenario bundles the environment, the sonar, the vehicle pose, the scene
 contents and the run, detection and comparison settings into one file.
-Angles are degrees in files and radians in code. Validation is strict:
-unknown keys are rejected and every error names the offending path.
+Angles are degrees in files and radians in code.
 
-Loading normalizes the document (defaults applied, numbers coerced), keeps
-the normalized tree verbatim for serialization, and builds the typed
-components from it, so a load of a serialized scenario reproduces the
-scenario exactly.
+The schema is one field table: each section lists its fields in order as
+(key, coercer, default or REQUIRED), and a field whose coercer is itself a
+table is a nested section. One walker applies a table to a node: it
+rejects unknown keys, fills defaults and coerces every field, and each
+error names the offending path. Nodes with a `type` (the bottom, the
+objects) pick their table by type. Numbers must be finite.
+
+A document is checked once, at load: the walk, then the typed components,
+the bin layout and the scene are built from the normalized tree, so any
+scenario that loads can run every command. The normalized tree is kept
+verbatim for serialization, so a load of a serialized scenario reproduces
+the scenario exactly.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from importlib import resources
 
 import yaml
 
 from .acoustics import BeamOrientation, EnvironmentParams, SonarConfig
-from .geometry import SonarPose
+from .geometry import SonarPose, layout_for
 from .raysim import Box, FlatBottom, Heightfield, Scene, TriangleMesh
 from .scatter import ObjectMaterial
 
@@ -31,12 +39,14 @@ BUNDLED_SCENARIOS = ("scenario1", "scenario2")
 
 
 # ---------------------------------------------------------------------------
-# Leaf coercion
+# Coercers: (value, path) -> checked value
 
 
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -66,279 +76,204 @@ def _as_mapping(value, path: str) -> dict:
     return value
 
 
-def _check_keys(node: dict, known, path: str) -> None:
-    unknown = set(node) - set(known)
-    if unknown:
-        raise ValueError(f"{path}: unknown key {sorted(unknown)[0]!r}")
+def _positive(value, path: str) -> float:
+    number = _as_float(value, path)
+    if number <= 0:
+        raise ValueError(f"{path}: must be > 0, got {number}")
+    return number
 
 
-def _require(node: dict, key: str, path: str):
-    if key not in node:
-        raise ValueError(f"{path}: missing required key {key!r}")
-    return node[key]
+def _int_at_least(low: int):
+    def coerce(value, path: str) -> int:
+        number = _as_int(value, path)
+        if number < low:
+            raise ValueError(f"{path}: must be >= {low}, got {number}")
+        return number
+
+    return coerce
+
+
+def _list_of(item, expected: str, min_len: int = 0, max_len: float = math.inf):
+    """Coercer for a list of min_len..max_len items, each coerced by item (a
+    coercer or a field table); null is the empty list."""
+
+    def coerce(value, path: str) -> list:
+        items = [] if value is None else value
+        if not isinstance(items, list) or not min_len <= len(items) <= max_len:
+            raise ValueError(f"{path}: {expected}")
+        return [_coerce(item, v, f"{path}[{i}]", i) for i, v in enumerate(items)]
+
+    return coerce
+
+
+def _variant(noun: str, default, tables: dict):
+    """Coercer for a mapping whose `type` field (default `default`) picks
+    its field table."""
+
+    type_row = ("type", _as_str, default)
+
+    def coerce(value, path: str) -> dict:
+        node = _as_mapping(value, path)
+        kind = _field(node, type_row, path)
+        if kind not in tables:
+            raise ValueError(f"{path}.type: unknown {noun} type {kind!r}")
+        return _walk((type_row, *tables[kind]), node, path)
+
+    return coerce
+
+
+_VECTOR = _list_of(_as_float, "expected a list of 3 numbers", 3, 3)
+_FACES = _list_of(
+    _list_of(_as_int, "expected a list of 3 indices", 3, 3),
+    "expected a non-empty list", 1,
+)
+
+
+def _window(value, path: str) -> list:
+    low, high = _list_of(_as_float, "expected [low, high]", 2, 2)(value, path)
+    if high <= low:
+        raise ValueError(f"{path}: high must exceed low, got {value}")
+    return [low, high]
+
+
+def _beams(value, path: str) -> list:
+    beams = _list_of(_BEAM, "expected a non-empty list", 1)(value, path)
+    names = [b["name"] for b in beams]
+    if len(set(names)) != len(names):
+        raise ValueError(f"{path}: beam names must be unique, got {names}")
+    return beams
 
 
 # ---------------------------------------------------------------------------
-# Section normalizers: raw mapping -> fully defaulted, coerced mapping
+# The field table. A callable default is called with the node's list index.
+
+REQUIRED = object()
+
+_ENVIRONMENT = (
+    ("temperature_c", _as_float, REQUIRED),
+    ("salinity_ppt", _as_float, REQUIRED),
+    ("depth_m", _as_float, REQUIRED),
+    ("max_depth_m", _as_float, REQUIRED),
+    ("ph", _as_float, 8.0),
+    ("wind_knots", _as_float, 0.0),
+    ("shipping_density", _as_float, 0.5),
+    ("particle_density_db", _as_float, -70.0),
+    ("bottom_type", _as_float, 2.0),
+)
+_BEAM = (
+    ("name", _as_str, "beam{}".format),
+    ("pitch_deg", _as_float, 0.0),
+    ("yaw_deg", _as_float, 0.0),
+)
+_SONAR = (
+    ("frequency_khz", _as_float, REQUIRED),
+    ("bandwidth_hz", _as_float, REQUIRED),
+    ("source_level_db", _as_float, 0.0),
+    ("ping_rate_hz", _as_float, REQUIRED),
+    ("horizontal_len_m", _as_float, REQUIRED),
+    ("vertical_len_m", _as_float, REQUIRED),
+    ("bin_length_m", _as_float, REQUIRED),
+    ("num_rays", _as_int, 20000),
+    ("beams", _beams, [{"name": "forward"}]),
+)
+_POSE = (
+    ("altitude_m", _as_float, REQUIRED),
+    ("depth_m", _as_float, REQUIRED),
+    ("pitch_deg", _as_float, 0.0),
+)
+_TRANSMITTER = (
+    ("pitch_deg", _as_float, 0.0),
+    ("yaw_deg", _as_float, 0.0),
+)
+_BOTTOM = _variant("bottom", "flat", {
+    "flat": (),
+    "none": (),
+    "step": (
+        ("distance_m", _as_float, REQUIRED),
+        ("rise_m", _as_float, REQUIRED),
+        ("spacing_m", _positive, 0.5),
+        ("extent_m", _positive, 42.0),
+    ),
+})
+_OBJECT = _variant("object", REQUIRED, {
+    "box": (
+        ("center_m", _VECTOR, REQUIRED),
+        ("size_m", _VECTOR, REQUIRED),
+        ("rms_roughness", _as_float, 3.0),
+    ),
+    "mesh": (
+        ("vertices", _list_of(_VECTOR, "expected a list of at least 3 points", 3),
+         REQUIRED),
+        ("faces", _FACES, REQUIRED),
+        ("rms_roughness", _as_float, 3.0),
+    ),
+})
+_SCENE = (
+    ("bottom", _BOTTOM, {"type": "flat"}),
+    ("surface", _as_bool, True),
+    ("volume", _as_bool, True),
+    ("objects", _list_of(_OBJECT, "expected a list"), []),
+)
+_RUN = (
+    ("num_pings", _int_at_least(1), 1),
+    ("noise_enabled", _as_bool, True),
+    ("seed", _int_at_least(0), 0),
+)
+_DETECT = (
+    ("sigma_db", _positive, 3.0),
+    ("alt_offset_db", _as_float, 6.0),
+    ("gamma", _as_float, 10.0),
+)
+_COMPARE = (
+    ("window_m", _window, [0.0, 20.0]),
+    ("max_gap_db", _positive, 3.0),
+    ("min_expected_db", _as_float, -120.0),
+)
+_SCENARIO = (
+    ("environment", _ENVIRONMENT, REQUIRED),
+    ("sonar", _SONAR, REQUIRED),
+    ("pose", _POSE, REQUIRED),
+    ("transmitter", _TRANSMITTER, {}),
+    ("scene", _SCENE, {}),
+    ("run", _RUN, {}),
+    ("detect", _DETECT, {}),
+    ("compare", _COMPARE, {}),
+)
 
 
-def _normalize_environment(node, path):
+# ---------------------------------------------------------------------------
+# The walker: raw mapping -> fully defaulted, coerced mapping
+
+
+def _coerce(spec, value, path: str, index=None):
+    if isinstance(spec, tuple):
+        return _walk(spec, value, path, index)
+    return spec(value, path)
+
+
+def _field(node: dict, row: tuple, path: str, index=None):
+    key, spec, default = row
+    if key in node:
+        value = node[key]
+    elif default is REQUIRED:
+        what = "section" if isinstance(spec, tuple) else "key"
+        raise ValueError(f"{path}: missing required {what} {key!r}")
+    else:
+        value = default(index) if callable(default) else default
+    return _coerce(spec, value, f"{path}.{key}")
+
+
+def _walk(table: tuple, node, path: str, index=None) -> dict:
     node = _as_mapping(node, path)
-    known = (
-        "temperature_c", "salinity_ppt", "depth_m", "max_depth_m", "ph",
-        "wind_knots", "shipping_density", "particle_density_db", "bottom_type",
-    )
-    _check_keys(node, known, path)
-    out = {
-        "temperature_c": _as_float(_require(node, "temperature_c", path),
-                                   f"{path}.temperature_c"),
-        "salinity_ppt": _as_float(_require(node, "salinity_ppt", path),
-                                  f"{path}.salinity_ppt"),
-        "depth_m": _as_float(_require(node, "depth_m", path), f"{path}.depth_m"),
-        "max_depth_m": _as_float(_require(node, "max_depth_m", path),
-                                 f"{path}.max_depth_m"),
-        "ph": _as_float(node.get("ph", 8.0), f"{path}.ph"),
-        "wind_knots": _as_float(node.get("wind_knots", 0.0), f"{path}.wind_knots"),
-        "shipping_density": _as_float(node.get("shipping_density", 0.5),
-                                      f"{path}.shipping_density"),
-        "particle_density_db": _as_float(node.get("particle_density_db", -70.0),
-                                         f"{path}.particle_density_db"),
-        "bottom_type": _as_float(node.get("bottom_type", 2.0),
-                                 f"{path}.bottom_type"),
-    }
-    return out
-
-
-def _normalize_beam(node, path, index):
-    node = _as_mapping(node, path)
-    _check_keys(node, ("name", "pitch_deg", "yaw_deg"), path)
-    return {
-        "name": _as_str(node.get("name", f"beam{index}"), f"{path}.name"),
-        "pitch_deg": _as_float(node.get("pitch_deg", 0.0), f"{path}.pitch_deg"),
-        "yaw_deg": _as_float(node.get("yaw_deg", 0.0), f"{path}.yaw_deg"),
-    }
-
-
-def _normalize_sonar(node, path):
-    node = _as_mapping(node, path)
-    known = (
-        "frequency_khz", "bandwidth_hz", "source_level_db", "ping_rate_hz",
-        "horizontal_len_m", "vertical_len_m", "bin_length_m", "num_rays", "beams",
-    )
-    _check_keys(node, known, path)
-    beams_node = node.get("beams", [{"name": "forward"}])
-    if not isinstance(beams_node, list) or not beams_node:
-        raise ValueError(f"{path}.beams: expected a non-empty list")
-    beams = [
-        _normalize_beam(b, f"{path}.beams[{i}]", i) for i, b in enumerate(beams_node)
-    ]
-    names = [b["name"] for b in beams]
-    if len(set(names)) != len(names):
-        raise ValueError(f"{path}.beams: beam names must be unique, got {names}")
-    return {
-        "frequency_khz": _as_float(_require(node, "frequency_khz", path),
-                                   f"{path}.frequency_khz"),
-        "bandwidth_hz": _as_float(_require(node, "bandwidth_hz", path),
-                                  f"{path}.bandwidth_hz"),
-        "source_level_db": _as_float(node.get("source_level_db", 0.0),
-                                     f"{path}.source_level_db"),
-        "ping_rate_hz": _as_float(_require(node, "ping_rate_hz", path),
-                                  f"{path}.ping_rate_hz"),
-        "horizontal_len_m": _as_float(_require(node, "horizontal_len_m", path),
-                                      f"{path}.horizontal_len_m"),
-        "vertical_len_m": _as_float(_require(node, "vertical_len_m", path),
-                                    f"{path}.vertical_len_m"),
-        "bin_length_m": _as_float(_require(node, "bin_length_m", path),
-                                  f"{path}.bin_length_m"),
-        "num_rays": _as_int(node.get("num_rays", 20000), f"{path}.num_rays"),
-        "beams": beams,
-    }
-
-
-def _normalize_pose(node, path):
-    node = _as_mapping(node, path)
-    _check_keys(node, ("altitude_m", "depth_m", "pitch_deg"), path)
-    return {
-        "altitude_m": _as_float(_require(node, "altitude_m", path),
-                                f"{path}.altitude_m"),
-        "depth_m": _as_float(_require(node, "depth_m", path), f"{path}.depth_m"),
-        "pitch_deg": _as_float(node.get("pitch_deg", 0.0), f"{path}.pitch_deg"),
-    }
-
-
-def _normalize_transmitter(node, path):
-    node = _as_mapping(node, path)
-    _check_keys(node, ("pitch_deg", "yaw_deg"), path)
-    return {
-        "pitch_deg": _as_float(node.get("pitch_deg", 0.0), f"{path}.pitch_deg"),
-        "yaw_deg": _as_float(node.get("yaw_deg", 0.0), f"{path}.yaw_deg"),
-    }
-
-
-def _normalize_vector(value, path, length=3):
-    if not isinstance(value, list) or len(value) != length:
-        raise ValueError(f"{path}: expected a list of {length} numbers")
-    return [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
-def _normalize_object(node, path):
-    node = _as_mapping(node, path)
-    kind = _as_str(_require(node, "type", path), f"{path}.type")
-    if kind == "box":
-        _check_keys(node, ("type", "center_m", "size_m", "rms_roughness"), path)
-        return {
-            "type": "box",
-            "center_m": _normalize_vector(_require(node, "center_m", path),
-                                          f"{path}.center_m"),
-            "size_m": _normalize_vector(_require(node, "size_m", path),
-                                        f"{path}.size_m"),
-            "rms_roughness": _as_float(node.get("rms_roughness", 3.0),
-                                       f"{path}.rms_roughness"),
-        }
-    if kind == "mesh":
-        _check_keys(node, ("type", "vertices", "faces", "rms_roughness"), path)
-        vertices = _require(node, "vertices", path)
-        faces = _require(node, "faces", path)
-        if not isinstance(vertices, list) or len(vertices) < 3:
-            raise ValueError(f"{path}.vertices: expected a list of at least 3 points")
-        if not isinstance(faces, list) or not faces:
-            raise ValueError(f"{path}.faces: expected a non-empty list")
-        return {
-            "type": "mesh",
-            "vertices": [
-                _normalize_vector(v, f"{path}.vertices[{i}]")
-                for i, v in enumerate(vertices)
-            ],
-            "faces": [
-                [_as_int(c, f"{path}.faces[{i}][{j}]") for j, c in enumerate(f)]
-                if isinstance(f, list) and len(f) == 3
-                else _raise(f"{path}.faces[{i}]: expected a list of 3 indices")
-                for i, f in enumerate(faces)
-            ],
-            "rms_roughness": _as_float(node.get("rms_roughness", 3.0),
-                                       f"{path}.rms_roughness"),
-        }
-    raise ValueError(f"{path}.type: unknown object type {kind!r}")
-
-
-def _raise(message):
-    raise ValueError(message)
-
-
-def _normalize_bottom(node, path):
-    node = _as_mapping(node, path)
-    kind = _as_str(node.get("type", "flat"), f"{path}.type")
-    if kind == "flat":
-        _check_keys(node, ("type",), path)
-        return {"type": "flat"}
-    if kind == "none":
-        _check_keys(node, ("type",), path)
-        return {"type": "none"}
-    if kind == "step":
-        _check_keys(node, ("type", "distance_m", "rise_m", "spacing_m", "extent_m"),
-                    path)
-        return {
-            "type": "step",
-            "distance_m": _as_float(_require(node, "distance_m", path),
-                                    f"{path}.distance_m"),
-            "rise_m": _as_float(_require(node, "rise_m", path), f"{path}.rise_m"),
-            "spacing_m": _as_float(node.get("spacing_m", 0.5), f"{path}.spacing_m"),
-            "extent_m": _as_float(node.get("extent_m", 42.0), f"{path}.extent_m"),
-        }
-    raise ValueError(f"{path}.type: unknown bottom type {kind!r}")
-
-
-def _normalize_scene(node, path):
-    node = _as_mapping(node, path)
-    _check_keys(node, ("bottom", "surface", "volume", "objects"), path)
-    objects = node.get("objects", [])
-    if objects is None:
-        objects = []
-    if not isinstance(objects, list):
-        raise ValueError(f"{path}.objects: expected a list")
-    return {
-        "bottom": _normalize_bottom(node.get("bottom", {"type": "flat"}),
-                                    f"{path}.bottom"),
-        "surface": _as_bool(node.get("surface", True), f"{path}.surface"),
-        "volume": _as_bool(node.get("volume", True), f"{path}.volume"),
-        "objects": [
-            _normalize_object(o, f"{path}.objects[{i}]")
-            for i, o in enumerate(objects)
-        ],
-    }
-
-
-def _normalize_run(node, path):
-    node = _as_mapping(node, path)
-    _check_keys(node, ("num_pings", "noise_enabled", "seed"), path)
-    out = {
-        "num_pings": _as_int(node.get("num_pings", 1), f"{path}.num_pings"),
-        "noise_enabled": _as_bool(node.get("noise_enabled", True),
-                                  f"{path}.noise_enabled"),
-        "seed": _as_int(node.get("seed", 0), f"{path}.seed"),
-    }
-    if out["num_pings"] < 1:
-        raise ValueError(f"{path}.num_pings: must be >= 1, got {out['num_pings']}")
-    return out
-
-
-def _normalize_detect(node, path):
-    node = _as_mapping(node, path)
-    _check_keys(node, ("sigma_db", "alt_offset_db", "gamma"), path)
-    out = {
-        "sigma_db": _as_float(node.get("sigma_db", 3.0), f"{path}.sigma_db"),
-        "alt_offset_db": _as_float(node.get("alt_offset_db", 6.0),
-                                   f"{path}.alt_offset_db"),
-        "gamma": _as_float(node.get("gamma", 10.0), f"{path}.gamma"),
-    }
-    if out["sigma_db"] <= 0:
-        raise ValueError(f"{path}.sigma_db: must be > 0, got {out['sigma_db']}")
-    return out
-
-
-def _normalize_compare(node, path):
-    node = _as_mapping(node, path)
-    _check_keys(node, ("window_m", "max_gap_db", "min_expected_db"), path)
-    window = node.get("window_m", [0.0, 20.0])
-    if not isinstance(window, list) or len(window) != 2:
-        raise ValueError(f"{path}.window_m: expected [low, high]")
-    lo = _as_float(window[0], f"{path}.window_m[0]")
-    hi = _as_float(window[1], f"{path}.window_m[1]")
-    if hi <= lo:
-        raise ValueError(f"{path}.window_m: high must exceed low, got {window}")
-    out = {
-        "window_m": [lo, hi],
-        "max_gap_db": _as_float(node.get("max_gap_db", 3.0), f"{path}.max_gap_db"),
-        "min_expected_db": _as_float(node.get("min_expected_db", -120.0),
-                                     f"{path}.min_expected_db"),
-    }
-    if out["max_gap_db"] <= 0:
-        raise ValueError(f"{path}.max_gap_db: must be > 0, got {out['max_gap_db']}")
-    return out
+    unknown = set(node) - {key for key, _, _ in table}
+    if unknown:
+        raise ValueError(f"{path}: unknown key {min(unknown, key=str)!r}")
+    return {row[0]: _field(node, row, path, index) for row in table}
 
 
 def normalize(data) -> dict:
     """Validate a parsed scenario document and fill every default."""
-    path = "scenario"
-    data = _as_mapping(data, path)
-    known = ("environment", "sonar", "pose", "transmitter", "scene", "run",
-             "detect", "compare")
-    _check_keys(data, known, path)
-    for key in ("environment", "sonar", "pose"):
-        if key not in data:
-            raise ValueError(f"{path}: missing required section {key!r}")
-    return {
-        "environment": _normalize_environment(data["environment"],
-                                              f"{path}.environment"),
-        "sonar": _normalize_sonar(data["sonar"], f"{path}.sonar"),
-        "pose": _normalize_pose(data["pose"], f"{path}.pose"),
-        "transmitter": _normalize_transmitter(data.get("transmitter", {}),
-                                              f"{path}.transmitter"),
-        "scene": _normalize_scene(data.get("scene", {}), f"{path}.scene"),
-        "run": _normalize_run(data.get("run", {}), f"{path}.run"),
-        "detect": _normalize_detect(data.get("detect", {}), f"{path}.detect"),
-        "compare": _normalize_compare(data.get("compare", {}), f"{path}.compare"),
-    }
+    return _walk(_SCENARIO, data, "scenario")
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +289,23 @@ class Scenario:
     sonar: SonarConfig
     pose: SonarPose
     transmitter: BeamOrientation
-    num_pings: int = field(init=False, default=0)
-    noise_enabled: bool = field(init=False, default=True)
-    seed: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        run = self.raw["run"]
-        object.__setattr__(self, "num_pings", run["num_pings"])
-        object.__setattr__(self, "noise_enabled", run["noise_enabled"])
-        object.__setattr__(self, "seed", run["seed"])
 
     def __eq__(self, other):
         if not isinstance(other, Scenario):
             return NotImplemented
         return self.raw == other.raw
+
+    @property
+    def num_pings(self) -> int:
+        return self.raw["run"]["num_pings"]
+
+    @property
+    def noise_enabled(self) -> bool:
+        return self.raw["run"]["noise_enabled"]
+
+    @property
+    def seed(self) -> int:
+        return self.raw["run"]["seed"]
 
     @property
     def detect_params(self) -> dict:
@@ -378,50 +316,49 @@ class Scenario:
         return dict(self.raw["compare"])
 
 
+def _at(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with path put in front of its ValueError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _orientation(node: dict, name: str) -> BeamOrientation:
+    return BeamOrientation(
+        pitch_rad=math.radians(node["pitch_deg"]),
+        yaw_rad=math.radians(node["yaw_deg"]),
+        name=name,
+    )
+
+
+def _sonar(node: dict, seed: int) -> SonarConfig:
+    beams = tuple(_orientation(b, b["name"]) for b in node["beams"])
+    fields = {k: v for k, v in node.items() if k != "beams"}
+    return SonarConfig(beams=beams, rng_seed=seed, **fields)
+
+
 def _build(normalized: dict) -> Scenario:
-    def section(name, builder, node):
-        try:
-            return builder(node)
-        except ValueError as err:
-            raise ValueError(f"scenario.{name}: {err}") from None
-
-    env = section("environment", lambda n: EnvironmentParams(**n),
-                  normalized["environment"])
-
-    def build_sonar(node):
-        beams = tuple(
-            BeamOrientation(
-                pitch_rad=math.radians(b["pitch_deg"]),
-                yaw_rad=math.radians(b["yaw_deg"]),
-                name=b["name"],
-            )
-            for b in node["beams"]
-        )
-        fields = {k: v for k, v in node.items() if k != "beams"}
-        return SonarConfig(beams=beams, rng_seed=normalized["run"]["seed"], **fields)
-
-    sonar = section("sonar", build_sonar, normalized["sonar"])
-    pose = section(
-        "pose",
-        lambda n: SonarPose(
-            altitude_m=n["altitude_m"],
-            depth_m=n["depth_m"],
-            pitch_rad=math.radians(n["pitch_deg"]),
-        ),
-        normalized["pose"],
+    """The typed components of a normalized document. The bin layout and
+    the scene are built too, so that every error shows at load."""
+    env = _at("scenario.environment", EnvironmentParams, **normalized["environment"])
+    sonar = _at("scenario.sonar", _sonar, normalized["sonar"],
+                normalized["run"]["seed"])
+    pose_node = normalized["pose"]
+    pose = _at(
+        "scenario.pose", SonarPose,
+        altitude_m=pose_node["altitude_m"],
+        depth_m=pose_node["depth_m"],
+        pitch_rad=math.radians(pose_node["pitch_deg"]),
     )
-    transmitter = section(
-        "transmitter",
-        lambda n: BeamOrientation(
-            pitch_rad=math.radians(n["pitch_deg"]),
-            yaw_rad=math.radians(n["yaw_deg"]),
-            name="transmitter",
-        ),
-        normalized["transmitter"],
-    )
-    return Scenario(
+    transmitter = _at("scenario.transmitter", _orientation,
+                      normalized["transmitter"], "transmitter")
+    scenario = Scenario(
         raw=normalized, env=env, sonar=sonar, pose=pose, transmitter=transmitter
     )
+    _at("scenario.sonar", layout_for, env, sonar)
+    build_scene(scenario)
+    return scenario
 
 
 def loads(text: str) -> Scenario:
@@ -454,54 +391,49 @@ def serialize(scenario: Scenario) -> str:
     return yaml.safe_dump(scenario.raw, sort_keys=False)
 
 
+def _bottom(spec: dict, base_depth: float):
+    if spec["type"] == "flat":
+        return FlatBottom(depth_m=base_depth)
+    if spec["type"] == "none":
+        return None
+    distance = spec["distance_m"]
+    rise = spec["rise_m"]
+    spacing = spec["spacing_m"]
+    extent = spec["extent_m"]
+    shallow = base_depth - rise
+    if shallow <= 0:
+        raise ValueError(
+            f"rise_m {rise} reaches the surface (sea floor at {base_depth} m)"
+        )
+    num = int(round(2.0 * extent / spacing)) + 1
+    xs = -extent + spacing * np.arange(num)
+    depths = np.where(xs <= distance + 1e-9, base_depth, shallow)
+    grid = np.tile(depths[:, None], (1, num))
+    return Heightfield(x0=-extent, y0=-extent, spacing_m=spacing, depths=grid)
+
+
+def _object(spec: dict):
+    material = ObjectMaterial(rms_roughness=spec["rms_roughness"])
+    if spec["type"] == "box":
+        return Box(center_m=spec["center_m"], size_m=spec["size_m"],
+                   material=material)
+    return TriangleMesh(vertices=spec["vertices"], faces=spec["faces"],
+                        material=material)
+
+
 def build_scene(scenario: Scenario) -> Scene:
-    """Assemble the traced scene from the scenario's scene section."""
+    """Assemble the traced scene from the scenario's scene section. An
+    error names the path of the bottom or object it came from."""
     spec = scenario.raw["scene"]
     pose = scenario.pose
     base_depth = pose.depth_m + pose.altitude_m
-
-    bottom_spec = spec["bottom"]
-    if bottom_spec["type"] == "flat":
-        bottom = FlatBottom(depth_m=base_depth)
-    elif bottom_spec["type"] == "none":
-        bottom = None
-    else:
-        distance = bottom_spec["distance_m"]
-        rise = bottom_spec["rise_m"]
-        spacing = bottom_spec["spacing_m"]
-        extent = bottom_spec["extent_m"]
-        shallow = base_depth - rise
-        if shallow <= 0:
-            raise ValueError(
-                f"scenario.scene.bottom: rise_m {rise} reaches the surface "
-                f"(sea floor at {base_depth} m)"
-            )
-        num = int(round(2.0 * extent / spacing)) + 1
-        xs = -extent + spacing * np.arange(num)
-        depths = np.where(xs <= distance + 1e-9, base_depth, shallow)
-        grid = np.tile(depths[:, None], (1, num))
-        bottom = Heightfield(x0=-extent, y0=-extent, spacing_m=spacing, depths=grid)
-
-    objects = []
-    for obj in spec["objects"]:
-        material = ObjectMaterial(rms_roughness=obj["rms_roughness"])
-        if obj["type"] == "box":
-            objects.append(
-                Box(center_m=tuple(obj["center_m"]), size_m=tuple(obj["size_m"]),
-                    material=material)
-            )
-        else:
-            objects.append(
-                TriangleMesh(
-                    vertices=np.asarray(obj["vertices"], dtype=float),
-                    faces=np.asarray(obj["faces"], dtype=int),
-                    material=material,
-                )
-            )
     return Scene(
         env=scenario.env,
-        bottom=bottom,
+        bottom=_at("scenario.scene.bottom", _bottom, spec["bottom"], base_depth),
         surface_enabled=spec["surface"],
         volume_enabled=spec["volume"],
-        objects=tuple(objects),
+        objects=tuple(
+            _at(f"scenario.scene.objects[{i}]", _object, obj)
+            for i, obj in enumerate(spec["objects"])
+        ),
     )

@@ -66,6 +66,15 @@ def test_ray_validation():
         Ray(origin=(0, 0, 0), direction=(1.0, 0.0, 0.0), remaining_range_m=-1.0)
 
 
+def test_ray_range_and_direction_must_be_finite():
+    # An infinite range used to reach the heightfield step cap as nan.
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="remaining_range_m"):
+            Ray(origin=(0, 0, 7), direction=(0.0, 0.0, 1.0), remaining_range_m=bad)
+    with pytest.raises(ValueError, match="unit vector"):
+        Ray(origin=(0, 0, 7), direction=(math.nan, 0.0, 0.0), remaining_range_m=1.0)
+
+
 # --- direction sampling -------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
 from flsim import (
     BeamOrientation,
@@ -23,6 +24,7 @@ from flsim.runner import (
     run_sim,
     with_overrides,
 )
+from flsim.scenario import serialize
 
 
 def _read_rows(path):
@@ -199,3 +201,29 @@ def test_cli_reports_quadrature_diagnostics(tmp_path, monkeypatch):
     monkeypatch.setattr("flsim.runner.expected_null", explode)
     assert main(["null", "--scenario", "scenario1",
                  "--out", str(tmp_path / "q")]) == 3
+
+
+def _document_with_scene(tmp_path, scenario1, scene):
+    doc = yaml.safe_load(serialize(scenario1))
+    doc["scene"].update(scene)
+    path = tmp_path / "doc.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_rejects_scene_errors_at_load(tmp_path, capsys, scenario1):
+    rough = _document_with_scene(tmp_path, scenario1, {"objects": [
+        {"type": "box", "center_m": [15, 0, 10], "size_m": [2, 2, 2],
+         "rms_roughness": 9}]})
+    assert main(["null", "--scenario", rough, "--out", str(tmp_path / "n")]) == 1
+    err = capsys.readouterr().err
+    assert "scenario.scene.objects[0]: rms_roughness" in err
+    assert not (tmp_path / "n").exists()
+
+    step = _document_with_scene(tmp_path, scenario1, {"bottom": {
+        "type": "step", "distance_m": 35.0, "rise_m": 2.0, "spacing_m": 0}})
+    assert main(["sim", "--scenario", step, "--out", str(tmp_path / "s"),
+                 "--rays", "200", "--pings", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario.scene.bottom.spacing_m: must be > 0")
+    assert "Traceback" not in err

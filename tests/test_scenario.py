@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -101,6 +102,8 @@ def test_unknown_keys_are_rejected_with_their_path():
         loads(MINIMAL.replace("salinity_ppt", "salinity"))
     with pytest.raises(ValueError, match="scenario: unknown key"):
         loads(MINIMAL + "\nextras: {}\n")
+    with pytest.raises(ValueError, match="scenario.run: unknown key 1"):
+        loads(MINIMAL + "\nrun: {1: a, zz: b}\n")
 
 
 def test_missing_required_section_is_rejected():
@@ -152,6 +155,34 @@ def test_mesh_object_face_shape_is_checked():
         loads(doc)
 
 
+def test_numbers_must_be_finite():
+    for bad in (".nan", ".inf", "-.inf"):
+        with pytest.raises(ValueError,
+                           match="scenario.sonar.source_level_db: expected a finite"):
+            loads(MINIMAL.replace("bin_length_m: 0.25",
+                                  f"bin_length_m: 0.25\n  source_level_db: {bad}"))
+    with pytest.raises(ValueError, match="scenario.detect.gamma: expected a finite"):
+        loads(MINIMAL + "\ndetect: {gamma: .nan}\n")
+
+
+def test_step_spacing_and_extent_must_be_positive():
+    step = "\nscene:\n  bottom: {type: step, distance_m: 10.0, rise_m: 2.0, %s}\n"
+    for field, value in (("spacing_m", 0), ("spacing_m", -0.5), ("extent_m", 0)):
+        with pytest.raises(ValueError, match=rf"scenario.scene.bottom.{field}: "
+                                             rf"must be > 0, got {float(value)}"):
+            loads(MINIMAL + step % f"{field}: {value}")
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError, match=r"scenario.run.seed: must be >= 0, got -1"):
+        loads(MINIMAL + "\nrun:\n  seed: -1\n")
+
+
+def test_bin_layout_is_checked_at_load():
+    with pytest.raises(ValueError, match="scenario.sonar: max_range_m"):
+        loads(MINIMAL.replace("bin_length_m: 0.25", "bin_length_m: 1000.0"))
+
+
 def test_beam_angles_are_read_as_degrees():
     doc = MINIMAL.replace(
         "bin_length_m: 0.25",
@@ -193,6 +224,29 @@ def test_step_rise_reaching_surface_is_rejected():
     )
     with pytest.raises(ValueError, match="rise_m"):
         build_scene(loads(doc))
+
+
+def test_scene_errors_are_raised_at_load_with_their_path():
+    doc = MINIMAL + (
+        "\nscene:\n  objects:\n"
+        "    - {type: box, center_m: [10, 0, 6], size_m: [2, 2, 2],"
+        " rms_roughness: 9}\n"
+    )
+    with pytest.raises(ValueError, match=re.escape(
+            "scenario.scene.objects[0]: rms_roughness must be in [1, 4], got 9.0")):
+        loads(doc)
+    with pytest.raises(ValueError, match=re.escape("scenario.scene.objects[0]: size_m")):
+        loads(doc.replace("size_m: [2, 2, 2]", "size_m: [2, 0, 2]")
+              .replace("rms_roughness: 9", "rms_roughness: 2"))
+    mesh = MINIMAL + (
+        "\nscene:\n  objects:\n"
+        "    - type: mesh\n"
+        "      vertices: [[0, 0, 6], [1, 0, 6], [0, 1, 6]]\n"
+        f"      faces: [[0, 1, {2**70}]]\n"
+    )
+    with pytest.raises(ValueError, match=re.escape(
+            "scenario.scene.objects[0]: faces index outside the vertex array")):
+        loads(mesh)
 
 
 # --- round trips and overrides ----------------------------------------------------
