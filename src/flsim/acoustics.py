@@ -132,6 +132,15 @@ class SonarConfig:
         _check_positive("bin_length_m", self.bin_length_m)
         if self.num_rays < 1:
             raise ValueError(f"num_rays must be >= 1, got {self.num_rays}")
+        try:
+            source_factor = 10.0 ** (self.source_level_db / 10.0)
+        except OverflowError:
+            source_factor = math.inf
+        if not math.isfinite(source_factor):
+            raise ValueError(
+                "source_level_db must have a finite linear intensity "
+                f"(at most about 3082.5 dB), got {self.source_level_db}"
+            )
         if len(self.beams) < 1:
             raise ValueError("beams must contain at least one BeamOrientation")
         object.__setattr__(self, "beams", tuple(self.beams))

@@ -118,16 +118,21 @@ def ring_areas(layout: BinLayout, h: float) -> np.ndarray:
     return math.pi * np.diff(r * r)
 
 
-def grazing_between(d_inner: float, d_outer: float, h: float) -> float:
+def grazing_between(d_inner, d_outer, h: float):
     """Grazing angle to the center of the ring between slant ranges
     (d_inner, d_outer]: asin(2|h| / (d_inner + d_outer)), clamped to pi/2
     for the first wet ring where the midpoint is closer than |h|;
-    0 when the ring does not exist (|h| >= d_outer)."""
+    0 when the ring does not exist (|h| >= d_outer). Accepts scalars or
+    arrays of ranges."""
     h = abs(h)
-    if h >= d_outer:
-        return 0.0
-    arg = 2.0 * h / (d_inner + d_outer)
-    return math.asin(min(arg, 1.0))
+    d_inner = np.asarray(d_inner, dtype=float)
+    d_outer = np.asarray(d_outer, dtype=float)
+    wet = h < d_outer
+    arg = 2.0 * h / np.where(wet, d_inner + d_outer, 1.0)
+    out = np.where(wet, np.arcsin(np.minimum(arg, 1.0)), 0.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def ring_grazing(n: int, layout: BinLayout, h: float) -> float:

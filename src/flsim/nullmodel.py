@@ -20,15 +20,17 @@ Averaging modes
     dB-domain averages with 1/pi (ring) and 1/pi^2 (sphere) prefactors,
     retained for side-by-side study with the linear forms.
 
-Every component is a power sum over bins and their resolution cells, taken
-in one loop, _cell_sum; each mode sets the (bp_t, bp_r) pair of a cell.
-Quadrature is trapezoid integration under one panel-doubling loop,
-_panel_doubling, for the 1-D ring and the 2-D shell integrals alike: the
-panel count doubles from 16 until a doubling changes the result by at most
-0.01 dB, else QuadratureError names the beam, component, bin and cell.
-Integration domains are restricted to the closed-form gate intervals, so
-integrands stay smooth; beams with nonzero yaw fall back to pointwise gating
-of the shell integral.
+Every component is a power sum over bins and their resolution cells, all
+cells taken at once in _cell_sum; each mode sets the (bp_t, bp_r) pair of a
+cell. Quadrature is one batched kernel, _nested_trapezoid, for the 1-D ring
+and 2-D shell integrals alike: every row (an interval of a ring's gated arc,
+or a shell) starts at 16 trapezoid panels, each doubling evaluates only the
+new nested nodes of the rows still active, CHUNK_NODES at a time, and a row
+leaves once a doubling changes it by at most 0.01 dB, else QuadratureError
+names the beam, component, bin and cell. A node evaluates the gain once per
+distinct (pitch, yaw) orientation. Integration domains are restricted to the
+closed-form gate intervals, so integrands stay smooth; beams with nonzero
+yaw fall back to pointwise gating of the shell integral.
 """
 
 from __future__ import annotations
@@ -72,7 +74,12 @@ VALID_MODES = ("coupled", "independent", "printed")
 
 
 class QuadratureError(RuntimeError):
-    """Raised when panel doubling fails to converge within the panel cap."""
+    """Raised when panel doubling fails to converge within the panel cap.
+    row is the index of the first failing row of a batched integral."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -112,68 +119,144 @@ def _orientation(pose: SonarPose, beam: BeamOrientation) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# 1-D and tensor-grid adaptive trapezoid integration
+# Batched nested trapezoid integration
+
+# Integrand nodes evaluated per block, at most: about one 129 x 129 shell
+# grid, the largest the bundled scenarios converge on.
+CHUNK_NODES = 2**14
 
 
-def _trapz(values: np.ndarray, dx: float) -> float:
-    return float(dx * (values.sum() - 0.5 * (values[0] + values[-1])))
-
-
-def _trapz2(values: np.ndarray, dx: float, du: float) -> float:
-    inner = dx * (values.sum(axis=0) - 0.5 * (values[0, :] + values[-1, :]))
-    return float(du * (inner.sum() - 0.5 * (inner[0] + inner[-1])))
-
-
-def _converged(previous: float, current: float, signed: bool) -> bool:
+def _converged(previous, current, signed: bool):
+    """Per-row test that a doubling changed the estimate by at most
+    TOLERANCE_DB: in dB units for dB-domain (signed) integrals, as a dB
+    ratio of two positive estimates (or two zeros) otherwise."""
     if signed:
-        # dB-domain integrals may be negative; compare absolutely in dB units.
-        return abs(current - previous) <= TOLERANCE_DB
-    if previous == 0.0 and current == 0.0:
-        return True
-    if previous <= 0.0 or current <= 0.0:
-        return False
-    return abs(10.0 * math.log10(current / previous)) <= TOLERANCE_DB
+        return np.abs(current - previous) <= TOLERANCE_DB
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_db = np.abs(10.0 * np.log10(current / previous))
+    positive = (previous > 0.0) & (current > 0.0)
+    return ((previous == 0.0) & (current == 0.0)) | (
+        positive & (ratio_db <= TOLERANCE_DB))
 
 
-def _panel_doubling(estimate, max_panels: int, signed: bool) -> float:
-    """Double the panel count n of estimate(n) from 16 until two successive
-    estimates agree to TOLERANCE_DB, or raise once n reaches max_panels."""
-    n = 16
-    previous = estimate(n)
-    while n < max_panels:
+def _new_nodes(n: int, dims: int) -> list:
+    """Nodes of the n-panel trapezoid rule missing from the n/2-panel rule
+    (all of them at the first level, n = 16), as tensor blocks
+    ((ix, wx), (iu, wu)) of node indices and trapezoid weights along x, u."""
+    every = (np.arange(n + 1), np.ones(n + 1))
+    every[1][[0, -1]] = 0.5
+    odd = (np.arange(1, n, 2), np.ones(n // 2))
+    if dims == 1:
+        return [(every if n == 16 else odd, (np.zeros(1, int), np.ones(1)))]
+    if n == 16:
+        return [(every, every)]
+    return [(odd, every), ((every[0][::2], every[1][::2]), odd)]
+
+
+def _nested_trapezoid(f, lo, hi, dims: int, signed: bool):
+    """Integrate every row r of f over [lo[r], hi[r]] (times [0, 1] in u
+    when dims is 2) by panel doubling on nested nodes.
+
+    f(rows, x, u) returns the integrand of rows at nodes x of shape
+    (len(rows), nx, 1) and u of shape (nu,) (None in 1-D), shaped
+    (len(rows), nx, nu). Each row gets the estimate and panel count of a
+    row-by-row doubling on np.linspace nodes, up to rounding. Rows double
+    together while a row's new nodes fit in one chunk, then one at a time
+    in order, so a row that never converges costs no more than the rows
+    before it. Returns the estimates and panel counts (0 for an empty
+    interval), or raises QuadratureError for the first row not converged
+    at the cap.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    max_panels = MAX_PANELS if dims == 1 else math.isqrt(MAX_PANELS)
+    estimate, panels = np.zeros(lo.size), np.zeros(lo.size, dtype=int)
+    batched = 16
+    while batched < max_panels and 3 ** (dims - 1) * batched**dims <= CHUNK_NODES:
+        batched *= 2
+    rows = np.flatnonzero(hi - lo > 0.0)
+    for row in _double(f, lo, hi, rows, estimate, panels, dims, signed, 16, batched):
+        if _double(f, lo, hi, np.array([row]), estimate, panels, dims, signed,
+                   2 * batched, max_panels).size:
+            raise QuadratureError(f"quadrature did not converge to {TOLERANCE_DB} "
+                                  f"dB within {MAX_PANELS} panels", int(row))
+    return estimate, panels
+
+
+def _double(f, lo, hi, active, estimate, panels, dims, signed, n, stop):
+    """Take rows at n/2 panels (none when n is 16) through the levels n,
+    2n, ... up to stop, each evaluating only its new nodes and forming
+    T(2n) = T(n) / 2**dims + h * (weighted sum over them); a row leaves once
+    _converged accepts a doubling. Updates estimate and panels in place and
+    returns the rows still active."""
+    while active.size and n <= stop:
+        step = (hi[active] - lo[active]) / n
+        total = np.zeros(active.size)
+        for (ix, wx), (iu, wu) in _new_nodes(n, dims):
+            u = None if dims == 1 else np.where(iu == n, 1.0, iu * (1.0 / n))
+            cols = min(ix.size, max(1, CHUNK_NODES // iu.size))
+            per_chunk = max(1, CHUNK_NODES // (cols * iu.size))
+            for r0 in range(0, active.size, per_chunk):
+                rs = slice(r0, r0 + per_chunk)
+                rows = active[rs]
+                for c0 in range(0, ix.size, cols):
+                    cs = slice(c0, c0 + cols)
+                    # the same node coordinates np.linspace(lo, hi, n + 1) gives
+                    x = ix[cs] * step[rs, None] + lo[rows, None]
+                    x = np.where(ix[cs] == n, hi[rows, None], x)
+                    total[rs] += f(rows, x[:, :, None], u) @ wu @ wx[cs]
+        current = estimate[active] / 2**dims + step / n ** (dims - 1) * total
+        done = np.zeros(active.size, bool) if n == 16 else _converged(
+            estimate[active], current, signed)
+        estimate[active], panels[active] = current, n
+        active = active[~done]
         n *= 2
-        current = estimate(n)
-        if _converged(previous, current, signed):
-            return current
-        previous = current
-    raise QuadratureError(
-        f"quadrature did not converge to {TOLERANCE_DB} dB "
-        f"within {MAX_PANELS} panels"
-    )
+    return active
 
 
 def _adaptive_trapezoid(f, a: float, b: float, *, signed: bool = False) -> float:
     """Integrate vectorized f over [a, b] with panel doubling."""
-    if b - a <= 0.0:
-        return 0.0
-
-    def estimate(n):
-        return _trapz(f(np.linspace(a, b, n + 1)), (b - a) / n)
-
-    return _panel_doubling(estimate, MAX_PANELS, signed)
+    estimate, _ = _nested_trapezoid(
+        lambda rows, x, u: f(x.ravel()).reshape(x.shape), [a], [b], 1, signed)
+    return float(estimate[0])
 
 
 def _adaptive_trapezoid_2d(f, a: float, b: float, *, signed: bool = False) -> float:
     """Integrate f(x_grid, u_grid) -> matrix over [a, b] x [0, 1]."""
-    if b - a <= 0.0:
-        return 0.0
+    estimate, _ = _nested_trapezoid(
+        lambda rows, x, u: f(x[0, :, 0], u)[None], [a], [b], 2, signed)
+    return float(estimate[0])
 
-    def estimate(n):
-        x = np.linspace(a, b, n + 1)
-        u = np.linspace(0.0, 1.0, n + 1)
-        return _trapz2(f(x, u), (b - a) / n, 1.0 / n)
 
-    return _panel_doubling(estimate, math.isqrt(MAX_PANELS), signed)
+def _row_averages(f, lo, hi, owner, count, dims, signed, divisor) -> np.ndarray:
+    """Sum of the integrals of each owner's rows over divisor, in dB unless
+    signed (dB-domain already), for owners 0..count-1; NO_RESPONSE for an
+    owner without rows. A QuadratureError carries the failing row's owner."""
+    try:
+        integral, _ = _nested_trapezoid(f, lo, hi, dims, signed)
+    except QuadratureError as err:
+        raise QuadratureError(str(err), int(owner[err.row])) from err
+    average = np.bincount(owner, weights=integral, minlength=count) / divisor
+    has_rows = np.bincount(owner, minlength=count) > 0
+    out = np.full(count, NO_RESPONSE)
+    out[has_rows] = average[has_rows] if signed else to_db(average[has_rows])
+    return out
+
+
+def _gain_product(v, orientations, angles, sonar, c, gate=None) -> np.ndarray:
+    """Product over the (pitch, yaw) orientations of the beam gain at world
+    vectors v (..., 3) under the angles convention, each distinct orientation
+    evaluated once (a repeated one enters as g*g); gate(psi, pitch), when
+    given, zeroes an orientation's gain outside its admitted band."""
+    flat = v.reshape(-1, 3)
+    gains = {}
+    for pitch, yaw in dict.fromkeys(orientations):
+        vb = rotate_to_sonar_frame(flat, pitch, yaw).reshape(v.shape)
+        theta, psi = angles(vb)
+        gain = beam_gain(theta, psi, sonar, c)
+        if gate is not None:
+            gain = np.where(gate(psi, pitch), gain, 0.0)
+        gains[pitch, yaw] = gain
+    return math.prod(gains[o] for o in orientations)
 
 
 def _printed_db(gain: np.ndarray) -> np.ndarray:
@@ -236,15 +319,40 @@ def _ring_front_arc(rho: float, z: float, pitch: float, yaw: float) -> list:
 # Ring (bottom/surface) beam-pattern averages
 
 
-def _ring_gain(theta_r: np.ndarray, rho: float, z: float, pitch: float, yaw: float,
-               sonar: SonarConfig, c: float) -> np.ndarray:
-    v = np.stack(
-        [rho * np.cos(theta_r), rho * np.sin(theta_r), np.full_like(theta_r, z)],
-        axis=-1,
-    )
-    vb = rotate_to_sonar_frame(v, pitch, yaw)
-    theta, psi = beam_angles_surface(vb)
-    return beam_gain(theta, psi, sonar, c)
+def _orientations(pose: SonarPose, beam: BeamOrientation,
+                  transmit_beam: BeamOrientation | None, mode: str) -> list:
+    """Orientations whose gain product one average integrates: receive and
+    transmit in "coupled" mode, else the single orientation of beam."""
+    _check_mode(mode)
+    if mode != "coupled":
+        return [_orientation(pose, beam)]
+    tx = transmit_beam if transmit_beam is not None else beam
+    return [_orientation(pose, beam), _orientation(pose, tx)]
+
+
+def _ring_averages(rho, z: float, orientations: list, sonar: SonarConfig,
+                   c: float, signed: bool) -> np.ndarray:
+    """Beam-pattern averages (dB) around the rings of radii rho at vertical
+    offset z, in one batch with a row per interval of a ring's gated arc;
+    NO_RESPONSE for a ring wholly outside the gate."""
+    arcs = np.array([
+        (k, lo, hi) for k, r in enumerate(rho) for lo, hi in functools.reduce(
+            _intersect_intervals,
+            [_ring_front_arc(r, z, pitch, yaw) for pitch, yaw in orientations])
+    ]).reshape(-1, 3)
+    owner = arcs[:, 0].astype(int)
+    radius = np.asarray(rho, dtype=float)[owner][:, None, None]
+
+    def integrand(rows, theta_r, u):
+        r = radius[rows]
+        v = np.stack(np.broadcast_arrays(
+            r * np.cos(theta_r), r * np.sin(theta_r), z), axis=-1)
+        product = _gain_product(v, orientations, beam_angles_surface, sonar, c)
+        return _printed_db(product) if signed else product
+
+    divisor = math.pi if signed else 2.0 * math.pi
+    return _row_averages(integrand, arcs[:, 1], arcs[:, 2], owner, len(rho), 1,
+                         signed, divisor)
 
 
 def ring_bp_average(
@@ -266,32 +374,9 @@ def ring_bp_average(
     average; in the other modes the average of the single orientation given
     by ``beam`` (callers evaluate the transmitter with a second call).
     """
-    _check_mode(mode)
-    orientations = [_orientation(pose, beam)]
-    if mode == "coupled":
-        tx = transmit_beam if transmit_beam is not None else beam
-        orientations.append(_orientation(pose, tx))
-    domain = functools.reduce(
-        _intersect_intervals,
-        [_ring_front_arc(rho_mid, z, pitch, yaw) for pitch, yaw in orientations],
-    )
-    if not domain:
-        return NO_RESPONSE
-    signed = mode == "printed"
-
-    def integrand(theta_r):
-        product = math.prod(
-            _ring_gain(theta_r, rho_mid, z, pitch, yaw, sonar, c)
-            for pitch, yaw in orientations
-        )
-        return _printed_db(product) if signed else product
-
-    total = sum(
-        _adaptive_trapezoid(integrand, lo, hi, signed=signed) for lo, hi in domain
-    )
-    if signed:
-        return total / math.pi
-    return to_db(total / (2.0 * math.pi))
+    orientations = _orientations(pose, beam, transmit_beam, mode)
+    return float(_ring_averages([rho_mid], z, orientations, sonar, c,
+                                mode == "printed")[0])
 
 
 def avg_ring_bp_loss(
@@ -318,9 +403,8 @@ def avg_ring_bp_loss(
     r_outer = ring_radius(layout.edge(n), h)
     r_inner = ring_radius(layout.edge(n - 1), h)
     rho_mid = (r_outer + r_inner) / 2.0
-    return ring_bp_average(
-        rho_mid, z, pose, beam, sonar, c, transmit_beam=transmit_beam, mode=mode
-    )
+    return ring_bp_average(rho_mid, z, pose, beam, sonar, c,
+                           transmit_beam=transmit_beam, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -333,53 +417,61 @@ def _effective_cutoff(d_inner: float, d_outer: float, plane_distance: float) -> 
     cutoff_angle's 0 in that case means an absent boundary, not an empty
     gate, so the constraint is dropped and only the hemisphere clamp acts."""
     value = cutoff_angle(d_inner, d_outer, plane_distance)
-    if value == 0.0:
-        return math.inf
-    return value
+    return math.inf if value == 0.0 else value
 
 
-def _psi_band(pitch: float, theta_ha: float, theta_hd: float) -> tuple:
-    """World-frame vertical-angle interval admitted for one orientation:
-    the bottom/surface cutoff band shifted with the beam pitch, intersected
-    with that beam's front hemisphere."""
-    lo = max(-theta_ha + 2.0 * pitch, pitch - math.pi / 2.0)
-    hi = min(theta_hd + 2.0 * pitch, pitch + math.pi / 2.0)
-    return lo, hi
+def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
+                    c: float, signed: bool) -> np.ndarray:
+    """Beam-pattern averages (dB) over the shells gated by the bottom and
+    surface cutoffs theta_ha, theta_hd, in one batch with a 2-D row per
+    shell; NO_RESPONSE where the gate is empty.
 
+    Unless a beam is yawed (or pitched to the vertical), each orientation
+    admits a psi band, the cutoff band shifted with its pitch and clipped to
+    its front hemisphere, and each theta_h column integrates theta_v over
+    the intersection of the bands, mapped onto u in [0, 1]. A yawed beam is
+    gated pointwise over the whole strip. The strip covers half of the
+    parameter square, hence the factor 2.
+    """
+    gated = (theta_ha > 0.0) | (theta_hd > 0.0)
+    yawed = any(yaw != 0.0 or abs(pitch) >= math.pi / 2.0
+                for pitch, yaw in orientations)
+    if yawed:
+        owner = np.flatnonzero(gated)
+    else:
+        pitches = [pitch for pitch, _ in orientations]
+        band_lo = np.max([np.maximum(-theta_ha + 2.0 * p, p - math.pi / 2.0)
+                          for p in pitches], axis=0)
+        band_hi = np.min([np.minimum(theta_hd + 2.0 * p, p + math.pi / 2.0)
+                          for p in pitches], axis=0)
+        owner = np.flatnonzero(gated & (band_hi > band_lo))
+        psi_lo, psi_hi = (t[owner][:, None, None] for t in (band_lo, band_hi))
+    ha, hd = (t[owner][:, None, None] for t in (theta_ha, theta_hd))
 
-def _theta_v_of_psi(psi: float, cos_theta_h: np.ndarray) -> np.ndarray:
-    """Parameter angle theta_v at which the world vertical angle equals psi
-    along the column at horizontal parameter theta_h."""
-    return np.arctan2(math.sin(psi) * cos_theta_h, math.cos(psi))
+    def integrand(rows, theta_h, u):
+        gate = None
+        if yawed:
+            theta_v, width = -math.pi + u * 2.0 * math.pi, 2.0 * math.pi
 
+            def gate(psi, pitch):
+                return (psi > -ha[rows] + pitch) & (psi < hd[rows] + pitch)
+        else:
+            # theta_v at which the world vertical angle reaches a band edge
+            cos_h = np.cos(theta_h)
+            tv_lo = np.arctan2(np.sin(psi_lo[rows]) * cos_h, np.cos(psi_lo[rows]))
+            tv_hi = np.arctan2(np.sin(psi_hi[rows]) * cos_h, np.cos(psi_hi[rows]))
+            width = tv_hi - tv_lo
+            theta_v = tv_lo + u * width
+        v = np.stack(np.broadcast_arrays(
+            np.cos(theta_h) * np.cos(theta_v), np.sin(theta_h), np.sin(theta_v)),
+            axis=-1)
+        product = _gain_product(v, orientations, beam_angles_volume, sonar, c, gate)
+        return (_printed_db(product) if signed else product) * width
 
-def _shell_gain_pointwise(
-    theta_h: np.ndarray,
-    theta_v: np.ndarray,
-    orientations: list,
-    theta_ha: float,
-    theta_hd: float,
-    sonar: SonarConfig,
-    c: float,
-) -> np.ndarray:
-    """Gated gain product on a (theta_h, theta_v) grid, gating each
-    orientation's vertical band pointwise (general-yaw fallback)."""
-    v = np.stack(
-        [
-            np.cos(theta_h)[:, None] * np.cos(theta_v)[None, :],
-            np.broadcast_to(np.sin(theta_h)[:, None], (theta_h.size, theta_v.size)),
-            np.broadcast_to(np.sin(theta_v)[None, :], (theta_h.size, theta_v.size)),
-        ],
-        axis=-1,
-    )
-    product = np.ones(v.shape[:-1])
-    for pitch, yaw in orientations:
-        vb = rotate_to_sonar_frame(v, pitch, yaw)
-        theta, psi = beam_angles_volume(vb)
-        gain = beam_gain(theta, psi, sonar, c)
-        band = (psi > -theta_ha + pitch) & (psi < theta_hd + pitch)
-        product = product * np.where(band, gain, 0.0)
-    return product
+    lo = np.full(owner.size, -math.pi / 2.0)
+    divisor = math.pi**2 / 2.0 if signed else 2.0 * math.pi**2
+    return _row_averages(integrand, lo, -lo, owner, theta_ha.size, 2, signed,
+                         divisor)
 
 
 def shell_bp_average(
@@ -402,80 +494,13 @@ def shell_bp_average(
     strip reduction accounts for. Vertical gating excludes angles beyond the
     bottom/surface cutoffs, shifted per orientation with its pitch.
     """
-    _check_mode(mode)
     if cutoffs is None:
-        theta_ha = _effective_cutoff(d_inner, d_outer, pose.altitude_m)
-        theta_hd = _effective_cutoff(d_inner, d_outer, pose.depth_m)
-    else:
-        theta_ha, theta_hd = cutoffs
-    if theta_ha <= 0.0 and theta_hd <= 0.0:
-        return NO_RESPONSE
-
-    if mode == "coupled":
-        tx = transmit_beam if transmit_beam is not None else beam
-        orientations = [_orientation(pose, beam), _orientation(pose, tx)]
-    else:
-        orientations = [_orientation(pose, beam)]
-
-    signed = mode == "printed"
-    yawed = any(yaw != 0.0 for _, yaw in orientations) or any(
-        abs(pitch) >= math.pi / 2.0 for pitch, _ in orientations
-    )
-
-    if yawed:
-        # Pointwise gating over the strip; gate edges are not aligned to the
-        # grid, so convergence relies on the panel cap.
-        def integrand(theta_h, theta_v):
-            vals = _shell_gain_pointwise(
-                theta_h, theta_v, orientations, theta_ha, theta_hd, sonar, c
-            )
-            return _printed_db(vals) if signed else vals
-
-        def on_unit_square(theta_h, u):
-            return integrand(theta_h, -math.pi + u * 2.0 * math.pi) * (2.0 * math.pi)
-
-        total = _adaptive_trapezoid_2d(
-            on_unit_square, -math.pi / 2.0, math.pi / 2.0, signed=signed
-        )
-    else:
-        lo = hi = None
-        for pitch, _ in orientations:
-            band_lo, band_hi = _psi_band(pitch, theta_ha, theta_hd)
-            lo = band_lo if lo is None else max(lo, band_lo)
-            hi = band_hi if hi is None else min(hi, band_hi)
-        if hi <= lo:
-            return NO_RESPONSE
-
-        def integrand(theta_h, u):
-            cos_h = np.cos(theta_h)
-            tv_lo = _theta_v_of_psi(lo, cos_h)
-            tv_hi = _theta_v_of_psi(hi, cos_h)
-            width = tv_hi - tv_lo
-            theta_v = tv_lo[:, None] + u[None, :] * width[:, None]
-            v = np.stack(
-                [
-                    cos_h[:, None] * np.cos(theta_v),
-                    np.broadcast_to(np.sin(theta_h)[:, None], theta_v.shape),
-                    np.sin(theta_v),
-                ],
-                axis=-1,
-            )
-            product = np.ones(theta_v.shape)
-            for pitch, yaw in orientations:
-                vb = rotate_to_sonar_frame(v, pitch, yaw)
-                theta, psi = beam_angles_volume(vb)
-                product = product * beam_gain(theta, psi, sonar, c)
-            return (_printed_db(product) if signed else product) * width[:, None]
-
-        total = _adaptive_trapezoid_2d(
-            integrand, -math.pi / 2.0, math.pi / 2.0, signed=signed
-        )
-
-    # The strip covers half of the parameter square, hence the factor 2.
-    if signed:
-        return 2.0 * total / math.pi**2
-    average = 2.0 * total / (4.0 * math.pi**2)
-    return to_db(average)
+        cutoffs = (_effective_cutoff(d_inner, d_outer, pose.altitude_m),
+                   _effective_cutoff(d_inner, d_outer, pose.depth_m))
+    theta_ha, theta_hd = (np.array([x], dtype=float) for x in cutoffs)
+    orientations = _orientations(pose, beam, transmit_beam, mode)
+    return float(_shell_averages(theta_ha, theta_hd, orientations, sonar, c,
+                                 mode == "printed")[0])
 
 
 def avg_sphere_bp_loss(
@@ -491,17 +516,8 @@ def avg_sphere_bp_loss(
     mode: str = "coupled",
 ) -> float:
     """Average beam-pattern loss over the gated shell of bin n."""
-    return shell_bp_average(
-        layout.edge(n - 1),
-        layout.edge(n),
-        pose,
-        beam,
-        sonar,
-        c,
-        cutoffs=cutoffs,
-        transmit_beam=transmit_beam,
-        mode=mode,
-    )
+    return shell_bp_average(layout.edge(n - 1), layout.edge(n), pose, beam, sonar, c,
+                            cutoffs=cutoffs, transmit_beam=transmit_beam, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -515,50 +531,41 @@ def _resolution_cells(layout: BinLayout, delta_y: float):
     return m, layout.bin_length_m / m
 
 
-def _cell_sum(component, env, sonar, beam, layout, transmit_beam, mode, cell):
+def _cell_sum(component, env, sonar, pose, beam, layout, transmit_beam, mode,
+              cells):
     """Expected reverberation level per bin (dB): the power sum over each
-    bin's resolution cells.
+    bin's resolution cells, all cells of all bins in one batch.
 
-    cell(n, a, b) describes the cell (a, b] of bin n as (average, coeff_db,
-    measure), where average(beam=..., transmit_beam=...) is the cell's ring
-    or shell beam-pattern average, or is None for a cell that returns
-    nothing. The mode sets the (bp_t, bp_r) pair: the coupled average and
-    0 dB, or the transmit and receive averages taken apart.
+    cells(a, b, bin_end) takes every cell (a, b] in (bin, cell) order with
+    the end of its bin and returns (averages, coeff_db, measure), a measure
+    of 0 marking a cell that returns nothing; averages(orientations, wet)
+    gives the wet cells' ring or shell beam-pattern averages (dB). The mode
+    sets (bp_t, bp_r): the coupled average and 0 dB, or the transmit and
+    receive averages taken apart.
     """
     _check_mode(mode)
     c = env.sound_speed()
     alpha_w = absorption_coeff(sonar.frequency_khz, env)
     m, cell_len = _resolution_cells(layout, range_resolution(c, sonar.bandwidth_hz))
-    tx = transmit_beam if transmit_beam is not None else beam
-
-    out = np.full(layout.num_bins, NO_RESPONSE)
-    for n in range(1, layout.num_bins + 1):
-        bin_start = layout.edge(n - 1)
-        acc = 0.0
-        for i in range(m):
-            a = bin_start + i * cell_len
-            b = a + cell_len
-            terms = cell(n, a, b)
-            if terms is None:
-                continue
-            average, coeff, measure = terms
-            try:
-                if mode == "coupled":
-                    bp_t, bp_r = average(beam=beam, transmit_beam=tx), 0.0
-                else:
-                    bp_t, bp_r = average(beam=tx), average(beam=beam)
-            except QuadratureError as err:
-                raise QuadratureError(
-                    f"{component} bin {n}, cell ({a:.4f}, {b:.4f}] m: {err}"
-                ) from err
-            d_c = b - cell_len / 2.0
-            rl = reverb_level(
-                sonar.source_level_db, transmission_loss(d_c, alpha_w),
-                bp_t, bp_r, coeff, measure,
-            )
-            acc += to_linear(rl)
-        out[n - 1] = to_db(acc)
-    return out
+    a = (layout.edges[:-1, None] + np.arange(m) * cell_len).ravel()
+    b = a + cell_len
+    averages, coeff, measure = cells(a, b, np.repeat(layout.edges[1:], m))
+    wet = np.flatnonzero(measure > 0.0)
+    rx, tx = _orientations(pose, beam, transmit_beam, "coupled")
+    bp = np.zeros((2, a.size))  # (bp_t, bp_r); dry cells return nothing anyway
+    try:
+        for k, orientations in enumerate(
+                [[rx, tx]] if mode == "coupled" else [[tx], [rx]]):
+            bp[k, wet] = averages(orientations, wet)
+    except QuadratureError as err:
+        cell = wet[err.row]
+        raise QuadratureError(f"{component} bin {cell // m + 1}, cell "
+                              f"({a[cell]:.4f}, {b[cell]:.4f}] m: {err}") from err
+    rl = reverb_level(
+        sonar.source_level_db, transmission_loss(b - cell_len / 2.0, alpha_w),
+        bp[0], bp[1], coeff, measure,
+    )
+    return to_db(to_linear(rl).reshape(layout.num_bins, m).sum(axis=1))
 
 
 def bottom_return_bins(
@@ -573,10 +580,8 @@ def bottom_return_bins(
 ) -> np.ndarray:
     """Expected bottom reverberation level per bin (dB, NO_RESPONSE where
     the bottom is out of reach)."""
-    return _ring_return_bins(
-        env, sonar, pose, beam, layout, kind="bottom",
-        transmit_beam=transmit_beam, mode=mode,
-    )
+    return _ring_return_bins(env, sonar, pose, beam, layout, kind="bottom",
+                             transmit_beam=transmit_beam, mode=mode)
 
 
 def surface_return_bins(
@@ -591,10 +596,8 @@ def surface_return_bins(
 ) -> np.ndarray:
     """Expected surface reverberation level per bin; the bottom pipeline
     mirrored above the sonar with the surface coefficient."""
-    return _ring_return_bins(
-        env, sonar, pose, beam, layout, kind="surface",
-        transmit_beam=transmit_beam, mode=mode,
-    )
+    return _ring_return_bins(env, sonar, pose, beam, layout, kind="surface",
+                             transmit_beam=transmit_beam, mode=mode)
 
 
 def _ring_return_bins(env, sonar, pose, beam, layout, *, kind, transmit_beam, mode):
@@ -603,27 +606,27 @@ def _ring_return_bins(env, sonar, pose, beam, layout, *, kind, transmit_beam, mo
     offset = pose.altitude_m if kind == "bottom" else pose.depth_m
     z = offset if kind == "bottom" else -offset
 
-    def cell(n, a, b):
+    def cells(a, b, bin_end):
+        r_a, r_b = ring_radius(a, offset), ring_radius(b, offset)
+        area = math.pi * (r_b * r_b - r_a * r_a)
         # A bin that ends short of the plane stays empty, whatever the
         # rounding of its last cell edge.
-        if offset >= layout.edge(n) or offset >= b:
-            return None
-        r_a = ring_radius(a, offset)
-        r_b = ring_radius(b, offset)
-        area = math.pi * (r_b * r_b - r_a * r_a)
-        if area <= 0.0:
-            return None
-        grazing = grazing_between(a, b, offset)
-        if kind == "bottom":
-            coeff = bottom_coeff(env.bottom_type, grazing, f)
-        else:
-            coeff = surface_coeff(env.wind_knots, grazing, f)
-        average = functools.partial(
-            ring_bp_average, (r_a + r_b) / 2.0, z, pose, sonar=sonar, c=c, mode=mode
-        )
-        return average, coeff, area
+        area[(offset >= bin_end) | (offset >= b) | (area <= 0.0)] = 0.0
+        wet = area > 0.0
+        grazing = grazing_between(a[wet], b[wet], offset)
+        coeff = np.zeros(a.size)
+        coeff[wet] = (bottom_coeff(env.bottom_type, grazing, f) if kind == "bottom"
+                      else surface_coeff(env.wind_knots, grazing, f))
+        rho = (r_a + r_b) / 2.0
 
-    return _cell_sum(kind, env, sonar, beam, layout, transmit_beam, mode, cell)
+        def averages(orientations, rows):
+            return _ring_averages(rho[rows], z, orientations, sonar, c,
+                                  mode == "printed")
+
+        return averages, coeff, area
+
+    return _cell_sum(kind, env, sonar, pose, beam, layout, transmit_beam, mode,
+                     cells)
 
 
 def volume_return_bins(
@@ -642,14 +645,23 @@ def volume_return_bins(
     c = env.sound_speed()
     coeff = volume_coeff(env.particle_density_db, sonar.frequency_khz)
 
-    def cell(n, a, b):
+    def cells(a, b, bin_end):
         volume = 4.0 / 3.0 * math.pi * (b**3 - a**3)
-        average = functools.partial(
-            shell_bp_average, a, b, pose, sonar=sonar, c=c, mode=mode
+        # Scalar cutoffs: a gate edge can fall on a node at the hemisphere
+        # edge, where one ulp of the angle moves the average by 1e-8 dB.
+        theta_ha, theta_hd = (
+            np.array([_effective_cutoff(x, y, plane) for x, y in zip(a, b)])
+            for plane in (pose.altitude_m, pose.depth_m)
         )
-        return average, coeff, volume
 
-    return _cell_sum("volume", env, sonar, beam, layout, transmit_beam, mode, cell)
+        def averages(orientations, rows):
+            return _shell_averages(theta_ha[rows], theta_hd[rows], orientations,
+                                   sonar, c, mode == "printed")
+
+        return averages, np.full(a.size, coeff), volume
+
+    return _cell_sum("volume", env, sonar, pose, beam, layout, transmit_beam, mode,
+                     cells)
 
 
 def expected_null(
@@ -670,31 +682,19 @@ def expected_null(
     scene that disables them."""
     if layout is None:
         layout = layout_for(env, sonar)
-    empty = np.full(layout.num_bins, NO_RESPONSE)
-    kwargs = {"transmit_beam": transmit_beam, "mode": mode}
+    parts = {}
     try:
-        bottom = (
-            bottom_return_bins(env, sonar, pose, beam, layout, **kwargs)
-            if include_bottom
-            else empty.copy()
-        )
-        surface = (
-            surface_return_bins(env, sonar, pose, beam, layout, **kwargs)
-            if include_surface
-            else empty.copy()
-        )
-        volume = (
-            volume_return_bins(env, sonar, pose, beam, layout, **kwargs)
-            if include_volume
-            else empty.copy()
-        )
+        for name, include, component in (
+            ("bottom_db", include_bottom, bottom_return_bins),
+            ("surface_db", include_surface, surface_return_bins),
+            ("volume_db", include_volume, volume_return_bins),
+        ):
+            parts[name] = (
+                component(env, sonar, pose, beam, layout,
+                          transmit_beam=transmit_beam, mode=mode)
+                if include
+                else np.full(layout.num_bins, NO_RESPONSE)
+            )
     except QuadratureError as err:
         raise QuadratureError(f"beam {beam.name!r}: {err}") from err
-    return NullModelReturn(
-        layout=layout,
-        pose=pose,
-        beam=beam,
-        bottom_db=bottom,
-        surface_db=surface,
-        volume_db=volume,
-    )
+    return NullModelReturn(layout=layout, pose=pose, beam=beam, **parts)

@@ -106,29 +106,33 @@ def volume_coeff(sp_db: float, f_khz: float) -> float:
 
 def reverb_level(
     source_level_db: float,
-    transmission_loss_db: float,
-    bp_t_db: float,
-    bp_r_db: float,
-    coeff_db: float,
+    transmission_loss_db,
+    bp_t_db,
+    bp_r_db,
+    coeff_db,
     measure,
-) -> float:
+):
     """Reverberation level RL = SL - TL + BP_T + BP_R + S + 10*log10(measure).
 
     measure is the ensonified area (m^2) or volume (m^3). A zero measure or
-    any NO_RESPONSE operand yields NO_RESPONSE.
+    any NO_RESPONSE operand yields NO_RESPONSE. Accepts scalars or arrays.
     """
-    if measure < 0:
+    measure = np.asarray(measure, dtype=float)
+    if np.any(measure < 0):
         raise ValueError(f"measure must be >= 0, got {measure}")
-    if measure == 0:
-        return NO_RESPONSE
-    return (
+    wet = measure > 0
+    level = (
         source_level_db
         - transmission_loss_db
         + bp_t_db
         + bp_r_db
         + coeff_db
-        + 10.0 * math.log10(measure)
+        + 10.0 * np.log10(np.where(wet, measure, 1.0))
     )
+    out = np.where(wet, level, NO_RESPONSE)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def target_strength(

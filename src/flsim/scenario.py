@@ -408,7 +408,9 @@ def _bottom(spec: dict, base_depth: float):
     num = int(round(2.0 * extent / spacing)) + 1
     xs = -extent + spacing * np.arange(num)
     depths = np.where(xs <= distance + 1e-9, base_depth, shallow)
-    grid = np.tile(depths[:, None], (1, num))
+    # The depth does not vary along y and the edge values continue beyond
+    # the grid, so two columns describe the whole step.
+    grid = np.tile(depths[:, None], (1, 2))
     return Heightfield(x0=-extent, y0=-extent, spacing_m=spacing, depths=grid)
 
 

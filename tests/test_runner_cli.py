@@ -227,3 +227,22 @@ def test_cli_rejects_scene_errors_at_load(tmp_path, capsys, scenario1):
     err = capsys.readouterr().err
     assert err.startswith("error: scenario.scene.bottom.spacing_m: must be > 0")
     assert "Traceback" not in err
+
+
+def test_cli_rejects_an_overflowing_source_level_at_load(tmp_path, capsys,
+                                                         scenario1):
+    doc = yaml.safe_load(serialize(scenario1))
+    doc["sonar"]["source_level_db"] = 4000.0
+    path = tmp_path / "loud.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    assert main(["sim", "--scenario", str(path), "--out", str(tmp_path / "s"),
+                 "--rays", "200", "--pings", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario.sonar: source_level_db")
+    assert "Traceback" not in err
+    assert not (tmp_path / "s").exists()
+
+    doc["sonar"]["source_level_db"] = 400.0
+    path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    assert main(["sim", "--scenario", str(path), "--out", str(tmp_path / "s"),
+                 "--rays", "200", "--pings", "1"]) == 0

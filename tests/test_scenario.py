@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from flsim import (
@@ -76,6 +77,26 @@ def test_bundled_step_scenario(scenario2):
     assert scene.bottom.depth_at(0.0, 0.0) == pytest.approx(12.0)
     assert scene.bottom.depth_at(34.0, 0.0) == pytest.approx(12.0)
     assert scene.bottom.depth_at(36.0, 3.0) == pytest.approx(10.0)
+
+
+def test_step_bottom_grid_has_two_columns(scenario2):
+    """The step does not vary along y, so two grid columns describe it; the
+    depths match the full square grid everywhere, beyond the grid too."""
+    bottom = build_scene(scenario2).bottom
+    spec = scenario2.raw["scene"]["bottom"]
+    extent, spacing = spec["extent_m"], spec["spacing_m"]
+    num = int(round(2.0 * extent / spacing)) + 1
+    assert bottom.depths.shape == (num, 2)
+    full = Heightfield(x0=bottom.x0, y0=bottom.y0, spacing_m=spacing,
+                       depths=np.tile(bottom.depths[:, :1], (1, num)))
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1.5 * extent, 1.5 * extent, 2000)
+    y = rng.uniform(-1.5 * extent, 1.5 * extent, 2000)
+    y[:20] = [-extent, extent, -extent - spacing, extent + spacing] * 5
+    assert np.any(np.abs(y) > extent)
+    # the full grid interpolates between equal depths, which can round
+    np.testing.assert_allclose(bottom.depth_at(x, y), full.depth_at(x, y),
+                               rtol=1e-15, atol=0.0)
 
 
 # --- parsing and validation --------------------------------------------------------
@@ -171,6 +192,15 @@ def test_step_spacing_and_extent_must_be_positive():
         with pytest.raises(ValueError, match=rf"scenario.scene.bottom.{field}: "
                                              rf"must be > 0, got {float(value)}"):
             loads(MINIMAL + step % f"{field}: {value}")
+
+
+def test_source_level_must_have_a_finite_linear_intensity():
+    doc = MINIMAL.replace("  bandwidth_hz: 20000.0\n",
+                          "  bandwidth_hz: 20000.0\n  source_level_db: 4000.0\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "scenario.sonar: source_level_db must have a finite linear intensity")):
+        loads(doc)
+    assert loads(doc.replace("4000.0", "400.0")).sonar.source_level_db == 400.0
 
 
 def test_negative_seed_is_rejected():
