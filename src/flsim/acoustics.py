@@ -121,7 +121,6 @@ class SonarConfig:
     bin_length_m: float
     beams: tuple = field(default_factory=lambda: (BeamOrientation(),))
     num_rays: int = 20000
-    rng_seed: int = 0
 
     def __post_init__(self):
         _check_positive("frequency_khz", self.frequency_khz)

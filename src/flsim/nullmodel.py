@@ -5,32 +5,22 @@ levels are assembled from the propagation model, the bin geometry and the
 backscatter coefficients, with the beam pattern averaged over the ensonified
 ring (bottom, surface) or gated shell (volume) by numerical quadrature.
 
-Averaging modes
----------------
-"coupled" (default)
-    The transmit and receive patterns are averaged as one product in linear
-    intensity, normalized by the full integration measure. This is the
-    expectation the Monte-Carlo ray estimator converges to, so simulated and
-    expected curves are directly comparable.
-"independent"
-    Each pattern is averaged separately in linear intensity and the two dB
-    results are added. Understates the return of directive patterns because
-    the average of the product exceeds the product of averages.
-"printed"
-    dB-domain averages with 1/pi (ring) and 1/pi^2 (sphere) prefactors,
-    retained for side-by-side study with the linear forms.
+The average is coupled: the transmit and receive patterns are averaged as
+one product in linear intensity, normalized by the full integration
+measure. This is the expectation the Monte-Carlo ray estimator converges
+to, so simulated and expected curves are directly comparable.
 
 Every component is a power sum over bins and their resolution cells, all
-cells taken at once in _cell_sum; each mode sets the (bp_t, bp_r) pair of a
-cell. Quadrature is one batched kernel, _nested_trapezoid, for the 1-D ring
-and 2-D shell integrals alike: every row (an interval of a ring's gated arc,
-or a shell) starts at 16 trapezoid panels, each doubling evaluates only the
-new nested nodes of the rows still active, CHUNK_NODES at a time, and a row
-leaves once a doubling changes it by at most 0.01 dB, else QuadratureError
-names the beam, component, bin and cell. A node evaluates the gain once per
-distinct (pitch, yaw) orientation. Integration domains are restricted to the
-closed-form gate intervals, so integrands stay smooth; beams with nonzero
-yaw fall back to pointwise gating of the shell integral.
+cells taken at once in _cell_sum. Quadrature is one batched kernel,
+_nested_trapezoid, for the 1-D ring and 2-D shell integrals alike: every
+row (an interval of a ring's gated arc, or a shell) starts at 16 trapezoid
+panels, each doubling evaluates only the new nested nodes of the rows still
+active, CHUNK_NODES at a time, and a row leaves once a doubling changes it
+by at most 0.01 dB, else QuadratureError names the beam, component, bin
+and cell. A node evaluates the gain once per distinct (pitch, yaw)
+orientation. Integration domains are restricted to the closed-form gate
+intervals, so integrands stay smooth; beams with nonzero yaw fall back to
+pointwise gating of the shell integral.
 """
 
 from __future__ import annotations
@@ -66,11 +56,6 @@ from .scatter import bottom_coeff, reverb_level, surface_coeff, volume_coeff
 
 TOLERANCE_DB = 0.01
 MAX_PANELS = 2**18
-# Floor for dB-domain integrands in "printed" mode, where pattern nulls
-# would otherwise contribute -inf to the integral.
-PRINTED_FLOOR_DB = -300.0
-
-VALID_MODES = ("coupled", "independent", "printed")
 
 
 class QuadratureError(RuntimeError):
@@ -108,16 +93,6 @@ class NullModelReturn:
         return self.layout.centers
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in VALID_MODES:
-        raise ValueError(f"mode must be one of {VALID_MODES}, got {mode!r}")
-
-
-def _orientation(pose: SonarPose, beam: BeamOrientation) -> tuple:
-    """Total (pitch, yaw) of a beam carried by the posed vehicle."""
-    return pose.pitch_rad + beam.pitch_rad, beam.yaw_rad
-
-
 # ---------------------------------------------------------------------------
 # Batched nested trapezoid integration
 
@@ -126,12 +101,9 @@ def _orientation(pose: SonarPose, beam: BeamOrientation) -> tuple:
 CHUNK_NODES = 2**14
 
 
-def _converged(previous, current, signed: bool):
+def _converged(previous, current):
     """Per-row test that a doubling changed the estimate by at most
-    TOLERANCE_DB: in dB units for dB-domain (signed) integrals, as a dB
-    ratio of two positive estimates (or two zeros) otherwise."""
-    if signed:
-        return np.abs(current - previous) <= TOLERANCE_DB
+    TOLERANCE_DB, as a dB ratio of two positive estimates (or two zeros)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_db = np.abs(10.0 * np.log10(current / previous))
     positive = (previous > 0.0) & (current > 0.0)
@@ -153,7 +125,7 @@ def _new_nodes(n: int, dims: int) -> list:
     return [(odd, every), ((every[0][::2], every[1][::2]), odd)]
 
 
-def _nested_trapezoid(f, lo, hi, dims: int, signed: bool):
+def _nested_trapezoid(f, lo, hi, dims: int):
     """Integrate every row r of f over [lo[r], hi[r]] (times [0, 1] in u
     when dims is 2) by panel doubling on nested nodes.
 
@@ -174,15 +146,15 @@ def _nested_trapezoid(f, lo, hi, dims: int, signed: bool):
     while batched < max_panels and 3 ** (dims - 1) * batched**dims <= CHUNK_NODES:
         batched *= 2
     rows = np.flatnonzero(hi - lo > 0.0)
-    for row in _double(f, lo, hi, rows, estimate, panels, dims, signed, 16, batched):
-        if _double(f, lo, hi, np.array([row]), estimate, panels, dims, signed,
+    for row in _double(f, lo, hi, rows, estimate, panels, dims, 16, batched):
+        if _double(f, lo, hi, np.array([row]), estimate, panels, dims,
                    2 * batched, max_panels).size:
             raise QuadratureError(f"quadrature did not converge to {TOLERANCE_DB} "
                                   f"dB within {MAX_PANELS} panels", int(row))
     return estimate, panels
 
 
-def _double(f, lo, hi, active, estimate, panels, dims, signed, n, stop):
+def _double(f, lo, hi, active, estimate, panels, dims, n, stop):
     """Take rows at n/2 panels (none when n is 16) through the levels n,
     2n, ... up to stop, each evaluating only its new nodes and forming
     T(2n) = T(n) / 2**dims + h * (weighted sum over them); a row leaves once
@@ -206,39 +178,32 @@ def _double(f, lo, hi, active, estimate, panels, dims, signed, n, stop):
                     total[rs] += f(rows, x[:, :, None], u) @ wu @ wx[cs]
         current = estimate[active] / 2**dims + step / n ** (dims - 1) * total
         done = np.zeros(active.size, bool) if n == 16 else _converged(
-            estimate[active], current, signed)
+            estimate[active], current)
         estimate[active], panels[active] = current, n
         active = active[~done]
         n *= 2
     return active
 
 
-def _adaptive_trapezoid(f, a: float, b: float, *, signed: bool = False) -> float:
+def _adaptive_trapezoid(f, a: float, b: float) -> float:
     """Integrate vectorized f over [a, b] with panel doubling."""
     estimate, _ = _nested_trapezoid(
-        lambda rows, x, u: f(x.ravel()).reshape(x.shape), [a], [b], 1, signed)
+        lambda rows, x, u: f(x.ravel()).reshape(x.shape), [a], [b], 1)
     return float(estimate[0])
 
 
-def _adaptive_trapezoid_2d(f, a: float, b: float, *, signed: bool = False) -> float:
-    """Integrate f(x_grid, u_grid) -> matrix over [a, b] x [0, 1]."""
-    estimate, _ = _nested_trapezoid(
-        lambda rows, x, u: f(x[0, :, 0], u)[None], [a], [b], 2, signed)
-    return float(estimate[0])
-
-
-def _row_averages(f, lo, hi, owner, count, dims, signed, divisor) -> np.ndarray:
-    """Sum of the integrals of each owner's rows over divisor, in dB unless
-    signed (dB-domain already), for owners 0..count-1; NO_RESPONSE for an
-    owner without rows. A QuadratureError carries the failing row's owner."""
+def _row_averages(f, lo, hi, owner, count, dims, divisor) -> np.ndarray:
+    """Sum of the integrals of each owner's rows over divisor, in dB, for
+    owners 0..count-1; NO_RESPONSE for an owner without rows. A
+    QuadratureError carries the failing row's owner."""
     try:
-        integral, _ = _nested_trapezoid(f, lo, hi, dims, signed)
+        integral, _ = _nested_trapezoid(f, lo, hi, dims)
     except QuadratureError as err:
         raise QuadratureError(str(err), int(owner[err.row])) from err
     average = np.bincount(owner, weights=integral, minlength=count) / divisor
     has_rows = np.bincount(owner, minlength=count) > 0
     out = np.full(count, NO_RESPONSE)
-    out[has_rows] = average[has_rows] if signed else to_db(average[has_rows])
+    out[has_rows] = to_db(average[has_rows])
     return out
 
 
@@ -257,14 +222,6 @@ def _gain_product(v, orientations, angles, sonar, c, gate=None) -> np.ndarray:
             gain = np.where(gate(psi, pitch), gain, 0.0)
         gains[pitch, yaw] = gain
     return math.prod(gains[o] for o in orientations)
-
-
-def _printed_db(gain: np.ndarray) -> np.ndarray:
-    """dB of a "printed"-mode integrand, floored at PRINTED_FLOOR_DB."""
-    out = np.full(gain.shape, PRINTED_FLOOR_DB)
-    pos = gain > 0
-    out[pos] = np.maximum(10.0 * np.log10(gain[pos]), PRINTED_FLOOR_DB)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +277,16 @@ def _ring_front_arc(rho: float, z: float, pitch: float, yaw: float) -> list:
 
 
 def _orientations(pose: SonarPose, beam: BeamOrientation,
-                  transmit_beam: BeamOrientation | None, mode: str) -> list:
-    """Orientations whose gain product one average integrates: receive and
-    transmit in "coupled" mode, else the single orientation of beam."""
-    _check_mode(mode)
-    if mode != "coupled":
-        return [_orientation(pose, beam)]
+                  transmit_beam: BeamOrientation | None) -> list:
+    """Orientations whose gain product one average integrates: the total
+    (pitch, yaw) on the posed vehicle of the receive beam and of the
+    transmit beam (the receive beam unless given)."""
     tx = transmit_beam if transmit_beam is not None else beam
-    return [_orientation(pose, beam), _orientation(pose, tx)]
+    return [(pose.pitch_rad + b.pitch_rad, b.yaw_rad) for b in (beam, tx)]
 
 
 def _ring_averages(rho, z: float, orientations: list, sonar: SonarConfig,
-                   c: float, signed: bool) -> np.ndarray:
+                   c: float) -> np.ndarray:
     """Beam-pattern averages (dB) around the rings of radii rho at vertical
     offset z, in one batch with a row per interval of a ring's gated arc;
     NO_RESPONSE for a ring wholly outside the gate."""
@@ -347,12 +302,10 @@ def _ring_averages(rho, z: float, orientations: list, sonar: SonarConfig,
         r = radius[rows]
         v = np.stack(np.broadcast_arrays(
             r * np.cos(theta_r), r * np.sin(theta_r), z), axis=-1)
-        product = _gain_product(v, orientations, beam_angles_surface, sonar, c)
-        return _printed_db(product) if signed else product
+        return _gain_product(v, orientations, beam_angles_surface, sonar, c)
 
-    divisor = math.pi if signed else 2.0 * math.pi
     return _row_averages(integrand, arcs[:, 1], arcs[:, 2], owner, len(rho), 1,
-                         signed, divisor)
+                         2.0 * math.pi)
 
 
 def ring_bp_average(
@@ -364,19 +317,12 @@ def ring_bp_average(
     c: float,
     *,
     transmit_beam: BeamOrientation | None = None,
-    mode: str = "coupled",
 ) -> float:
-    """Average beam-pattern loss (dB) around the ring of radius rho_mid at
-    vertical offset z from the sonar, or NO_RESPONSE when the whole ring is
-    outside the gate.
-
-    In "coupled" mode the result is the combined transmit-times-receive
-    average; in the other modes the average of the single orientation given
-    by ``beam`` (callers evaluate the transmitter with a second call).
-    """
-    orientations = _orientations(pose, beam, transmit_beam, mode)
-    return float(_ring_averages([rho_mid], z, orientations, sonar, c,
-                                mode == "printed")[0])
+    """Average transmit-times-receive beam-pattern loss (dB) around the ring
+    of radius rho_mid at vertical offset z from the sonar, or NO_RESPONSE
+    when the whole ring is outside the gate."""
+    orientations = _orientations(pose, beam, transmit_beam)
+    return float(_ring_averages([rho_mid], z, orientations, sonar, c)[0])
 
 
 def avg_ring_bp_loss(
@@ -389,7 +335,6 @@ def avg_ring_bp_loss(
     *,
     vertical_offset_m: float | None = None,
     transmit_beam: BeamOrientation | None = None,
-    mode: str = "coupled",
 ) -> float:
     """Average beam-pattern loss around the ensonified ring of bin n.
 
@@ -404,7 +349,7 @@ def avg_ring_bp_loss(
     r_inner = ring_radius(layout.edge(n - 1), h)
     rho_mid = (r_outer + r_inner) / 2.0
     return ring_bp_average(rho_mid, z, pose, beam, sonar, c,
-                           transmit_beam=transmit_beam, mode=mode)
+                           transmit_beam=transmit_beam)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +366,7 @@ def _effective_cutoff(d_inner: float, d_outer: float, plane_distance: float) -> 
 
 
 def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
-                    c: float, signed: bool) -> np.ndarray:
+                    c: float) -> np.ndarray:
     """Beam-pattern averages (dB) over the shells gated by the bottom and
     surface cutoffs theta_ha, theta_hd, in one batch with a 2-D row per
     shell; NO_RESPONSE where the gate is empty.
@@ -465,13 +410,12 @@ def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
         v = np.stack(np.broadcast_arrays(
             np.cos(theta_h) * np.cos(theta_v), np.sin(theta_h), np.sin(theta_v)),
             axis=-1)
-        product = _gain_product(v, orientations, beam_angles_volume, sonar, c, gate)
-        return (_printed_db(product) if signed else product) * width
+        return _gain_product(v, orientations, beam_angles_volume, sonar, c,
+                             gate) * width
 
     lo = np.full(owner.size, -math.pi / 2.0)
-    divisor = math.pi**2 / 2.0 if signed else 2.0 * math.pi**2
-    return _row_averages(integrand, lo, -lo, owner, theta_ha.size, 2, signed,
-                         divisor)
+    return _row_averages(integrand, lo, -lo, owner, theta_ha.size, 2,
+                         2.0 * math.pi**2)
 
 
 def shell_bp_average(
@@ -484,10 +428,10 @@ def shell_bp_average(
     *,
     cutoffs: tuple | None = None,
     transmit_beam: BeamOrientation | None = None,
-    mode: str = "coupled",
 ) -> float:
-    """Average beam-pattern loss (dB) over the gated shell between slant
-    ranges d_inner and d_outer, or NO_RESPONSE when the gate is empty.
+    """Average transmit-times-receive beam-pattern loss (dB) over the gated
+    shell between slant ranges d_inner and d_outer, or NO_RESPONSE when the
+    gate is empty.
 
     The shell is parametrized by the in-plane angle pair (theta_h, theta_v)
     over the full square; the square double-covers directions, which the
@@ -498,9 +442,8 @@ def shell_bp_average(
         cutoffs = (_effective_cutoff(d_inner, d_outer, pose.altitude_m),
                    _effective_cutoff(d_inner, d_outer, pose.depth_m))
     theta_ha, theta_hd = (np.array([x], dtype=float) for x in cutoffs)
-    orientations = _orientations(pose, beam, transmit_beam, mode)
-    return float(_shell_averages(theta_ha, theta_hd, orientations, sonar, c,
-                                 mode == "printed")[0])
+    orientations = _orientations(pose, beam, transmit_beam)
+    return float(_shell_averages(theta_ha, theta_hd, orientations, sonar, c)[0])
 
 
 def avg_sphere_bp_loss(
@@ -513,11 +456,10 @@ def avg_sphere_bp_loss(
     cutoffs: tuple | None = None,
     *,
     transmit_beam: BeamOrientation | None = None,
-    mode: str = "coupled",
 ) -> float:
     """Average beam-pattern loss over the gated shell of bin n."""
     return shell_bp_average(layout.edge(n - 1), layout.edge(n), pose, beam, sonar, c,
-                            cutoffs=cutoffs, transmit_beam=transmit_beam, mode=mode)
+                            cutoffs=cutoffs, transmit_beam=transmit_beam)
 
 
 # ---------------------------------------------------------------------------
@@ -531,19 +473,16 @@ def _resolution_cells(layout: BinLayout, delta_y: float):
     return m, layout.bin_length_m / m
 
 
-def _cell_sum(component, env, sonar, pose, beam, layout, transmit_beam, mode,
-              cells):
+def _cell_sum(component, env, sonar, pose, beam, layout, transmit_beam, cells):
     """Expected reverberation level per bin (dB): the power sum over each
     bin's resolution cells, all cells of all bins in one batch.
 
     cells(a, b, bin_end) takes every cell (a, b] in (bin, cell) order with
     the end of its bin and returns (averages, coeff_db, measure), a measure
     of 0 marking a cell that returns nothing; averages(orientations, wet)
-    gives the wet cells' ring or shell beam-pattern averages (dB). The mode
-    sets (bp_t, bp_r): the coupled average and 0 dB, or the transmit and
-    receive averages taken apart.
+    gives the wet cells' ring or shell beam-pattern averages (dB). The
+    coupled average enters reverb_level as BP_T, with BP_R at 0 dB.
     """
-    _check_mode(mode)
     c = env.sound_speed()
     alpha_w = absorption_coeff(sonar.frequency_khz, env)
     m, cell_len = _resolution_cells(layout, range_resolution(c, sonar.bandwidth_hz))
@@ -551,19 +490,16 @@ def _cell_sum(component, env, sonar, pose, beam, layout, transmit_beam, mode,
     b = a + cell_len
     averages, coeff, measure = cells(a, b, np.repeat(layout.edges[1:], m))
     wet = np.flatnonzero(measure > 0.0)
-    rx, tx = _orientations(pose, beam, transmit_beam, "coupled")
-    bp = np.zeros((2, a.size))  # (bp_t, bp_r); dry cells return nothing anyway
+    bp = np.zeros(a.size)  # dry cells return nothing anyway
     try:
-        for k, orientations in enumerate(
-                [[rx, tx]] if mode == "coupled" else [[tx], [rx]]):
-            bp[k, wet] = averages(orientations, wet)
+        bp[wet] = averages(_orientations(pose, beam, transmit_beam), wet)
     except QuadratureError as err:
         cell = wet[err.row]
         raise QuadratureError(f"{component} bin {cell // m + 1}, cell "
                               f"({a[cell]:.4f}, {b[cell]:.4f}] m: {err}") from err
     rl = reverb_level(
         sonar.source_level_db, transmission_loss(b - cell_len / 2.0, alpha_w),
-        bp[0], bp[1], coeff, measure,
+        bp, 0.0, coeff, measure,
     )
     return to_db(to_linear(rl).reshape(layout.num_bins, m).sum(axis=1))
 
@@ -576,12 +512,11 @@ def bottom_return_bins(
     layout: BinLayout,
     *,
     transmit_beam: BeamOrientation | None = None,
-    mode: str = "coupled",
 ) -> np.ndarray:
     """Expected bottom reverberation level per bin (dB, NO_RESPONSE where
     the bottom is out of reach)."""
     return _ring_return_bins(env, sonar, pose, beam, layout, kind="bottom",
-                             transmit_beam=transmit_beam, mode=mode)
+                             transmit_beam=transmit_beam)
 
 
 def surface_return_bins(
@@ -592,15 +527,14 @@ def surface_return_bins(
     layout: BinLayout,
     *,
     transmit_beam: BeamOrientation | None = None,
-    mode: str = "coupled",
 ) -> np.ndarray:
     """Expected surface reverberation level per bin; the bottom pipeline
     mirrored above the sonar with the surface coefficient."""
     return _ring_return_bins(env, sonar, pose, beam, layout, kind="surface",
-                             transmit_beam=transmit_beam, mode=mode)
+                             transmit_beam=transmit_beam)
 
 
-def _ring_return_bins(env, sonar, pose, beam, layout, *, kind, transmit_beam, mode):
+def _ring_return_bins(env, sonar, pose, beam, layout, *, kind, transmit_beam):
     c = env.sound_speed()
     f = sonar.frequency_khz
     offset = pose.altitude_m if kind == "bottom" else pose.depth_m
@@ -620,13 +554,11 @@ def _ring_return_bins(env, sonar, pose, beam, layout, *, kind, transmit_beam, mo
         rho = (r_a + r_b) / 2.0
 
         def averages(orientations, rows):
-            return _ring_averages(rho[rows], z, orientations, sonar, c,
-                                  mode == "printed")
+            return _ring_averages(rho[rows], z, orientations, sonar, c)
 
         return averages, coeff, area
 
-    return _cell_sum(kind, env, sonar, pose, beam, layout, transmit_beam, mode,
-                     cells)
+    return _cell_sum(kind, env, sonar, pose, beam, layout, transmit_beam, cells)
 
 
 def volume_return_bins(
@@ -637,7 +569,6 @@ def volume_return_bins(
     layout: BinLayout,
     *,
     transmit_beam: BeamOrientation | None = None,
-    mode: str = "coupled",
 ) -> np.ndarray:
     """Expected volume reverberation level per bin (dB). The ensonified
     volume of a cell is the full hollow shell; the bottom and surface cuts
@@ -656,12 +587,11 @@ def volume_return_bins(
 
         def averages(orientations, rows):
             return _shell_averages(theta_ha[rows], theta_hd[rows], orientations,
-                                   sonar, c, mode == "printed")
+                                   sonar, c)
 
         return averages, np.full(a.size, coeff), volume
 
-    return _cell_sum("volume", env, sonar, pose, beam, layout, transmit_beam, mode,
-                     cells)
+    return _cell_sum("volume", env, sonar, pose, beam, layout, transmit_beam, cells)
 
 
 def expected_null(
@@ -672,7 +602,6 @@ def expected_null(
     layout: BinLayout | None = None,
     *,
     transmit_beam: BeamOrientation | None = None,
-    mode: str = "coupled",
     include_bottom: bool = True,
     include_surface: bool = True,
     include_volume: bool = True,
@@ -691,7 +620,7 @@ def expected_null(
         ):
             parts[name] = (
                 component(env, sonar, pose, beam, layout,
-                          transmit_beam=transmit_beam, mode=mode)
+                          transmit_beam=transmit_beam)
                 if include
                 else np.full(layout.num_bins, NO_RESPONSE)
             )

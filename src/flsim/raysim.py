@@ -586,26 +586,26 @@ def sample_ray_directions(n: int, rng: np.random.Generator) -> np.ndarray:
     return dirs / norms[:, None]
 
 
-def ray_patch_area(distance_m, grazing_rad, n_rays: int, solid_angle_sr=4.0 * math.pi):
+def ray_patch_area(distance_m, grazing_rad, n_rays: int):
     """Ensonified area represented by one ray hitting a boundary: its share
-    of the sampled solid angle projected onto the boundary at its impact
+    of the full sphere projected onto the boundary at its impact
     distance and grazing angle. The grazing sine is floored at sin(1 deg) to
     keep tangent impacts from claiming unbounded patches."""
     if n_rays < 1:
         raise ValueError(f"n_rays must be >= 1, got {n_rays}")
     distance_m = np.asarray(distance_m, dtype=float)
     sin_g = np.maximum(np.sin(grazing_rad), math.sin(math.radians(1.0)))
-    out = (solid_angle_sr / n_rays) * distance_m**2 / sin_g
+    out = (4.0 * math.pi / n_rays) * distance_m**2 / sin_g
     return out if out.ndim else float(out)
 
 
-def ray_bin_volume(n: int, layout: BinLayout, n_rays: int, coverage: float = 1.0):
+def ray_bin_volume(n: int, layout: BinLayout, n_rays: int):
     """Share of bin n's shell volume represented by one ray."""
     if n_rays < 1:
         raise ValueError(f"n_rays must be >= 1, got {n_rays}")
     a = layout.edge(n - 1)
     b = layout.edge(n)
-    return coverage * (4.0 / 3.0) * math.pi * (b**3 - a**3) / n_rays
+    return (4.0 / 3.0) * math.pi * (b**3 - a**3) / n_rays
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +696,22 @@ def _boundary_coeff_linear(kind, grazing, roughness, env, f_khz):
     return out
 
 
+def check_sonar_outside_boxes(scene: Scene, depth_m: float,
+                              path: str = "scene.objects") -> None:
+    """Raise ValueError naming the first box whose closed extent holds the
+    sonar at (0, 0, depth_m). A ray leaving from inside a box, or from its
+    boundary, never strikes it, so the box would vanish from every ping."""
+    sonar = np.array([0.0, 0.0, depth_m])
+    for i, obj in enumerate(scene.objects):
+        if not isinstance(obj, Box):
+            continue
+        lo = np.asarray(obj.center_m) - 0.5 * np.asarray(obj.size_m)
+        hi = np.asarray(obj.center_m) + 0.5 * np.asarray(obj.size_m)
+        if np.all((lo <= sonar) & (sonar <= hi)):
+            raise ValueError(
+                f"{path}[{i}]: box encloses the sonar at (0, 0, {depth_m})")
+
+
 def ping(
     scene: Scene,
     sonar: SonarConfig,
@@ -703,24 +719,14 @@ def ping(
     beam: BeamOrientation,
     *,
     transmit_beam: BeamOrientation | None = None,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
-    sampling: str = "sphere",
+    seed: int | np.random.Generator | None = None,
 ) -> PingReturn:
-    """Simulate one ping: trace sonar.num_rays rays, accumulate boundary,
-    object, volume and first-order multipath intensity per range bin.
-
-    sampling "sphere" draws directions over the full sphere;
-    "transmit_hemisphere" folds them into the transmitter's front hemisphere
-    and halves each ray's solid-angle share, which leaves every expectation
-    unchanged because the transmit pattern gates the back hemisphere out.
-    """
-    if sampling not in ("sphere", "transmit_hemisphere"):
-        raise ValueError(
-            f"sampling must be 'sphere' or 'transmit_hemisphere', got {sampling!r}"
-        )
-    if rng is None:
-        rng = np.random.default_rng(sonar.rng_seed if seed is None else seed)
+    """Simulate one ping: trace sonar.num_rays rays over the full sphere,
+    accumulate boundary, object, volume and first-order multipath intensity
+    per range bin. seed goes to np.random.default_rng, so it may be an
+    integer, a SeedSequence or a Generator, which is used as it is."""
+    check_sonar_outside_boxes(scene, pose.depth_m)
+    rng = np.random.default_rng(seed)
     tx = transmit_beam if transmit_beam is not None else beam
     env = scene.env
     c = env.sound_speed()
@@ -733,21 +739,6 @@ def ping(
     sl_fac = 10.0 ** (sonar.source_level_db / 10.0)
 
     dirs = sample_ray_directions(n_rays, rng)
-    coverage = 1.0
-    if sampling == "transmit_hemisphere":
-        pitch_t = pose.pitch_rad + tx.pitch_rad
-        axis = np.array(
-            [
-                math.cos(pitch_t) * math.cos(tx.yaw_rad),
-                math.cos(pitch_t) * math.sin(tx.yaw_rad),
-                math.sin(pitch_t),
-            ]
-        )
-        along = dirs @ axis
-        behind = along < 0.0
-        dirs[behind] -= 2.0 * along[behind, None] * axis[None, :]
-        coverage = 0.5
-    solid_angle = 4.0 * math.pi * coverage
 
     origin = np.zeros(3)
     origin[2] = pose.depth_m
@@ -772,7 +763,7 @@ def ping(
         t_h = t[hit]
         bins_h = bin_index(t_h, layout) - 1
         tl_lin = 10.0 ** (-transmission_loss(t_h, alpha_w) / 10.0)
-        patch = ray_patch_area(t_h, grazing[hit], n_rays, solid_angle)
+        patch = ray_patch_area(t_h, grazing[hit], n_rays)
         coeff = _boundary_coeff_linear(
             kind[hit], grazing[hit], roughness[hit], env, f
         )
@@ -794,7 +785,7 @@ def ping(
         centers = layout.centers
         tl_lin_c = 10.0 ** (-transmission_loss(centers, alpha_w) / 10.0)
         shares = np.array(
-            [ray_bin_volume(m, layout, n_rays, coverage) for m in range(1, num_bins + 1)]
+            [ray_bin_volume(m, layout, n_rays) for m in range(1, num_bins + 1)]
         )
         volume = sl_fac * sv_fac * tl_lin_c * shares * reach
 
@@ -816,7 +807,7 @@ def ping(
                 to_sonar /= np.linalg.norm(to_sonar, axis=1, keepdims=True)
                 bp_r2 = _beam_weights(to_sonar, pose, beam, sonar, c)
                 tl2 = 10.0 ** (-transmission_loss(total_d, alpha_w) / 10.0)
-                patch2 = ray_patch_area(total_d, grazing2[hit2], n_rays, solid_angle)
+                patch2 = ray_patch_area(total_d, grazing2[hit2], n_rays)
                 coeff2 = _boundary_coeff_linear(
                     kind2[hit2], grazing2[hit2], roughness2[hit2], env, f
                 )
@@ -841,16 +832,15 @@ def add_noise(
     sonar: SonarConfig,
     env: EnvironmentParams,
     *,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    seed: int | np.random.Generator | None = None,
     enabled: bool = True,
 ) -> PingReturn:
     """Add exponentially distributed ambient-noise power per bin, with mean
-    set by the in-band ambient level. Disabled returns the ping unchanged."""
+    set by the in-band ambient level, drawn from np.random.default_rng(seed).
+    Disabled returns the ping unchanged."""
     if not enabled:
         return ping_return
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     level = noise_level_band(sonar.frequency_khz, env, sonar.bandwidth_hz)
     mean = 10.0 ** (level / 10.0)
     noise = rng.exponential(mean, ping_return.layout.num_bins)

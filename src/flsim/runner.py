@@ -176,13 +176,13 @@ def simulate(scenario: Scenario) -> dict:
                 scenario.pose,
                 beam,
                 transmit_beam=scenario.transmitter,
-                rng=rng,
+                seed=rng,
             )
             result = add_noise(
                 result,
                 scenario.sonar,
                 scenario.env,
-                rng=rng,
+                seed=rng,
                 enabled=scenario.noise_enabled,
             )
             pings.append(result)

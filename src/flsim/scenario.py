@@ -30,7 +30,14 @@ import yaml
 
 from .acoustics import BeamOrientation, EnvironmentParams, SonarConfig
 from .geometry import SonarPose, layout_for
-from .raysim import Box, FlatBottom, Heightfield, Scene, TriangleMesh
+from .raysim import (
+    Box,
+    FlatBottom,
+    Heightfield,
+    Scene,
+    TriangleMesh,
+    check_sonar_outside_boxes,
+)
 from .scatter import ObjectMaterial
 
 import numpy as np
@@ -332,18 +339,17 @@ def _orientation(node: dict, name: str) -> BeamOrientation:
     )
 
 
-def _sonar(node: dict, seed: int) -> SonarConfig:
+def _sonar(node: dict) -> SonarConfig:
     beams = tuple(_orientation(b, b["name"]) for b in node["beams"])
     fields = {k: v for k, v in node.items() if k != "beams"}
-    return SonarConfig(beams=beams, rng_seed=seed, **fields)
+    return SonarConfig(beams=beams, **fields)
 
 
 def _build(normalized: dict) -> Scenario:
     """The typed components of a normalized document. The bin layout and
     the scene are built too, so that every error shows at load."""
     env = _at("scenario.environment", EnvironmentParams, **normalized["environment"])
-    sonar = _at("scenario.sonar", _sonar, normalized["sonar"],
-                normalized["run"]["seed"])
+    sonar = _at("scenario.sonar", _sonar, normalized["sonar"])
     pose_node = normalized["pose"]
     pose = _at(
         "scenario.pose", SonarPose,
@@ -425,11 +431,12 @@ def _object(spec: dict):
 
 def build_scene(scenario: Scenario) -> Scene:
     """Assemble the traced scene from the scenario's scene section. An
-    error names the path of the bottom or object it came from."""
+    error names the path of the bottom or object it came from, a box that
+    encloses the sonar included."""
     spec = scenario.raw["scene"]
     pose = scenario.pose
     base_depth = pose.depth_m + pose.altitude_m
-    return Scene(
+    scene = Scene(
         env=scenario.env,
         bottom=_at("scenario.scene.bottom", _bottom, spec["bottom"], base_depth),
         surface_enabled=spec["surface"],
@@ -439,3 +446,5 @@ def build_scene(scenario: Scenario) -> Scene:
             for i, obj in enumerate(spec["objects"])
         ),
     )
+    check_sonar_outside_boxes(scene, pose.depth_m, "scenario.scene.objects")
+    return scene

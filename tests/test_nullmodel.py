@@ -105,19 +105,6 @@ def test_ring_average_omni_limit(scenario1):
     sonar = omni_sonar(c)
     got = ring_bp_average(10.0, 5.0, POSE, FORWARD, sonar, c)
     assert got == pytest.approx(10.0 * math.log10(0.5), abs=0.02)
-    # the separate-average mode agrees for a constant pattern
-    indep = ring_bp_average(10.0, 5.0, POSE, FORWARD, sonar, c,
-                            mode="independent")
-    assert indep == pytest.approx(10.0 * math.log10(0.5), abs=0.02)
-
-
-def test_ring_average_printed_mode_omni_bias(scenario1):
-    """The dB-domain variant normalizes the arc by pi, so a constant
-    pattern averages to 0 dB instead of the visible-fraction value."""
-    c = scenario1.env.sound_speed()
-    sonar = omni_sonar(c)
-    got = ring_bp_average(10.0, 5.0, POSE, FORWARD, sonar, c, mode="printed")
-    assert got == pytest.approx(0.0, abs=0.01)
 
 
 def test_ring_average_reference_quadrature(scenario1, s1_layout):
@@ -162,28 +149,10 @@ def test_ring_average_transmit_receive_coupling(scenario1, s1_layout):
     assert up < same < down
 
 
-def test_ring_average_independent_understates(scenario1, s1_layout):
-    """Averaging the two patterns separately must not exceed the coupled
-    product average (Cauchy-Schwarz)."""
-    c = scenario1.env.sound_speed()
-    sonar = scenario1.sonar
-    coupled = avg_ring_bp_loss(41, s1_layout, POSE, FORWARD, sonar, c)
-    single = avg_ring_bp_loss(41, s1_layout, POSE, FORWARD, sonar, c,
-                              mode="independent")
-    assert 2.0 * single <= coupled + 1e-9
-
-
 def test_avg_ring_bp_loss_dry_bin_rejected(scenario1, s1_layout):
     c = scenario1.env.sound_speed()
     with pytest.raises(ValueError):
         avg_ring_bp_loss(10, s1_layout, POSE, FORWARD, scenario1.sonar, c)
-
-
-def test_ring_average_rejects_unknown_mode(scenario1):
-    c = scenario1.env.sound_speed()
-    with pytest.raises(ValueError):
-        ring_bp_average(10.0, 5.0, POSE, FORWARD, scenario1.sonar, c,
-                        mode="both")
 
 
 # --- shell averages -----------------------------------------------------------------
@@ -249,17 +218,6 @@ def test_sphere_average_open_water_reference(scenario1, s1_layout):
     got = avg_sphere_bp_loss(41, s1_layout, POSE, FORWARD, sonar, c,
                              cutoffs=(math.pi / 2, math.pi / 2))
     assert got == pytest.approx(ref, abs=0.05)
-
-
-def test_sphere_average_independent_understates(scenario1, s1_layout):
-    """Separate averaging of the two identical patterns cannot exceed the
-    coupled product average."""
-    c = scenario1.env.sound_speed()
-    sonar = scenario1.sonar
-    coupled = avg_sphere_bp_loss(41, s1_layout, POSE, FORWARD, sonar, c)
-    single = avg_sphere_bp_loss(41, s1_layout, POSE, FORWARD, sonar, c,
-                                mode="independent")
-    assert 2.0 * single <= coupled + 1e-9
 
 
 def test_sphere_average_yawed_fallback_matches_fast_path(scenario1, s1_layout):

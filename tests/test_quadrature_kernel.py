@@ -28,7 +28,6 @@ _HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 KERNEL = nullmodel._nested_trapezoid
-MODES = ("coupled", "independent", "printed")
 
 
 # --- the oracle ---------------------------------------------------------------------
@@ -43,9 +42,7 @@ def _trapz2(values, dx, du):
     return float(du * (inner.sum() - 0.5 * (inner[0] + inner[-1])))
 
 
-def _converged(previous, current, signed):
-    if signed:
-        return abs(current - previous) <= nullmodel.TOLERANCE_DB
+def _converged(previous, current):
     if previous == 0.0 and current == 0.0:
         return True
     if previous <= 0.0 or current <= 0.0:
@@ -53,7 +50,7 @@ def _converged(previous, current, signed):
     return abs(10.0 * math.log10(current / previous)) <= nullmodel.TOLERANCE_DB
 
 
-def oracle_row(f, row, a, b, dims, signed):
+def oracle_row(f, row, a, b, dims):
     """(estimate, panels) of one row by panel doubling on linspace nodes;
     estimate is None when the row has not converged at the panel cap."""
     rows = np.array([row])
@@ -72,19 +69,19 @@ def oracle_row(f, row, a, b, dims, signed):
     while n < max_panels:
         n *= 2
         current = estimate(n)
-        if _converged(previous, current, signed):
+        if _converged(previous, current):
             return current, n
         previous = current
     return None, n
 
 
-def oracle_kernel(f, lo, hi, dims, signed):
+def oracle_kernel(f, lo, hi, dims):
     """Drop-in for nullmodel._nested_trapezoid that integrates row by row."""
     estimates, panels = np.zeros(len(lo)), np.zeros(len(lo), dtype=int)
     for r, (a, b) in enumerate(zip(lo, hi)):
         if b - a <= 0.0:
             continue
-        value, n = oracle_row(f, r, a, b, dims, signed)
+        value, n = oracle_row(f, r, a, b, dims)
         if value is None:
             raise QuadratureError("oracle did not converge", r)
         estimates[r], panels[r] = value, n
@@ -96,16 +93,16 @@ def oracle_kernel(f, lo, hi, dims, signed):
 
 def _record_kernel(average, *args):
     """Run average(*args) and return every kernel call it made, as
-    (f, lo, hi, dims, signed, result), result being the kernel's return
-    value or the QuadratureError it raised."""
+    (f, lo, hi, dims, result), result being the kernel's return value or
+    the QuadratureError it raised."""
     calls = []
 
-    def recording(f, lo, hi, dims, signed):
+    def recording(f, lo, hi, dims):
         try:
-            result = KERNEL(f, lo, hi, dims, signed)
+            result = KERNEL(f, lo, hi, dims)
         except QuadratureError as err:
             result = err
-        calls.append((f, np.asarray(lo), np.asarray(hi), dims, signed, result))
+        calls.append((f, np.asarray(lo), np.asarray(hi), dims, result))
         if isinstance(result, QuadratureError):
             raise result
         return result
@@ -120,16 +117,16 @@ def _record_kernel(average, *args):
 
 def _assert_matches_oracle(calls):
     assert calls
-    for f, lo, hi, dims, signed, result in calls:
+    for f, lo, hi, dims, result in calls:
         if isinstance(result, QuadratureError):
             for r in range(result.row):
-                assert oracle_row(f, r, lo[r], hi[r], dims, signed)[0] is not None
+                assert oracle_row(f, r, lo[r], hi[r], dims)[0] is not None
             failed = result.row
-            assert oracle_row(f, failed, lo[failed], hi[failed], dims, signed)[0] is None
+            assert oracle_row(f, failed, lo[failed], hi[failed], dims)[0] is None
             continue
         estimates, panels = result
         for r in range(len(lo)):
-            want, n = oracle_row(f, r, lo[r], hi[r], dims, signed)
+            want, n = oracle_row(f, r, lo[r], hi[r], dims)
             assert panels[r] == n
             assert abs(estimates[r] - want) <= 1e-12 * abs(want)
 
@@ -140,30 +137,25 @@ yaws = st.one_of(st.just(0.0), st.floats(-0.6, 0.6))
 
 @st.composite
 def orientation_lists(draw, yaw):
-    """The orientation list one average integrates: receive and transmit in
-    "coupled" mode (sometimes the same), else one orientation."""
-    mode = draw(st.sampled_from(MODES))
+    """The orientation list one average integrates: receive and transmit
+    (sometimes the same)."""
     rx = (draw(angles), draw(yaw))
-    if mode != "coupled":
-        return mode, [rx]
     tx = draw(st.one_of(st.just(rx), st.tuples(angles, yaw)))
-    return mode, [rx, tx]
+    return [rx, tx]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     rho=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=6),
     z=st.one_of(st.floats(0.5, 15.0), st.floats(-15.0, -0.5)),
-    modes=orientation_lists(yaws),
+    orientations=orientation_lists(yaws),
     chunk=st.sampled_from((7, 100, nullmodel.CHUNK_NODES)),
 )
-def test_ring_rows_match_oracle(scenario1, rho, z, modes, chunk):
-    mode, orientations = modes
+def test_ring_rows_match_oracle(scenario1, rho, z, orientations, chunk):
     c = scenario1.env.sound_speed()
     with mock.patch.object(nullmodel, "CHUNK_NODES", chunk):
         calls = _record_kernel(
-            nullmodel._ring_averages, rho, z, orientations, scenario1.sonar, c,
-            mode == "printed")
+            nullmodel._ring_averages, rho, z, orientations, scenario1.sonar, c)
     _assert_matches_oracle(calls)
 
 
@@ -178,14 +170,14 @@ cutoffs = st.one_of(st.just(math.inf), st.floats(0.0, math.pi / 2.0))
     chunk=st.sampled_from((300, nullmodel.CHUNK_NODES)),
 )
 def test_shell_rows_match_oracle(scenario1, gates, yawed, data, chunk):
-    mode, orientations = data.draw(
+    orientations = data.draw(
         orientation_lists(st.floats(0.05, 0.6) if yawed else st.just(0.0)))
     c = scenario1.env.sound_speed()
     theta_ha, theta_hd = (np.array(side) for side in zip(*gates))
     with mock.patch.object(nullmodel, "CHUNK_NODES", chunk):
         calls = _record_kernel(
             nullmodel._shell_averages, theta_ha, theta_hd, orientations,
-            scenario1.sonar, c, mode == "printed")
+            scenario1.sonar, c)
     _assert_matches_oracle(calls)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -268,9 +269,6 @@ def test_ray_patch_area_shares_and_floor():
     # shallow impacts are clamped to the one-degree patch
     shallow = ray_patch_area(10.0, 1e-6, 1000)
     assert shallow == pytest.approx(full / math.sin(math.radians(1.0)))
-    halved = ray_patch_area(10.0, math.pi / 2, 1000,
-                            solid_angle_sr=2.0 * math.pi)
-    assert halved == pytest.approx(full / 2.0)
     with pytest.raises(ValueError):
         ray_patch_area(10.0, 0.5, 0)
 
@@ -278,8 +276,6 @@ def test_ray_patch_area_shares_and_floor():
 def test_ray_bin_volume_share(s1_layout):
     v1 = ray_bin_volume(1, s1_layout, 1)
     assert v1 == pytest.approx(4.0 / 3.0 * math.pi * 0.25**3)
-    assert ray_bin_volume(1, s1_layout, 10, coverage=0.5) == pytest.approx(
-        v1 / 20.0)
     with pytest.raises(ValueError):
         ray_bin_volume(1, s1_layout, 0)
 
@@ -287,11 +283,12 @@ def test_ray_bin_volume_share(s1_layout):
 # --- whole pings ------------------------------------------------------------------
 
 
-def test_ping_rejects_unknown_sampling(scenario1):
-    scene = flat_scene(scenario1.env)
-    with pytest.raises(ValueError):
-        ping(scene, scenario1.sonar, POSE, FORWARD, seed=1,
-             sampling="cosine")
+def test_ping_rejects_a_box_enclosing_the_sonar(scenario1):
+    box = Box(center_m=(0.0, 0.0, 7.0), size_m=(2.0, 2.0, 2.0))
+    scene = flat_scene(scenario1.env, objects=(box,))
+    with pytest.raises(ValueError, match=re.escape(
+            "scene.objects[0]: box encloses the sonar at (0, 0, 7.0)")):
+        ping(scene, scenario1.sonar, POSE, FORWARD, seed=1)
 
 
 def test_ping_is_deterministic_for_a_seed(scenario1):
@@ -365,24 +362,3 @@ def test_mean_ping_converges_toward_expectation(scenario1, s1_layout):
     medium = rms_gap(10000, 9010)
     fine = rms_gap(20000, 9020)
     assert fine < medium < coarse
-
-
-def test_hemisphere_sampling_estimates_the_same_ping(scenario1, s1_layout):
-    """Folding rays into the transmit hemisphere halves their solid-angle
-    share and must not shift the estimate."""
-    scene = flat_scene(scenario1.env)
-    null = expected_null(scenario1.env, scenario1.sonar, POSE, FORWARD,
-                         s1_layout, transmit_beam=FORWARD)
-    eligible = (null.total_db >= -120.0) & (s1_layout.centers <= 20.0)
-    means = {}
-    for mode in ("sphere", "transmit_hemisphere"):
-        acc = np.zeros(s1_layout.num_bins)
-        for k in range(3):
-            acc += ping(scene, scenario1.sonar, POSE, FORWARD,
-                        transmit_beam=FORWARD, seed=7100 + k,
-                        sampling=mode).total
-        means[mode] = acc / 3.0
-    both = eligible & (means["sphere"] > 0) & (means["transmit_hemisphere"] > 0)
-    gap = to_db(means["transmit_hemisphere"][both]) - to_db(means["sphere"][both])
-    assert float(np.sqrt(np.mean(gap * gap))) < 1.0
-    assert float(np.max(np.abs(gap))) < 3.5

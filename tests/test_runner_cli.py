@@ -229,6 +229,16 @@ def test_cli_rejects_scene_errors_at_load(tmp_path, capsys, scenario1):
     assert "Traceback" not in err
 
 
+def test_cli_rejects_a_box_enclosing_the_sonar(tmp_path, capsys, scenario1):
+    path = _document_with_scene(tmp_path, scenario1, {"objects": [
+        {"type": "box", "center_m": [0, 0, 7], "size_m": [2, 2, 2]}]})
+    assert main(["null", "--scenario", path, "--out", str(tmp_path / "n")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: scenario.scene.objects[0]: box encloses the sonar "
+                   "at (0, 0, 7.0)\n")
+    assert not (tmp_path / "n").exists()
+
+
 def test_cli_rejects_an_overflowing_source_level_at_load(tmp_path, capsys,
                                                          scenario1):
     doc = yaml.safe_load(serialize(scenario1))

@@ -279,6 +279,23 @@ def test_scene_errors_are_raised_at_load_with_their_path():
         loads(mesh)
 
 
+def test_a_box_enclosing_the_sonar_is_rejected_at_load():
+    """A ray leaving from inside a box, or from its boundary, never strikes
+    it, so such a box would vanish from every ping."""
+    doc = MINIMAL + (
+        "\nscene:\n  objects:\n"
+        "    - {type: box, center_m: [30, 0, 6], size_m: [2, 2, 2]}\n"
+        "    - {type: box, center_m: [0, 0, 7], size_m: [2, 2, 2]}\n"
+    )
+    message = "scenario.scene.objects[1]: box encloses the sonar at (0, 0, 7.0)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        loads(doc)
+    # the closed extent: a sonar on a face counts as enclosed
+    with pytest.raises(ValueError, match=re.escape(message)):
+        loads(doc.replace("center_m: [0, 0, 7]", "center_m: [1, 0, 7]"))
+    loads(doc.replace("center_m: [0, 0, 7]", "center_m: [1.5, 0, 7]"))
+
+
 # --- round trips and overrides ----------------------------------------------------
 
 
