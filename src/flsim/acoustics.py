@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .db import to_db
-
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> None:
     if not lo <= value <= hi:
@@ -234,13 +232,6 @@ def sinc(x):
     Returns exactly 0.0 at nonzero integer arguments so that pattern nulls
     map to zero response rather than a rounding residue.
     """
-    if np.isscalar(x):
-        xf = float(x)
-        if xf == 0.0:
-            return 1.0
-        if xf.is_integer():
-            return 0.0
-        return math.sin(math.pi * xf) / (math.pi * xf)
     arr = np.asarray(x, dtype=float)
     out = np.ones(arr.shape)
     nonzero = arr != 0.0
@@ -248,7 +239,7 @@ def sinc(x):
     vals = np.sin(np.pi * ax) / (np.pi * ax)
     vals[ax == np.round(ax)] = 0.0
     out[nonzero] = vals
-    return out
+    return out if out.ndim else float(out)
 
 
 def beam_gain(theta, psi, sonar: SonarConfig, c: float):
@@ -271,15 +262,6 @@ def beam_gain(theta, psi, sonar: SonarConfig, c: float):
     if gain.ndim == 0:
         return float(gain)
     return gain
-
-
-def beam_pattern_loss(theta: float, psi: float, sonar: SonarConfig, c: float) -> float:
-    """Beam pattern loss 20*log10(|alpha*beta|) in dB, <= 0.
-
-    NO_RESPONSE outside the open front hemisphere and at pattern nulls.
-    """
-    gain = beam_gain(theta, psi, sonar, c)
-    return to_db(gain)
 
 
 def range_resolution(c: float, bandwidth_hz: float) -> float:

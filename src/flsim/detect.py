@@ -56,19 +56,6 @@ class HypothesisModel:
         return ~is_response(self.null_mean_db)
 
 
-def likelihood_ratio(z_db: float, model: HypothesisModel, n: int) -> float:
-    """Likelihood ratio of the measured level z_db in 1-based bin n."""
-    if n < 1 or n > model.null_mean_db.size:
-        raise ValueError(f"bin index {n} outside 1..{model.null_mean_db.size}")
-    mu = model.null_mean_db[n - 1]
-    if not is_response(mu):
-        raise ValueError(f"bin {n} has no expected return, the test is undefined")
-    delta = model.alt_offset_db
-    sigma2 = model.sigma_db**2
-    exponent = (delta * (z_db - mu) - 0.5 * delta**2) / sigma2
-    return math.exp(exponent)
-
-
 def likelihood_ratios(z_db: np.ndarray, model: HypothesisModel) -> np.ndarray:
     """Per-bin likelihood ratios; excluded bins get nan."""
     z = np.asarray(z_db, dtype=float)

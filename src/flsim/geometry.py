@@ -104,14 +104,6 @@ def ring_radius(d_n, h: float):
     return out
 
 
-def ring_area(n: int, layout: BinLayout, h: float) -> float:
-    """Ensonified bottom area of bin n: the annulus between consecutive ring
-    radii. Partial sums over bins telescope to pi * r_n^2 exactly."""
-    r_outer = ring_radius(layout.edge(n), h)
-    r_inner = ring_radius(layout.edge(n - 1), h)
-    return math.pi * (r_outer * r_outer - r_inner * r_inner)
-
-
 def ring_areas(layout: BinLayout, h: float) -> np.ndarray:
     """Per-bin ensonified areas for all bins of the layout."""
     r = ring_radius(layout.edges, h)
@@ -133,11 +125,6 @@ def grazing_between(d_inner, d_outer, h: float):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def ring_grazing(n: int, layout: BinLayout, h: float) -> float:
-    """Grazing angle to the center of the ring for bin n."""
-    return grazing_between(layout.edge(n - 1), layout.edge(n), h)
 
 
 def rotation_matrix_pitch(pitch_rad: float) -> np.ndarray:
@@ -221,12 +208,6 @@ def shell_volume_between(d_inner: float, d_outer: float, h: float, h_d: float) -
     return full - cut
 
 
-def shell_volume(n: int, layout: BinLayout, h: float, h_d: float) -> float:
-    """Water volume of the hollow shell for bin n (bottom at h below the
-    sonar, surface at h_d above)."""
-    return shell_volume_between(layout.edge(n - 1), layout.edge(n), h, h_d)
-
-
 def cutoff_angle(d_inner: float, d_outer: float, plane_distance: float) -> float:
     """Vertical angle beyond which rays in the shell between d_inner and
     d_outer strike the plane at plane_distance: asin(2p / (d_inner + d_outer))
@@ -235,12 +216,6 @@ def cutoff_angle(d_inner: float, d_outer: float, plane_distance: float) -> float
     if plane_distance >= midpoint:
         return 0.0
     return math.asin(min(2.0 * plane_distance / (d_inner + d_outer), 1.0))
-
-
-def cutoff_angles(n: int, layout: BinLayout, h: float, h_d: float):
-    """Bottom and surface cutoff angles (theta_ha, theta_hd) for bin n."""
-    a, b = layout.edge(n - 1), layout.edge(n)
-    return cutoff_angle(a, b, h), cutoff_angle(a, b, h_d)
 
 
 @dataclass(frozen=True)

@@ -185,13 +185,6 @@ def _double(f, lo, hi, active, estimate, panels, dims, n, stop):
     return active
 
 
-def _adaptive_trapezoid(f, a: float, b: float) -> float:
-    """Integrate vectorized f over [a, b] with panel doubling."""
-    estimate, _ = _nested_trapezoid(
-        lambda rows, x, u: f(x.ravel()).reshape(x.shape), [a], [b], 1)
-    return float(estimate[0])
-
-
 def _row_averages(f, lo, hi, owner, count, dims, divisor) -> np.ndarray:
     """Sum of the integrals of each owner's rows over divisor, in dB, for
     owners 0..count-1; NO_RESPONSE for an owner without rows. A
@@ -325,33 +318,6 @@ def ring_bp_average(
     return float(_ring_averages([rho_mid], z, orientations, sonar, c)[0])
 
 
-def avg_ring_bp_loss(
-    n: int,
-    layout: BinLayout,
-    pose: SonarPose,
-    beam: BeamOrientation,
-    sonar: SonarConfig,
-    c: float,
-    *,
-    vertical_offset_m: float | None = None,
-    transmit_beam: BeamOrientation | None = None,
-) -> float:
-    """Average beam-pattern loss around the ensonified ring of bin n.
-
-    vertical_offset_m defaults to the pose altitude (bottom ring); pass
-    -pose.depth_m for the surface ring.
-    """
-    z = pose.altitude_m if vertical_offset_m is None else vertical_offset_m
-    h = abs(z)
-    if h >= layout.edge(n):
-        raise ValueError(f"bin {n} has no ensonified ring at offset {z}")
-    r_outer = ring_radius(layout.edge(n), h)
-    r_inner = ring_radius(layout.edge(n - 1), h)
-    rho_mid = (r_outer + r_inner) / 2.0
-    return ring_bp_average(rho_mid, z, pose, beam, sonar, c,
-                           transmit_beam=transmit_beam)
-
-
 # ---------------------------------------------------------------------------
 # Shell (volume) beam-pattern averages
 
@@ -444,22 +410,6 @@ def shell_bp_average(
     theta_ha, theta_hd = (np.array([x], dtype=float) for x in cutoffs)
     orientations = _orientations(pose, beam, transmit_beam)
     return float(_shell_averages(theta_ha, theta_hd, orientations, sonar, c)[0])
-
-
-def avg_sphere_bp_loss(
-    n: int,
-    layout: BinLayout,
-    pose: SonarPose,
-    beam: BeamOrientation,
-    sonar: SonarConfig,
-    c: float,
-    cutoffs: tuple | None = None,
-    *,
-    transmit_beam: BeamOrientation | None = None,
-) -> float:
-    """Average beam-pattern loss over the gated shell of bin n."""
-    return shell_bp_average(layout.edge(n - 1), layout.edge(n), pose, beam, sonar, c,
-                            cutoffs=cutoffs, transmit_beam=transmit_beam)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,9 @@ ray, and follows one specular bounce per ray for first-order multipath.
 
 Every bounce goes through one batch path, _bounce: reflect the ray about the
 hit normal, offset the new origin along the reflection, and retrace with the
-range left. ping calls it on all its impacts; trace_ray and multipath_bounce
-are single-ray wrappers over _trace_batch and _bounce. A bounce's echo is
-binned and attenuated at the path length t1 + t2 and received with the
-beam weight of the direct line from the second impact to the sonar.
+range left. ping calls it on all its impacts. A bounce's echo is binned
+and attenuated at the path length t1 + t2 and received with the beam
+weight of the direct line from the second impact to the sonar.
 
 All per-bin accumulators are linear intensities; dB views are provided on
 the result object. Ambient noise is added separately by add_noise so a
@@ -178,39 +177,6 @@ class Scene:
             if not isinstance(obj, (Box, TriangleMesh)):
                 raise ValueError("objects must be Box or TriangleMesh instances")
         object.__setattr__(self, "objects", objects)
-
-
-@dataclass(frozen=True)
-class Ray:
-    origin: tuple
-    direction: tuple
-    remaining_range_m: float
-
-    def __post_init__(self):
-        origin = tuple(float(c) for c in self.origin)
-        direction = tuple(float(c) for c in self.direction)
-        if len(origin) != 3 or len(direction) != 3:
-            raise ValueError("origin and direction must have 3 components")
-        norm = math.sqrt(sum(c * c for c in direction))
-        if not abs(norm - 1.0) <= 1e-12:
-            raise ValueError(f"direction must be a unit vector, |d| = {norm}")
-        if not 0.0 <= self.remaining_range_m < math.inf:
-            raise ValueError(
-                f"remaining_range_m must be finite and >= 0, got "
-                f"{self.remaining_range_m}"
-            )
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "direction", direction)
-
-
-@dataclass(frozen=True)
-class Hit:
-    kind: str
-    distance_m: float
-    point: tuple
-    normal: tuple
-    grazing_rad: float
-    material: ObjectMaterial | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -509,27 +475,6 @@ def _trace_batch(scene: Scene, origins, dirs, t_min, t_max):
     return kind, t_best, points, normals, grazing, roughness
 
 
-_KIND_NAMES = {KIND_BOTTOM: "bottom", KIND_SURFACE: "surface", KIND_OBJECT: "object"}
-
-
-def _hit_at(trace, i: int) -> Hit | None:
-    """Row i of a _trace_batch result as a Hit, or None for a miss."""
-    kind, t, points, normals, grazing, roughness = trace
-    if kind[i] < 0:
-        return None
-    material = None
-    if kind[i] == KIND_OBJECT:
-        material = ObjectMaterial(rms_roughness=float(roughness[i]))
-    return Hit(
-        kind=_KIND_NAMES[int(kind[i])],
-        distance_m=float(t[i]),
-        point=tuple(points[i]),
-        normal=tuple(normals[i]),
-        grazing_rad=float(grazing[i]),
-        material=material,
-    )
-
-
 def _bounce(scene: Scene, points, dirs, normals, remaining):
     """Specular bounce of a batch of impacts: reflected directions, origins
     offset along them, the mask of rays with range left to retrace
@@ -545,28 +490,6 @@ def _bounce(scene: Scene, points, dirs, normals, remaining):
             scene, origins[live], refl[live], BOUNCE_MIN_T, remaining[live]
         )
     return origins, refl, live, trace
-
-
-def trace_ray(scene: Scene, ray: Ray) -> Hit | None:
-    """Trace a single ray to its nearest impact within its remaining range."""
-    origins = np.asarray([ray.origin], dtype=float)
-    dirs = np.asarray([ray.direction], dtype=float)
-    return _hit_at(_trace_batch(scene, origins, dirs, 0.0, ray.remaining_range_m), 0)
-
-
-def multipath_bounce(scene: Scene, hit: Hit, ray: Ray) -> tuple:
-    """Specular bounce at a hit: the reflected ray and its own first impact,
-    or (ray, None) when no range remains or nothing is struck."""
-    remaining = ray.remaining_range_m - hit.distance_m
-    origins, refl, _, trace = _bounce(
-        scene,
-        np.asarray([hit.point], dtype=float),
-        np.asarray([ray.direction], dtype=float),
-        np.asarray([hit.normal], dtype=float),
-        np.asarray([remaining]),
-    )
-    bounced = Ray(tuple(origins[0]), tuple(refl[0]), max(remaining, 0.0))
-    return bounced, None if trace is None else _hit_at(trace, 0)
 
 
 # ---------------------------------------------------------------------------

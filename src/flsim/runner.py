@@ -13,7 +13,6 @@ import copy
 import json
 import math
 import os
-import re
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .detect import detect_ping
 from .geometry import layout_for
 from .nullmodel import NullModelReturn, expected_null
 from .raysim import add_noise, ping
-from .scenario import Scenario, _build, build_scene, normalize
+from .scenario import Scenario, _beam_slug, _build, build_scene, normalize
 
 
 def with_overrides(
@@ -48,11 +47,6 @@ def with_overrides(
     if no_noise:
         raw["run"]["noise_enabled"] = False
     return _build(normalize(raw))
-
-
-def _beam_slug(name: str) -> str:
-    slug = re.sub(r"[^A-Za-z0-9]+", "_", name).strip("_")
-    return slug or "beam"
 
 
 def _fmt_db(value: float) -> str:

@@ -2,8 +2,8 @@
 
 Empirical bottom/surface/volume scattering strengths and the composition of
 source level, transmission loss, beam pattern terms and scattering strength
-into reverberation and target echo levels. All coefficient functions accept
-scalars or numpy arrays for the grazing angle.
+into reverberation levels. All coefficient functions accept scalars or numpy
+arrays for the grazing angle.
 """
 
 from __future__ import annotations
@@ -134,30 +134,3 @@ def reverb_level(
         return float(out)
     return out
 
-
-def target_strength(
-    patch_area_m2: float, grazing_rad: float, f_khz: float, material: ObjectMaterial
-) -> float:
-    """Target strength TS (dB) of an object patch.
-
-    The object's surface is treated like a seabed patch of the material's
-    roughness: TS = bottom_coeff(roughness, grazing, f) + 10*log10(area).
-    Zero area yields NO_RESPONSE.
-    """
-    if patch_area_m2 < 0:
-        raise ValueError(f"patch_area_m2 must be >= 0, got {patch_area_m2}")
-    if patch_area_m2 == 0:
-        return NO_RESPONSE
-    coeff = bottom_coeff(material.rms_roughness, grazing_rad, f_khz)
-    return coeff + 10.0 * math.log10(patch_area_m2)
-
-
-def target_echo_level(
-    source_level_db: float,
-    transmission_loss_db: float,
-    bp_t_db: float,
-    bp_r_db: float,
-    ts_db: float,
-) -> float:
-    """Echo level I_R = SL - TL + BP_T + BP_R + TS in dB."""
-    return source_level_db - transmission_loss_db + bp_t_db + bp_r_db + ts_db

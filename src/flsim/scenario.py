@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -143,11 +144,24 @@ def _window(value, path: str) -> list:
     return [low, high]
 
 
+def _beam_slug(name: str) -> str:
+    """The stem a beam's output files carry in their names."""
+    slug = re.sub(r"[^A-Za-z0-9]+", "_", name).strip("_")
+    return slug or "beam"
+
+
 def _beams(value, path: str) -> list:
     beams = _list_of(_BEAM, "expected a non-empty list", 1)(value, path)
     names = [b["name"] for b in beams]
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: beam names must be unique, got {names}")
+    seen = {}
+    for name in names:
+        slug = _beam_slug(name)
+        if slug in seen:
+            raise ValueError(f"{path}: beams {seen[slug]!r} and {name!r} write "
+                             f"the same files ({slug})")
+        seen[slug] = name
     return beams
 
 

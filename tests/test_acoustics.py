@@ -11,13 +11,13 @@ from flsim import (
     absorption_coeff,
     attenuation_total,
     beam_gain,
-    beam_pattern_loss,
     max_range,
     noise_level,
     noise_level_band,
     range_resolution,
     sound_speed,
     spread_loss,
+    to_db,
     transmission_loss,
     wavelength,
 )
@@ -201,8 +201,8 @@ def test_beam_gain_symmetry_on_seeded_grid():
 
 def test_beam_pattern_loss_no_response_behind():
     c = ENV_SHALLOW.sound_speed()
-    assert beam_pattern_loss(math.pi, 0.0, SONAR, c) == NO_RESPONSE
-    assert beam_pattern_loss(0.0, 0.0, SONAR, c) == 0.0
+    assert to_db(beam_gain(math.pi, 0.0, SONAR, c)) == NO_RESPONSE
+    assert to_db(beam_gain(0.0, 0.0, SONAR, c)) == 0.0
 
 
 def test_beam_orientation_normalizes_angle():

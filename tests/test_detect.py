@@ -13,7 +13,6 @@ from flsim import (
     SonarConfig,
     add_noise,
     decide,
-    likelihood_ratio,
     likelihood_ratios,
     noise_level_band,
     pd_pfa,
@@ -30,13 +29,14 @@ MODEL = HypothesisModel(
 
 
 def test_ratio_below_one_at_null_mean():
-    lam = likelihood_ratio(-100.0, MODEL, 1)
-    assert 0.0 < lam < 1.0
+    lam = likelihood_ratios(np.array([-100.0, -95.0, NO_RESPONSE, -90.0]), MODEL)
+    assert np.all((0.0 < lam[[0, 1, 3]]) & (lam[[0, 1, 3]] < 1.0))
 
 
 def test_ratio_one_at_midpoint():
     # halfway between the hypotheses the evidence is exactly neutral
-    assert likelihood_ratio(-97.0, MODEL, 1) == 1.0
+    lam = likelihood_ratios(np.array([-97.0, -92.0, NO_RESPONSE, -87.0]), MODEL)
+    np.testing.assert_array_equal(lam[[0, 1, 3]], 1.0)
 
 
 def test_ratio_frozen_value_three_sigma_up():
@@ -44,28 +44,17 @@ def test_ratio_frozen_value_three_sigma_up():
     exp(4)."""
     model = HypothesisModel(
         null_mean_db=np.array([-100.0]), sigma_db=3.0, alt_offset_db=6.0)
-    lam = likelihood_ratio(-91.0, model, 1)
+    (lam,) = likelihood_ratios(np.array([-91.0]), model)
     assert lam == pytest.approx(54.598150033144236, rel=1e-12)
     assert lam == pytest.approx(math.exp(4.0), rel=1e-15)
-
-
-def test_ratio_excluded_bin_rejected():
-    with pytest.raises(ValueError):
-        likelihood_ratio(-90.0, MODEL, 3)
-
-
-def test_ratio_bin_bounds():
-    with pytest.raises(ValueError):
-        likelihood_ratio(-90.0, MODEL, 0)
-    with pytest.raises(ValueError):
-        likelihood_ratio(-90.0, MODEL, 5)
 
 
 def test_ratios_vectorized():
     z = np.array([-100.0, -92.0, -50.0, NO_RESPONSE])
     lams = likelihood_ratios(z, MODEL)
-    assert lams[0] == pytest.approx(likelihood_ratio(-100.0, MODEL, 1))
-    assert lams[1] == pytest.approx(likelihood_ratio(-92.0, MODEL, 2))
+    # exp((6 * (z - mu) - 18) / 9) in the two testable measured bins
+    assert lams[0] == pytest.approx(math.exp(-2.0), rel=1e-15)
+    assert lams[1] == 1.0
     assert np.isnan(lams[2])  # excluded bin
     assert lams[3] == 0.0  # an empty measurement carries no evidence
 

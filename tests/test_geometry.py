@@ -7,10 +7,6 @@ from flsim import (
     BinLayout,
     SonarPose,
     bin_index,
-    cutoff_angles,
-    ring_area,
-    ring_grazing,
-    shell_volume,
 )
 from flsim.geometry import (
     beam_angles_surface,
@@ -79,12 +75,10 @@ def test_ring_radius_known_value():
 
 def test_ring_area_first_wet_bins():
     # frozen: pi * (r_n^2 - r_{n-1}^2) at h = 5 with 1 m bins
-    layout = BinLayout(bin_length_m=1.0, num_bins=50)
-    assert ring_area(6, layout, 5.0) == pytest.approx(
-        34.55751918948772, abs=1e-9)
-    assert ring_area(7, layout, 5.0) == pytest.approx(
-        40.840704496667314, abs=1e-9)
-    assert ring_area(3, layout, 5.0) == 0.0
+    areas = ring_areas(BinLayout(bin_length_m=1.0, num_bins=50), 5.0)
+    assert areas[5] == pytest.approx(34.55751918948772, abs=1e-9)
+    assert areas[6] == pytest.approx(40.840704496667314, abs=1e-9)
+    assert areas[2] == 0.0
 
 
 def test_ring_areas_telescope_exactly():
@@ -109,7 +103,8 @@ def test_grazing_between_known_value():
 
 def test_ring_grazing_decreases_with_range():
     layout = BinLayout(bin_length_m=0.25, num_bins=161)
-    vals = [ring_grazing(n, layout, 5.0) for n in range(21, 161)]
+    edges = layout.edges
+    vals = list(grazing_between(edges[20:160], edges[21:161], 5.0))  # bins 21..160
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert all(0.0 < v <= math.pi / 2 for v in vals)
 
@@ -208,10 +203,13 @@ def test_shell_volume_monte_carlo_oracle():
 
 
 def test_shell_volume_layout_wrapper():
+    # bin 7 of 1 m bins: the bottom at 5 m cuts both spheres, the surface
+    # at 7 m touches neither
     layout = BinLayout(bin_length_m=1.0, num_bins=40)
-    got = shell_volume(7, layout, 5.0, 7.0)
-    assert got == pytest.approx(shell_volume_between(6.0, 7.0, 5.0, 7.0),
-                                rel=1e-12)
+    got = shell_volume_between(layout.edge(6), layout.edge(7), 5.0, 7.0)
+    full = 4.0 / 3.0 * math.pi * (7.0**3 - 6.0**3)
+    caps = math.pi * (2.0**2 * (21.0 - 2.0) - 1.0**2 * (18.0 - 1.0)) / 3.0
+    assert got == pytest.approx(full - caps, rel=1e-12)
 
 
 # --- cutoff angles --------------------------------------------------------------------
@@ -226,7 +224,8 @@ def test_cutoff_angle_cases():
 
 def test_cutoff_angles_pair():
     layout = BinLayout(bin_length_m=0.25, num_bins=161)
-    ha, hd = cutoff_angles(81, layout, 5.0, 7.0)
+    a, b = layout.edge(80), layout.edge(81)
+    ha, hd = cutoff_angle(a, b, 5.0), cutoff_angle(a, b, 7.0)
     assert ha == pytest.approx(math.asin(10.0 / 40.25), abs=1e-12)
     assert hd == pytest.approx(math.asin(14.0 / 40.25), abs=1e-12)
 

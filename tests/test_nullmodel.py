@@ -11,8 +11,6 @@ from flsim import (
     QuadratureError,
     SonarConfig,
     SonarPose,
-    avg_ring_bp_loss,
-    avg_sphere_bp_loss,
     beam_gain,
     bottom_return_bins,
     expected_null,
@@ -25,7 +23,7 @@ from flsim import (
 from flsim.acoustics import absorption_coeff, range_resolution
 from flsim.db import to_db, to_linear
 from flsim.geometry import grazing_between, ring_radius
-from flsim.nullmodel import _adaptive_trapezoid, ring_bp_average, shell_bp_average
+from flsim.nullmodel import _nested_trapezoid, ring_bp_average, shell_bp_average
 from flsim.scatter import bottom_coeff, reverb_level, surface_coeff
 
 POSE = SonarPose(altitude_m=5.0, depth_m=7.0)
@@ -56,18 +54,19 @@ def omni_sonar(c):
 
 def test_adaptive_trapezoid_smooth_integral():
     # converges to the 0.01 dB ratio tolerance, not machine precision
-    got = _adaptive_trapezoid(np.sin, 0.0, math.pi)
+    (got,), _ = _nested_trapezoid(lambda rows, x, u: np.sin(x), [0.0],
+                                  [math.pi], 1)
     assert got == pytest.approx(2.0, abs=1e-3)
 
 
 def test_adaptive_trapezoid_raises_on_divergent_integrand():
     """A non-integrable singularity keeps growing with every panel doubling
     and must surface as a diagnostic, not a silent wrong answer."""
-    def f(x):
+    def f(rows, x, u):
         return 1.0 / np.abs(x - 1.0 / math.pi)
 
     with pytest.raises(QuadratureError):
-        _adaptive_trapezoid(f, 0.0, 1.0)
+        _nested_trapezoid(f, [0.0], [1.0], 1)
 
 
 def test_quadrature_error_names_beam_component_and_bin(scenario1, monkeypatch):
@@ -125,7 +124,7 @@ def test_ring_average_reference_quadrature(scenario1, s1_layout):
     gain = beam_gain(th, ps, sonar, c)
     ref = to_db(float(np.trapezoid(gain * gain, theta)) / (2.0 * math.pi))
 
-    got = avg_ring_bp_loss(41, s1_layout, POSE, FORWARD, sonar, c)
+    got = ring_bp_average(rho, h, POSE, FORWARD, sonar, c)
     assert got == pytest.approx(ref, abs=0.05)
 
 
@@ -135,24 +134,21 @@ def test_ring_average_transmit_receive_coupling(scenario1, s1_layout):
     up-pitched one less."""
     c = scenario1.env.sound_speed()
     sonar = scenario1.sonar
-    same = avg_ring_bp_loss(41, s1_layout, POSE, FORWARD, sonar, c)
+    h = POSE.altitude_m
+    rho = (ring_radius(s1_layout.edge(41), h)
+           + ring_radius(s1_layout.edge(40), h)) / 2.0
+    same = ring_bp_average(rho, h, POSE, FORWARD, sonar, c)
     # an explicit identical transmitter changes nothing
-    explicit = avg_ring_bp_loss(41, s1_layout, POSE, FORWARD, sonar, c,
-                                transmit_beam=FORWARD)
+    explicit = ring_bp_average(rho, h, POSE, FORWARD, sonar, c,
+                               transmit_beam=FORWARD)
     assert explicit == same
-    down = avg_ring_bp_loss(
-        41, s1_layout, POSE, BeamOrientation(pitch_rad=math.radians(20.0)),
+    down = ring_bp_average(
+        rho, h, POSE, BeamOrientation(pitch_rad=math.radians(20.0)),
         sonar, c, transmit_beam=FORWARD)
-    up = avg_ring_bp_loss(
-        41, s1_layout, POSE, BeamOrientation(pitch_rad=math.radians(-20.0)),
+    up = ring_bp_average(
+        rho, h, POSE, BeamOrientation(pitch_rad=math.radians(-20.0)),
         sonar, c, transmit_beam=FORWARD)
     assert up < same < down
-
-
-def test_avg_ring_bp_loss_dry_bin_rejected(scenario1, s1_layout):
-    c = scenario1.env.sound_speed()
-    with pytest.raises(ValueError):
-        avg_ring_bp_loss(10, s1_layout, POSE, FORWARD, scenario1.sonar, c)
 
 
 # --- shell averages -----------------------------------------------------------------
@@ -161,8 +157,8 @@ def test_avg_ring_bp_loss_dry_bin_rejected(scenario1, s1_layout):
 def test_sphere_average_empty_gate(scenario1, s1_layout):
     """Explicit zero cutoffs leave no admitted band."""
     c = scenario1.env.sound_speed()
-    got = avg_sphere_bp_loss(5, s1_layout, POSE, FORWARD, scenario1.sonar, c,
-                             cutoffs=(0.0, 0.0))
+    got = shell_bp_average(s1_layout.edge(4), s1_layout.edge(5), POSE, FORWARD,
+                           scenario1.sonar, c, cutoffs=(0.0, 0.0))
     assert got == NO_RESPONSE
 
 
@@ -215,8 +211,8 @@ def test_sphere_average_open_water_reference(scenario1, s1_layout):
     sonar = scenario1.sonar
     ref = _sphere_reference(sonar, c, math.pi / 2, math.pi / 2,
                             n_h=2048, n_v=4096)
-    got = avg_sphere_bp_loss(41, s1_layout, POSE, FORWARD, sonar, c,
-                             cutoffs=(math.pi / 2, math.pi / 2))
+    got = shell_bp_average(s1_layout.edge(40), s1_layout.edge(41), POSE, FORWARD,
+                           sonar, c, cutoffs=(math.pi / 2, math.pi / 2))
     assert got == pytest.approx(ref, abs=0.05)
 
 

@@ -11,21 +11,24 @@ from flsim import (
     FlatBottom,
     Heightfield,
     NO_RESPONSE,
-    Ray,
     Scene,
     SonarPose,
     TriangleMesh,
     bin_index,
     expected_null,
-    multipath_bounce,
     ping,
     ray_bin_volume,
     ray_patch_area,
     sample_ray_directions,
     to_db,
-    trace_ray,
 )
-from flsim.raysim import _trace_batch
+from flsim.raysim import (
+    KIND_BOTTOM,
+    KIND_OBJECT,
+    KIND_SURFACE,
+    _bounce,
+    _trace_batch,
+)
 from flsim.scatter import ObjectMaterial
 
 POSE = SonarPose(altitude_m=5.0, depth_m=7.0)
@@ -60,22 +63,6 @@ def test_scene_component_validation(scenario1):
         Scene(env=scenario1.env, objects=("rock",))
 
 
-def test_ray_validation():
-    with pytest.raises(ValueError):
-        Ray(origin=(0, 0, 0), direction=(1.0, 1.0, 0.0), remaining_range_m=1.0)
-    with pytest.raises(ValueError):
-        Ray(origin=(0, 0, 0), direction=(1.0, 0.0, 0.0), remaining_range_m=-1.0)
-
-
-def test_ray_range_and_direction_must_be_finite():
-    # An infinite range used to reach the heightfield step cap as nan.
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="remaining_range_m"):
-            Ray(origin=(0, 0, 7), direction=(0.0, 0.0, 1.0), remaining_range_m=bad)
-    with pytest.raises(ValueError, match="unit vector"):
-        Ray(origin=(0, 0, 7), direction=(math.nan, 0.0, 0.0), remaining_range_m=1.0)
-
-
 # --- direction sampling -------------------------------------------------------
 
 
@@ -97,6 +84,26 @@ def test_sample_ray_directions_rejects_bad_count():
 # --- single-ray tracing -------------------------------------------------------
 
 
+def trace_one(scene, origin, direction, max_range):
+    """Row 0 of a one-ray _trace_batch call: (kind, t, point, normal,
+    grazing, roughness)."""
+    trace = _trace_batch(scene, np.array([origin], dtype=float),
+                         np.array([direction], dtype=float), 0.0, max_range)
+    return tuple(column[0] for column in trace)
+
+
+def bounce_one(scene, hit, direction, max_range):
+    """Specular bounce through _bounce of a hit that trace_one found within
+    max_range: the reflected direction, whether any range is left, and row
+    0 of the retrace (None when nothing is retraced)."""
+    _, t, point, normal, _, _ = hit
+    _, refl, live, trace = _bounce(
+        scene, np.array([point]), np.array([direction], dtype=float),
+        np.array([normal]), np.array([max_range - t]))
+    second = None if trace is None else tuple(column[0] for column in trace)
+    return refl[0], bool(live[0]), second
+
+
 def test_flat_heightfield_matches_plane(scenario1):
     depths = np.full((5, 5), 12.0)
     hf = Heightfield(x0=-50.0, y0=-50.0, spacing_m=25.0, depths=depths)
@@ -104,16 +111,13 @@ def test_flat_heightfield_matches_plane(scenario1):
     bumpy = Scene(env=scenario1.env, bottom=hf)
     rng = np.random.default_rng(11)
     dirs = sample_ray_directions(200, rng)
-    down = dirs[dirs[:, 2] > 0.2]
-    for d in down[:40]:
-        ray = Ray(origin=(0.0, 0.0, 7.0), direction=tuple(d),
-                  remaining_range_m=200.0)
-        a = trace_ray(plane, ray)
-        b = trace_ray(bumpy, ray)
-        assert a is not None and b is not None
-        assert a.kind == b.kind == "bottom"
-        assert b.distance_m == pytest.approx(a.distance_m, abs=1e-9)
-        assert b.grazing_rad == pytest.approx(a.grazing_rad, abs=1e-9)
+    down = dirs[dirs[:, 2] > 0.2][:40]
+    origins = np.broadcast_to(np.array([0.0, 0.0, 7.0]), down.shape)
+    kind_a, t_a, _, _, grazing_a, _ = _trace_batch(plane, origins, down, 0.0, 200.0)
+    kind_b, t_b, _, _, grazing_b, _ = _trace_batch(bumpy, origins, down, 0.0, 200.0)
+    assert np.all(kind_a == KIND_BOTTOM) and np.all(kind_b == KIND_BOTTOM)
+    np.testing.assert_allclose(t_b, t_a, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(grazing_b, grazing_a, rtol=0.0, atol=1e-9)
 
 
 def test_heightfield_extends_beyond_grid(scenario1):
@@ -122,10 +126,9 @@ def test_heightfield_extends_beyond_grid(scenario1):
                      depths=np.full((2, 2), 12.0))
     scene = Scene(env=scenario1.env, bottom=hf)
     d = (math.cos(0.5), 0.0, math.sin(0.5))
-    hit = trace_ray(scene, Ray(origin=(0.0, 0.0, 7.0), direction=d,
-                               remaining_range_m=100.0))
-    assert hit is not None and hit.kind == "bottom"
-    assert hit.distance_m == pytest.approx(5.0 / math.sin(0.5), rel=1e-9)
+    kind, t, *_ = trace_one(scene, (0.0, 0.0, 7.0), d, 100.0)
+    assert kind == KIND_BOTTOM
+    assert t == pytest.approx(5.0 / math.sin(0.5), rel=1e-9)
 
 
 def test_heightfield_ray_crossing_many_cells_is_not_dropped(scenario1):
@@ -136,71 +139,72 @@ def test_heightfield_ray_crossing_many_cells_is_not_dropped(scenario1):
     dz = 5.0 / 35.0
     horizontal = np.array([1.0, 0.8]) / math.hypot(1.0, 0.8)
     d = np.append(horizontal * math.sqrt(1.0 - dz * dz), dz)
-    ray = Ray(origin=(0.0, 0.0, 7.0), direction=tuple(d / np.linalg.norm(d)),
-              remaining_range_m=40.0)
-    flat = trace_ray(flat_scene(scenario1.env), ray)
-    hit = trace_ray(Scene(env=scenario1.env, bottom=hf), ray)
-    assert flat is not None and flat.distance_m == pytest.approx(35.0, rel=1e-9)
-    assert hit is not None and hit.kind == "bottom"
-    assert hit.distance_m == pytest.approx(flat.distance_m, abs=1e-9)
+    d /= np.linalg.norm(d)
+    flat_kind, flat_t, *_ = trace_one(flat_scene(scenario1.env),
+                                      (0.0, 0.0, 7.0), d, 40.0)
+    kind, t, *_ = trace_one(Scene(env=scenario1.env, bottom=hf),
+                            (0.0, 0.0, 7.0), d, 40.0)
+    assert flat_kind == KIND_BOTTOM and flat_t == pytest.approx(35.0, rel=1e-9)
+    assert kind == KIND_BOTTOM
+    assert t == pytest.approx(flat_t, abs=1e-9)
 
 
 def test_box_face_hit(scenario1):
     box = Box(center_m=(10.0, 0.0, 6.0), size_m=(2.0, 2.0, 2.0))
     scene = Scene(env=scenario1.env, objects=(box,))
-    hit = trace_ray(scene, Ray(origin=(0.0, 0.0, 6.0),
-                               direction=(1.0, 0.0, 0.0),
-                               remaining_range_m=40.0))
-    assert hit is not None
-    assert hit.kind == "object"
-    assert hit.distance_m == pytest.approx(9.0, abs=1e-12)
-    assert hit.normal == pytest.approx((-1.0, 0.0, 0.0))
-    assert hit.grazing_rad == pytest.approx(math.pi / 2)
-    assert hit.material is not None
+    kind, t, _, normal, grazing, roughness = trace_one(
+        scene, (0.0, 0.0, 6.0), (1.0, 0.0, 0.0), 40.0)
+    assert kind == KIND_OBJECT
+    assert t == pytest.approx(9.0, abs=1e-12)
+    assert tuple(normal) == pytest.approx((-1.0, 0.0, 0.0))
+    assert grazing == pytest.approx(math.pi / 2)
+    assert roughness == box.material.rms_roughness
 
 
 def test_specular_bounce_preserves_grazing(scenario1):
     scene = flat_scene(scenario1.env)
     a = math.radians(30.0)
-    ray = Ray(origin=(0.0, 0.0, 7.0),
-              direction=(math.cos(a), 0.0, math.sin(a)),
-              remaining_range_m=40.0)
-    hit = trace_ray(scene, ray)
-    assert hit.kind == "bottom"
-    assert hit.distance_m == pytest.approx(5.0 / math.sin(a), rel=1e-12)
-    assert hit.grazing_rad == pytest.approx(a, abs=1e-12)
-    bounced, second = multipath_bounce(scene, hit, ray)
+    d = (math.cos(a), 0.0, math.sin(a))
+    hit = trace_one(scene, (0.0, 0.0, 7.0), d, 40.0)
+    kind, t, _, _, grazing, _ = hit
+    assert kind == KIND_BOTTOM
+    assert t == pytest.approx(5.0 / math.sin(a), rel=1e-12)
+    assert grazing == pytest.approx(a, abs=1e-12)
+    refl, live, second = bounce_one(scene, hit, d, 40.0)
     # the reflected direction mirrors the vertical component only
-    assert bounced.direction[0] == pytest.approx(math.cos(a), abs=1e-12)
-    assert bounced.direction[2] == pytest.approx(-math.sin(a), abs=1e-12)
-    assert second is not None and second.kind == "surface"
-    assert second.grazing_rad == pytest.approx(a, abs=1e-9)
-    assert second.distance_m == pytest.approx(12.0 / math.sin(a), abs=1e-6)
+    assert refl[0] == pytest.approx(math.cos(a), abs=1e-12)
+    assert refl[2] == pytest.approx(-math.sin(a), abs=1e-12)
+    assert live and second is not None
+    kind2, t2, _, _, grazing2, _ = second
+    assert kind2 == KIND_SURFACE
+    assert grazing2 == pytest.approx(a, abs=1e-9)
+    assert t2 == pytest.approx(12.0 / math.sin(a), abs=1e-6)
 
 
 def test_straight_down_bounce_lands_in_round_trip_bin(scenario1, s1_layout):
     scene = flat_scene(scenario1.env)
-    ray = Ray(origin=(0.0, 0.0, 7.0), direction=(0.0, 0.0, 1.0),
-              remaining_range_m=40.0)
-    hit = trace_ray(scene, ray)
-    assert hit.kind == "bottom"
-    assert hit.distance_m == pytest.approx(5.0, abs=1e-12)
-    assert hit.grazing_rad == pytest.approx(math.pi / 2)
-    bounced, second = multipath_bounce(scene, hit, ray)
-    assert second is not None and second.kind == "surface"
-    assert second.distance_m == pytest.approx(12.0, abs=1e-6)
-    total = hit.distance_m + second.distance_m
-    assert bin_index(total, s1_layout) == 68
+    d = (0.0, 0.0, 1.0)
+    hit = trace_one(scene, (0.0, 0.0, 7.0), d, 40.0)
+    kind, t, _, _, grazing, _ = hit
+    assert kind == KIND_BOTTOM
+    assert t == pytest.approx(5.0, abs=1e-12)
+    assert grazing == pytest.approx(math.pi / 2)
+    _, live, second = bounce_one(scene, hit, d, 40.0)
+    assert live and second is not None
+    kind2, t2, *_ = second
+    assert kind2 == KIND_SURFACE
+    assert t2 == pytest.approx(12.0, abs=1e-6)
+    assert bin_index(t + t2, s1_layout) == 68
 
 
 def test_bounce_with_no_remaining_range(scenario1):
     scene = flat_scene(scenario1.env)
-    ray = Ray(origin=(0.0, 0.0, 7.0), direction=(0.0, 0.0, 1.0),
-              remaining_range_m=5.0)
-    hit = trace_ray(scene, ray)
-    bounced, second = multipath_bounce(scene, hit, ray)
+    d = (0.0, 0.0, 1.0)
+    hit = trace_one(scene, (0.0, 0.0, 7.0), d, 5.0)
+    assert hit[1] == 5.0  # the whole range is used up at the impact
+    _, live, second = bounce_one(scene, hit, d, 5.0)
+    assert not live
     assert second is None
-    assert bounced.remaining_range_m == 0.0
 
 
 def test_trace_batch_accounts_for_every_ray(scenario1):

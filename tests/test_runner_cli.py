@@ -229,6 +229,20 @@ def test_cli_rejects_scene_errors_at_load(tmp_path, capsys, scenario1):
     assert "Traceback" not in err
 
 
+def test_cli_rejects_beams_writing_the_same_files(tmp_path, capsys, scenario1):
+    doc = yaml.safe_load(serialize(scenario1))
+    doc["sonar"]["beams"] = [{"name": "up-20", "pitch_deg": -20.0},
+                             {"name": "up 20", "pitch_deg": -20.0}]
+    path = tmp_path / "doc.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    assert main(["sim", "--scenario", str(path), "--out", str(tmp_path / "s"),
+                 "--rays", "200", "--pings", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: scenario.sonar.beams: beams 'up-20' and 'up 20' "
+                   "write the same files (up_20)\n")
+    assert not (tmp_path / "s").exists()
+
+
 def test_cli_rejects_a_box_enclosing_the_sonar(tmp_path, capsys, scenario1):
     path = _document_with_scene(tmp_path, scenario1, {"objects": [
         {"type": "box", "center_m": [0, 0, 7], "size_m": [2, 2, 2]}]})

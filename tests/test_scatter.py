@@ -8,11 +8,11 @@ from flsim import (
     ObjectMaterial,
     bottom_coeff,
     reverb_level,
+    ray_patch_area,
     surface_coeff,
-    target_echo_level,
-    target_strength,
     volume_coeff,
 )
+from flsim.raysim import KIND_OBJECT, _boundary_coeff_linear
 from flsim.scatter import SURFACE_GRAZING_CAP_RAD
 
 
@@ -131,15 +131,16 @@ def test_object_material_roughness_bounds():
         ObjectMaterial(rms_roughness=4.5)
 
 
-def test_target_strength_is_patch_scaled_roughness():
-    material = ObjectMaterial(rms_roughness=3.0)
-    ts = target_strength(2.0, 0.7, 450.0, material)
-    want = bottom_coeff(3.0, 0.7, 450.0) + 10.0 * math.log10(2.0)
-    assert ts == pytest.approx(want, abs=1e-12)
-
-
-def test_target_echo_level_composition():
-    material = ObjectMaterial(rms_roughness=2.0)
-    ts = target_strength(1.5, 0.5, 450.0, material)
-    got = target_echo_level(5.0, 50.0, -2.0, -1.0, ts)
-    assert got == pytest.approx(5.0 - 50.0 - 2.0 - 1.0 + ts, abs=1e-12)
+def test_target_strength_is_patch_scaled_roughness(scenario1):
+    """An object hit scatters like a seabed patch of the object's roughness:
+    the ping's per-hit factor is bottom_coeff at that roughness, scaled by
+    the ray's patch area."""
+    kind = np.array([KIND_OBJECT, KIND_OBJECT])
+    grazing = np.array([0.7, 0.5])
+    roughness = np.array([3.0, 2.0])
+    got = _boundary_coeff_linear(kind, grazing, roughness, scenario1.env, 450.0)
+    s_b = [bottom_coeff(r, g, 450.0) for r, g in zip(roughness, grazing)]
+    np.testing.assert_array_equal(got, [10.0 ** (s / 10.0) for s in s_b])
+    patch = ray_patch_area(12.0, grazing, 20000)
+    np.testing.assert_allclose(10.0 * np.log10(got * patch),
+                               s_b + 10.0 * np.log10(patch), rtol=0.0, atol=1e-12)

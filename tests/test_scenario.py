@@ -165,6 +165,19 @@ def test_duplicate_beam_names_are_rejected():
         loads(doc)
 
 
+def test_beam_names_writing_the_same_files_are_rejected():
+    # Both names become the file stem up_20, so one beam's CSVs would
+    # overwrite the other's.
+    doc = MINIMAL.replace(
+        "bin_length_m: 0.25",
+        "bin_length_m: 0.25\n  beams:\n"
+        "    - {name: up-20}\n    - {name: 'up 20'}")
+    with pytest.raises(ValueError) as exc:
+        loads(doc)
+    assert str(exc.value) == ("scenario.sonar.beams: beams 'up-20' and 'up 20' "
+                              "write the same files (up_20)")
+
+
 def test_mesh_object_face_shape_is_checked():
     doc = MINIMAL + (
         "\nscene:\n  objects:\n"
