@@ -6,6 +6,11 @@ accumulates per-bin reverberation and echo intensity weighted by the
 transmit and receive beam patterns, adds volume reverberation along every
 ray, and follows one specular bounce per ray for first-order multipath.
 
+Every obstacle is a triangle mesh; a box is its 12-triangle mesh (box_mesh).
+One kernel traces them, _trace_mesh: a slab test against the mesh's
+bounding box drops the rays that cannot reach it, and Moller-Trumbore over
+every face finds the nearest hit of the rest.
+
 Every bounce goes through one batch path, _bounce: reflect the ray about the
 hit normal, offset the new origin along the reflection, and retrace with the
 range left. ping calls it on all its impacts. A bounce's echo is binned
@@ -115,25 +120,6 @@ class Heightfield:
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned box obstacle."""
-
-    center_m: tuple
-    size_m: tuple
-    material: ObjectMaterial = field(default_factory=ObjectMaterial)
-
-    def __post_init__(self):
-        center = tuple(float(c) for c in self.center_m)
-        size = tuple(float(s) for s in self.size_m)
-        if len(center) != 3 or len(size) != 3:
-            raise ValueError("center_m and size_m must have 3 components")
-        if any(s <= 0 for s in size):
-            raise ValueError(f"size_m components must be > 0, got {size}")
-        object.__setattr__(self, "center_m", center)
-        object.__setattr__(self, "size_m", size)
-
-
-@dataclass(frozen=True)
 class TriangleMesh:
     """Triangle-mesh obstacle with vertices (n, 3) and faces (m, 3)."""
 
@@ -157,6 +143,28 @@ class TriangleMesh:
         object.__setattr__(self, "faces", faces)
 
 
+def box_mesh(center_m, size_m,
+             material: ObjectMaterial = ObjectMaterial()) -> TriangleMesh:
+    """The 12-triangle mesh of an axis-aligned box obstacle."""
+    center = tuple(float(c) for c in center_m)
+    size = tuple(float(s) for s in size_m)
+    if len(center) != 3 or len(size) != 3:
+        raise ValueError("center_m and size_m must have 3 components")
+    if any(s <= 0 for s in size):
+        raise ValueError(f"size_m components must be > 0, got {size}")
+    corners = np.array(
+        [[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)]
+    ) * np.array(size) + np.array(center)
+    # corner index = 4 * (x side) + 2 * (y side) + (z side)
+    faces = [
+        (0, 1, 3), (0, 3, 2), (4, 6, 7), (4, 7, 5),  # x = lo, x = hi
+        (0, 4, 5), (0, 5, 1), (2, 3, 7), (2, 7, 6),  # y = lo, y = hi
+        (0, 2, 6), (0, 6, 4), (1, 5, 7), (1, 7, 3),  # z = lo, z = hi
+    ]
+    return TriangleMesh(vertices=corners, faces=np.array(faces),
+                        material=material)
+
+
 @dataclass(frozen=True)
 class Scene:
     """Everything the rays interact with: water, boundaries and obstacles."""
@@ -174,8 +182,8 @@ class Scene:
             raise ValueError("bottom must be FlatBottom, Heightfield or None")
         objects = tuple(self.objects)
         for obj in objects:
-            if not isinstance(obj, (Box, TriangleMesh)):
-                raise ValueError("objects must be Box or TriangleMesh instances")
+            if not isinstance(obj, TriangleMesh):
+                raise ValueError("objects must be TriangleMesh instances")
         object.__setattr__(self, "objects", objects)
 
 
@@ -209,7 +217,6 @@ def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
     ox, oy, oz = origins[:, 0], origins[:, 1], origins[:, 2]
     dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
     t_stop = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
-    t_min = np.broadcast_to(np.asarray(t_min, dtype=float), (n,)).copy()
 
     # Rays above the shallowest terrain and not heading down can never hit.
     active = ~((dz <= 0.0) & (oz < d.min()))
@@ -217,7 +224,7 @@ def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
     if not np.any(active):
         return t_hit, normals
 
-    t_cur = t_min.copy()
+    t_cur = np.full(n, t_min)
     x = ox + t_cur * dx
     y = oy + t_cur * dy
     ix = np.floor((x - hf.x0) / s).astype(np.int64)
@@ -356,71 +363,60 @@ def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
     return t_hit, normals
 
 
-def _trace_box(box: Box, origins, dirs, t_min):
-    lo = np.asarray(box.center_m) - 0.5 * np.asarray(box.size_m)
-    hi = np.asarray(box.center_m) + 0.5 * np.asarray(box.size_m)
-    n = origins.shape[0]
-    t1 = np.empty((n, 3))
-    t2 = np.empty((n, 3))
-    for ax in range(3):
-        d_ax = dirs[:, ax]
-        o_ax = origins[:, ax]
-        parallel = np.abs(d_ax) < 1e-300
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = (lo[ax] - o_ax) / d_ax
-            b = (hi[ax] - o_ax) / d_ax
-        inside = (o_ax >= lo[ax]) & (o_ax <= hi[ax])
-        a = np.where(parallel, np.where(inside, -np.inf, np.inf), a)
-        b = np.where(parallel, np.where(inside, np.inf, -np.inf), b)
-        t1[:, ax] = np.minimum(a, b)
-        t2[:, ax] = np.maximum(a, b)
-    t_near = t1.max(axis=1)
-    t_far = t2.min(axis=1)
-    hit = (t_near <= t_far) & (t_near > t_min)
-    t = np.where(hit, t_near, np.inf)
-    axis = t1.argmax(axis=1)
-    normals = np.zeros((n, 3))
-    rows = np.arange(n)
-    normals[rows, axis] = -np.sign(dirs[rows, axis])
-    return t, normals
-
-
 def _trace_mesh(mesh: TriangleMesh, origins, dirs, t_min, chunk=4096):
-    v0 = mesh.vertices[mesh.faces[:, 0]]
-    e1 = mesh.vertices[mesh.faces[:, 1]] - v0
-    e2 = mesh.vertices[mesh.faces[:, 2]] - v0
+    """Nearest face hit by Moller-Trumbore (JGT 1997) over every face, run in
+    chunks of rays on only the rays that meet the mesh's bounding box: a
+    Kay-Kajiya slab test (SIGGRAPH 1986) culls the rest."""
     n = origins.shape[0]
     t_best = np.full(n, np.inf)
     normals = np.zeros((n, 3))
+    # Rounding can put a Moller-Trumbore hit a little outside its face, by an
+    # amount that grows with the coordinates, so the box is padded to match.
+    pad = 1e-6 * (1.0 + np.abs(mesh.vertices).max() + np.abs(origins).max())
+    lo = mesh.vertices.min(axis=0) - pad
+    hi = mesh.vertices.max(axis=0) + pad
+    # A direction component of 0 gives a slab an infinite entry and exit of
+    # the right signs, or nan for an origin on the padded plane, which no
+    # face reaches and every comparison below rejects.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (lo - origins) / dirs
+        b = (hi - origins) / dirs
+        t_near = np.minimum(a, b).max(axis=1)
+        t_far = np.maximum(a, b).min(axis=1)
+        rays = np.nonzero((t_near <= t_far) & (t_far >= t_min))[0]
+
+    v0 = mesh.vertices[mesh.faces[:, 0]]
+    e1 = mesh.vertices[mesh.faces[:, 1]] - v0
+    e2 = mesh.vertices[mesh.faces[:, 2]] - v0
     face_n = np.cross(e1, e2)
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        o = origins[sl][:, None, :]
-        dr = dirs[sl][:, None, :]
+    for start in range(0, rays.size, chunk):
+        ri = rays[start:start + chunk]
+        o = origins[ri][:, None, :]
+        dr = dirs[ri][:, None, :]
         pvec = np.cross(dr, e2[None, :, :])
         det = np.einsum("rfc,fc->rf", pvec, e1)
+        tvec = o - v0[None, :, :]
+        qvec = np.cross(tvec, e1[None, :, :])
+        # det = 0, a ray parallel to the face, gives inf or nan, rejected below.
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_det = 1.0 / det
-        tvec = o - v0[None, :, :]
-        u = np.einsum("rfc,rfc->rf", tvec, pvec) * inv_det
-        qvec = np.cross(tvec, e1[None, :, :])
-        v = np.einsum("rfc,rfc->rf", qvec, dr) * inv_det
-        t = np.einsum("rfc,fc->rf", qvec, e2) * inv_det
-        ok = (
-            (np.abs(det) > 1e-300)
-            & (u >= 0.0)
-            & (v >= 0.0)
-            & (u + v <= 1.0)
-            & (t > (t_min[sl][:, None] if np.ndim(t_min) else t_min))
-        )
+            u = np.einsum("rfc,rfc->rf", tvec, pvec) * inv_det
+            v = np.einsum("rfc,rfc->rf", qvec, dr) * inv_det
+            t = np.einsum("rfc,fc->rf", qvec, e2) * inv_det
+            ok = (
+                (np.abs(det) > 1e-300)
+                & (u >= 0.0)
+                & (v >= 0.0)
+                & (u + v <= 1.0)
+                & (t > t_min)
+            )
         t = np.where(ok, t, np.inf)
         best = t.argmin(axis=1)
-        rows = np.arange(t.shape[0])
-        tb = t[rows, best]
-        better = tb < t_best[sl]
-        gi = np.nonzero(better)[0] + start
-        t_best[gi] = tb[better]
-        fn = face_n[best[better]]
+        tb = t[np.arange(t.shape[0]), best]
+        hit = np.isfinite(tb)
+        gi = ri[hit]
+        t_best[gi] = tb[hit]
+        fn = face_n[best[hit]]
         # Orient each face normal against the incoming ray.
         sign = -np.sign(np.einsum("rc,rc->r", fn, dirs[gi]))
         sign = np.where(sign == 0.0, 1.0, sign)
@@ -453,8 +449,7 @@ def _trace_batch(scene: Scene, origins, dirs, t_min, t_max):
         hf = scene.bottom
         nearer(KIND_BOTTOM, *_trace_heightfield(hf, origins, dirs, t_min, t_max))
     for obj in scene.objects:
-        kernel = _trace_box if isinstance(obj, Box) else _trace_mesh
-        better = nearer(KIND_OBJECT, *kernel(obj, origins, dirs, t_min))
+        better = nearer(KIND_OBJECT, *_trace_mesh(obj, origins, dirs, t_min))
         roughness[better] = obj.material.rms_roughness
 
     beyond = t_best > np.broadcast_to(np.asarray(t_max, dtype=float), (n,))
@@ -619,22 +614,6 @@ def _boundary_coeff_linear(kind, grazing, roughness, env, f_khz):
     return out
 
 
-def check_sonar_outside_boxes(scene: Scene, depth_m: float,
-                              path: str = "scene.objects") -> None:
-    """Raise ValueError naming the first box whose closed extent holds the
-    sonar at (0, 0, depth_m). A ray leaving from inside a box, or from its
-    boundary, never strikes it, so the box would vanish from every ping."""
-    sonar = np.array([0.0, 0.0, depth_m])
-    for i, obj in enumerate(scene.objects):
-        if not isinstance(obj, Box):
-            continue
-        lo = np.asarray(obj.center_m) - 0.5 * np.asarray(obj.size_m)
-        hi = np.asarray(obj.center_m) + 0.5 * np.asarray(obj.size_m)
-        if np.all((lo <= sonar) & (sonar <= hi)):
-            raise ValueError(
-                f"{path}[{i}]: box encloses the sonar at (0, 0, {depth_m})")
-
-
 def ping(
     scene: Scene,
     sonar: SonarConfig,
@@ -648,7 +627,6 @@ def ping(
     accumulate boundary, object, volume and first-order multipath intensity
     per range bin. seed goes to np.random.default_rng, so it may be an
     integer, a SeedSequence or a Generator, which is used as it is."""
-    check_sonar_outside_boxes(scene, pose.depth_m)
     rng = np.random.default_rng(seed)
     tx = transmit_beam if transmit_beam is not None else beam
     env = scene.env

@@ -31,14 +31,7 @@ import yaml
 
 from .acoustics import BeamOrientation, EnvironmentParams, SonarConfig
 from .geometry import SonarPose, layout_for
-from .raysim import (
-    Box,
-    FlatBottom,
-    Heightfield,
-    Scene,
-    TriangleMesh,
-    check_sonar_outside_boxes,
-)
+from .raysim import FlatBottom, Heightfield, Scene, TriangleMesh, box_mesh
 from .scatter import ObjectMaterial
 
 import numpy as np
@@ -434,31 +427,36 @@ def _bottom(spec: dict, base_depth: float):
     return Heightfield(x0=-extent, y0=-extent, spacing_m=spacing, depths=grid)
 
 
-def _object(spec: dict):
+def _object(spec: dict, sonar_depth: float):
     material = ObjectMaterial(rms_roughness=spec["rms_roughness"])
-    if spec["type"] == "box":
-        return Box(center_m=spec["center_m"], size_m=spec["size_m"],
-                   material=material)
-    return TriangleMesh(vertices=spec["vertices"], faces=spec["faces"],
-                        material=material)
+    if spec["type"] == "mesh":
+        return TriangleMesh(vertices=spec["vertices"], faces=spec["faces"],
+                            material=material)
+    mesh = box_mesh(spec["center_m"], spec["size_m"], material)
+    # The model puts the sonar in open water; a sonar inside a solid
+    # obstacle, or on its boundary, is outside it.
+    sonar = np.array([0.0, 0.0, sonar_depth])
+    half = 0.5 * np.asarray(spec["size_m"])
+    center = np.asarray(spec["center_m"])
+    if np.all((center - half <= sonar) & (sonar <= center + half)):
+        raise ValueError(f"box encloses the sonar at (0, 0, {sonar_depth})")
+    return mesh
 
 
 def build_scene(scenario: Scenario) -> Scene:
-    """Assemble the traced scene from the scenario's scene section. An
-    error names the path of the bottom or object it came from, a box that
-    encloses the sonar included."""
+    """Assemble the traced scene from the scenario's scene section; a box
+    becomes its 12-triangle mesh. An error names the path of the bottom or
+    object it came from, a box that encloses the sonar included."""
     spec = scenario.raw["scene"]
     pose = scenario.pose
     base_depth = pose.depth_m + pose.altitude_m
-    scene = Scene(
+    return Scene(
         env=scenario.env,
         bottom=_at("scenario.scene.bottom", _bottom, spec["bottom"], base_depth),
         surface_enabled=spec["surface"],
         volume_enabled=spec["volume"],
         objects=tuple(
-            _at(f"scenario.scene.objects[{i}]", _object, obj)
+            _at(f"scenario.scene.objects[{i}]", _object, obj, pose.depth_m)
             for i, obj in enumerate(spec["objects"])
         ),
     )
-    check_sonar_outside_boxes(scene, pose.depth_m, "scenario.scene.objects")
-    return scene

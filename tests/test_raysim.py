@@ -7,7 +7,6 @@ import pytest
 
 from flsim import (
     BeamOrientation,
-    Box,
     FlatBottom,
     Heightfield,
     NO_RESPONSE,
@@ -15,6 +14,7 @@ from flsim import (
     SonarPose,
     TriangleMesh,
     bin_index,
+    box_mesh,
     expected_null,
     ping,
     ray_bin_volume,
@@ -22,7 +22,9 @@ from flsim import (
     sample_ray_directions,
     to_db,
 )
+from flsim import raysim
 from flsim.raysim import (
+    BOUNCE_MIN_T,
     KIND_BOTTOM,
     KIND_OBJECT,
     KIND_SURFACE,
@@ -51,10 +53,11 @@ def test_scene_component_validation(scenario1):
         Heightfield(x0=0.0, y0=0.0, spacing_m=1.0, depths=np.zeros((3, 3)))
     with pytest.raises(ValueError):
         Heightfield(x0=0.0, y0=0.0, spacing_m=0.0, depths=np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        Box(center_m=(0, 0, 0), size_m=(1.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        Box(center_m=(0, 0), size_m=(1, 1, 1))
+    with pytest.raises(ValueError, match=re.escape(
+            "size_m components must be > 0, got (1.0, 0.0, 1.0)")):
+        box_mesh((0, 0, 0), (1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="3 components"):
+        box_mesh((0, 0), (1, 1, 1))
     with pytest.raises(ValueError):
         TriangleMesh(vertices=np.zeros((3, 3)), faces=np.array([[0, 1, 3]]))
     with pytest.raises(ValueError):
@@ -150,7 +153,7 @@ def test_heightfield_ray_crossing_many_cells_is_not_dropped(scenario1):
 
 
 def test_box_face_hit(scenario1):
-    box = Box(center_m=(10.0, 0.0, 6.0), size_m=(2.0, 2.0, 2.0))
+    box = box_mesh((10.0, 0.0, 6.0), (2.0, 2.0, 2.0))
     scene = Scene(env=scenario1.env, objects=(box,))
     kind, t, _, normal, grazing, roughness = trace_one(
         scene, (0.0, 0.0, 6.0), (1.0, 0.0, 0.0), 40.0)
@@ -223,45 +226,188 @@ def test_trace_batch_accounts_for_every_ray(scenario1):
     assert np.all(np.abs(normals[~missed][:, 2]) == 1.0)
 
 
-def box_mesh(box):
-    """The 12-triangle mesh of a Box, with its material."""
-    corners = np.array(
-        [[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5) for z in (-0.5, 0.5)]
-    ) * np.array(box.size_m) + np.array(box.center_m)
-    # corner index = 4 * (x side) + 2 * (y side) + (z side)
-    faces = [
-        (0, 1, 3), (0, 3, 2), (4, 6, 7), (4, 7, 5),  # x = lo, x = hi
-        (0, 4, 5), (0, 5, 1), (2, 3, 7), (2, 7, 6),  # y = lo, y = hi
-        (0, 2, 6), (0, 6, 4), (1, 5, 7), (1, 7, 3),  # z = lo, z = hi
-    ]
-    return TriangleMesh(vertices=corners, faces=np.array(faces),
-                        material=box.material)
+def test_a_ray_leaving_a_box_from_inside_hits_its_exit_face(scenario1):
+    scene = flat_scene(scenario1.env,
+                       objects=(box_mesh((5.0, 0.0, 7.0), (2.0, 2.0, 2.0)),))
+    kind, t, _, normal, grazing, _ = trace_one(
+        scene, (5.0, 0.0, 7.0), (1.0, 0.0, 0.0), 40.0)
+    assert kind == KIND_OBJECT
+    assert t == 1.0
+    assert tuple(normal) == (-1.0, 0.0, 0.0)
+    assert grazing == pytest.approx(math.pi / 2)
 
 
-def test_box_and_its_triangle_mesh_give_the_same_hits(scenario1):
-    box = Box(center_m=(10.0, 1.0, 6.5), size_m=(2.0, 3.0, 1.5),
-              material=ObjectMaterial(rms_roughness=2.5))
+# --- the mesh kernel against brute-force references ------------------------------
+
+
+def slab_box(center_m, size_m, origins, dirs, t_min):
+    """Kay-Kajiya slab test of an axis-aligned box: (t, normals) like the
+    mesh kernel. A ray that starts inside the box, or on its boundary,
+    counts as a miss."""
+    lo = np.asarray(center_m) - 0.5 * np.asarray(size_m)
+    hi = np.asarray(center_m) + 0.5 * np.asarray(size_m)
+    n = origins.shape[0]
+    t1 = np.empty((n, 3))
+    t2 = np.empty((n, 3))
+    for ax in range(3):
+        d_ax = dirs[:, ax]
+        o_ax = origins[:, ax]
+        parallel = np.abs(d_ax) < 1e-300
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = (lo[ax] - o_ax) / d_ax
+            b = (hi[ax] - o_ax) / d_ax
+        inside = (o_ax >= lo[ax]) & (o_ax <= hi[ax])
+        a = np.where(parallel, np.where(inside, -np.inf, np.inf), a)
+        b = np.where(parallel, np.where(inside, np.inf, -np.inf), b)
+        t1[:, ax] = np.minimum(a, b)
+        t2[:, ax] = np.maximum(a, b)
+    t_near = t1.max(axis=1)
+    t_far = t2.min(axis=1)
+    hit = (t_near <= t_far) & (t_near > t_min)
+    t = np.where(hit, t_near, np.inf)
+    axis = t1.argmax(axis=1)
+    normals = np.zeros((n, 3))
+    rows = np.arange(n)
+    normals[rows, axis] = -np.sign(dirs[rows, axis])
+    return t, normals
+
+
+def brute_force_mesh(mesh, origins, dirs, t_min, chunk=4096):
+    """Moller-Trumbore of every ray against every face, with no cull:
+    (t, normals) like the mesh kernel."""
+    v0 = mesh.vertices[mesh.faces[:, 0]]
+    e1 = mesh.vertices[mesh.faces[:, 1]] - v0
+    e2 = mesh.vertices[mesh.faces[:, 2]] - v0
+    n = origins.shape[0]
+    t_best = np.full(n, np.inf)
+    normals = np.zeros((n, 3))
+    face_n = np.cross(e1, e2)
+    for start in range(0, n, chunk):
+        sl = slice(start, min(start + chunk, n))
+        o = origins[sl][:, None, :]
+        dr = dirs[sl][:, None, :]
+        pvec = np.cross(dr, e2[None, :, :])
+        det = np.einsum("rfc,fc->rf", pvec, e1)
+        tvec = o - v0[None, :, :]
+        qvec = np.cross(tvec, e1[None, :, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_det = 1.0 / det
+            u = np.einsum("rfc,rfc->rf", tvec, pvec) * inv_det
+            v = np.einsum("rfc,rfc->rf", qvec, dr) * inv_det
+            t = np.einsum("rfc,fc->rf", qvec, e2) * inv_det
+            ok = (
+                (np.abs(det) > 1e-300)
+                & (u >= 0.0)
+                & (v >= 0.0)
+                & (u + v <= 1.0)
+                & (t > t_min)
+            )
+        t = np.where(ok, t, np.inf)
+        best = t.argmin(axis=1)
+        rows = np.arange(t.shape[0])
+        tb = t[rows, best]
+        better = tb < t_best[sl]
+        gi = np.nonzero(better)[0] + start
+        t_best[gi] = tb[better]
+        fn = face_n[best[better]]
+        sign = -np.sign(np.einsum("rc,rc->r", fn, dirs[gi]))
+        sign = np.where(sign == 0.0, 1.0, sign)
+        normals[gi] = fn * sign[:, None] / np.linalg.norm(fn, axis=-1, keepdims=True)
+    return t_best, normals
+
+
+def test_box_and_its_triangle_mesh_give_the_same_hits(scenario1, monkeypatch):
+    center, size = (10.0, 1.0, 6.5), (2.0, 3.0, 1.5)
+    mesh = box_mesh(center, size, ObjectMaterial(rms_roughness=2.5))
     rng = np.random.default_rng(2024)
     n = 400
     # origins around the sonar, aimed at points scattered about the box so
     # that some rays hit it and the rest pass it
     origins = np.array([0.0, 0.0, 7.0]) + rng.uniform(-1.0, 1.0, (n, 3))
-    targets = np.array(box.center_m) + rng.uniform(-1.0, 1.0, (n, 3)) * np.array(
-        box.size_m)
+    targets = np.array(center) + rng.uniform(-1.0, 1.0, (n, 3)) * np.array(size)
     dirs = targets - origins
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    results = []
-    for obj in (box, box_mesh(box)):
-        scene = flat_scene(scenario1.env, objects=(obj,))
-        results.append(_trace_batch(scene, origins, dirs, 0.0, 40.25))
-    (kind_b, t_b, _, n_b, _, r_b), (kind_m, t_m, _, n_m, _, r_m) = results
-    on_box = kind_b == 2
+    scene = flat_scene(scenario1.env, objects=(mesh,))
+    kind_m, t_m, _, n_m, _, r_m = _trace_batch(scene, origins, dirs, 0.0, 40.25)
+    with monkeypatch.context() as patch:
+        patch.setattr(raysim, "_trace_mesh", lambda obj, o, d, t_min: slab_box(
+            center, size, o, d, t_min))
+        kind_b, t_b, _, n_b, _, r_b = _trace_batch(scene, origins, dirs, 0.0, 40.25)
+    on_box = kind_b == KIND_OBJECT
     assert 50 <= int(on_box.sum()) <= n - 50
     np.testing.assert_array_equal(kind_m, kind_b)
     np.testing.assert_array_equal(r_m, r_b)
     np.testing.assert_allclose(t_m, t_b, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(n_m, n_b, rtol=0.0, atol=1e-9)
     assert np.all(r_b[on_box] == 2.5)
+
+
+def random_mesh(rng):
+    """A triangle soup or a box mesh with a random place and size in front
+    of the sonar."""
+    center = np.array([rng.uniform(2.0, 20.0), rng.uniform(-5.0, 5.0),
+                       rng.uniform(3.0, 11.0)])
+    size = rng.uniform(0.2, 4.0, 3)
+    if rng.random() < 0.5:
+        return box_mesh(center, size)
+    vertices = center + rng.uniform(-0.5, 0.5, (int(rng.integers(3, 40)), 3)) * size
+    faces = [rng.choice(vertices.shape[0], 3, replace=False)
+             for _ in range(int(rng.integers(1, 60)))]
+    return TriangleMesh(vertices=vertices, faces=faces)
+
+
+def probe_rays(rng, mesh):
+    """Rays from the sonar, from inside the mesh's bounding box, aimed at
+    its vertices, and lying in or just outside the planes of the box's
+    faces; some directions have components that are exactly 0."""
+    lo = mesh.vertices.min(axis=0)
+    hi = mesh.vertices.max(axis=0)
+    n = 400
+    sonar = np.broadcast_to([0.0, 0.0, 7.0], (n, 3))
+    inside = rng.uniform(lo, hi, (n, 3))
+    to_vertex = mesh.vertices[rng.integers(0, mesh.vertices.shape[0], n)]
+    origins = [sonar, inside, sonar, inside]
+    dirs = [sample_ray_directions(n, rng), sample_ray_directions(n, rng),
+            to_vertex - sonar, to_vertex - inside]
+    # in a face plane of the box, or 1e-12 to 1e-6 of the box outside it
+    axis = rng.integers(0, 3, n)
+    rows = np.arange(n)
+    side = rng.random(n) < 0.5
+    gap = np.where(rng.random(n) < 0.5, 0.0, 10.0 ** rng.uniform(-12, -6, n))
+    plane = inside.copy()
+    plane[rows, axis] = np.where(side, hi[axis] + gap, lo[axis] - gap)
+    flat = sample_ray_directions(n, rng)
+    flat[rows, axis] = 0.0
+    origins.append(plane)
+    dirs.append(flat)
+    origins = np.concatenate(origins)
+    dirs = np.concatenate(dirs)
+    # zero one more component of a tenth of the rays
+    some = rng.random(dirs.shape[0]) < 0.1
+    dirs[some, rng.integers(0, 3, int(some.sum()))] = 0.0
+    norms = np.linalg.norm(dirs, axis=1)
+    keep = norms > 0.0
+    return origins[keep], dirs[keep] / norms[keep, None]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("t_min", [0.0, BOUNCE_MIN_T])
+def test_mesh_kernel_reproduces_brute_force(scenario1, monkeypatch, seed, t_min):
+    rng = np.random.default_rng(seed)
+    scene = flat_scene(scenario1.env,
+                       objects=(random_mesh(rng), random_mesh(rng)))
+    for mesh in scene.objects:
+        origins, dirs = probe_rays(rng, mesh)
+        kind, t, _, normals, _, _ = _trace_batch(scene, origins, dirs, t_min, 40.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(raysim, "_trace_mesh", brute_force_mesh)
+            kind_b, t_b, _, normals_b, _, _ = _trace_batch(
+                scene, origins, dirs, t_min, 40.0)
+        assert np.any(kind_b == KIND_OBJECT)
+        np.testing.assert_array_equal(kind, kind_b)
+        np.testing.assert_array_equal(t, t_b)
+        np.testing.assert_array_equal(normals, normals_b)
 
 
 # --- per-ray measures -----------------------------------------------------------
@@ -285,14 +431,6 @@ def test_ray_bin_volume_share(s1_layout):
 
 
 # --- whole pings ------------------------------------------------------------------
-
-
-def test_ping_rejects_a_box_enclosing_the_sonar(scenario1):
-    box = Box(center_m=(0.0, 0.0, 7.0), size_m=(2.0, 2.0, 2.0))
-    scene = flat_scene(scenario1.env, objects=(box,))
-    with pytest.raises(ValueError, match=re.escape(
-            "scene.objects[0]: box encloses the sonar at (0, 0, 7.0)")):
-        ping(scene, scenario1.sonar, POSE, FORWARD, seed=1)
 
 
 def test_ping_is_deterministic_for_a_seed(scenario1):
@@ -330,8 +468,7 @@ def test_ping_components_and_layout(scenario1, s1_layout):
 
 def test_obstacle_adds_energy_at_its_bin(scenario1):
     scene = flat_scene(scenario1.env)
-    box = Box(center_m=(10.0, 0.0, 6.0), size_m=(2.0, 2.0, 2.0),
-              material=ObjectMaterial())
+    box = box_mesh((10.0, 0.0, 6.0), (2.0, 2.0, 2.0), ObjectMaterial())
     with_box = flat_scene(scenario1.env, objects=(box,))
     empty = ping(scene, scenario1.sonar, POSE, FORWARD,
                  transmit_beam=FORWARD, seed=999)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from flsim import (
-    Box,
     FlatBottom,
     Heightfield,
     TriangleMesh,
@@ -255,7 +254,8 @@ def test_scene_none_bottom_and_objects():
     scene = build_scene(loads(doc))
     assert scene.bottom is None
     assert scene.surface_enabled is False
-    assert isinstance(scene.objects[0], Box)
+    assert isinstance(scene.objects[0], TriangleMesh)
+    assert scene.objects[0].faces.shape == (12, 3)
     assert isinstance(scene.objects[1], TriangleMesh)
     assert scene.objects[1].material.rms_roughness == 2.5
 
@@ -293,8 +293,8 @@ def test_scene_errors_are_raised_at_load_with_their_path():
 
 
 def test_a_box_enclosing_the_sonar_is_rejected_at_load():
-    """A ray leaving from inside a box, or from its boundary, never strikes
-    it, so such a box would vanish from every ping."""
+    """A sonar inside a solid obstacle, or on its boundary, is outside the
+    model."""
     doc = MINIMAL + (
         "\nscene:\n  objects:\n"
         "    - {type: box, center_m: [30, 0, 6], size_m: [2, 2, 2]}\n"
