@@ -11,6 +11,11 @@ One kernel traces them, _trace_mesh: a slab test against the mesh's
 bounding box drops the rays that cannot reach it, and Moller-Trumbore over
 every face finds the nearest hit of the rest.
 
+A heightfield bottom is traced by _trace_heightfield, a lockstep grid walk
+that solves each cell's bilinear patch. A ray is walked only while it lies
+inside the terrain's depth slab [depths.min(), depths.max()], and beyond the
+grid on an axis it stays in one clamped virtual cell and crosses no walls.
+
 Every bounce goes through one batch path, _bounce: reflect the ray about the
 hit normal, offset the new origin along the reflection, and retrace with the
 range left. ping calls it on all its impacts. A bounce's echo is binned
@@ -206,7 +211,15 @@ def _trace_plane(origins, dirs, z, heading, t_min):
 
 def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
     """First intersection with the bilinear terrain by stepping every ray
-    through grid columns in lockstep and solving the per-cell quadratic."""
+    through grid columns in lockstep (Amanatides-Woo, Eurographics 1987) and
+    solving the per-cell quadratic.
+
+    Two exact cuts keep the walk short. The terrain never leaves the depth
+    slab [depths.min(), depths.max()], so each ray is walked only over the
+    part of [t_min, t_max] where it lies inside that slab. Every cell beyond
+    the grid on one axis has the same clamped patch, so on that axis a ray
+    outside the grid sits in the one virtual cell just past the edge (index
+    -1 or n - 1) and crosses no walls until it comes back to the grid."""
     n = origins.shape[0]
     t_hit = np.full(n, np.inf)
     normals = np.zeros((n, 3))
@@ -214,42 +227,56 @@ def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
     nx, ny = hf.depths.shape
     d = hf.depths
 
-    ox, oy, oz = origins[:, 0], origins[:, 1], origins[:, 2]
-    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
-    t_stop = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
-
-    # Rays above the shallowest terrain and not heading down can never hit.
-    active = ~((dz <= 0.0) & (oz < d.min()))
-    active &= t_stop > t_min
-    if not np.any(active):
+    # Parameter interval of each ray inside the depth slab, padded against
+    # rounding as the mesh cull is. A level ray gets (-inf, inf) inside the
+    # slab, an empty interval outside it, and nan on a padded face, which
+    # the comparison below rejects.
+    pad = 1e-6 * (1.0 + d.max())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (d.min() - pad - origins[:, 2]) / dirs[:, 2]
+        b = (d.max() + pad - origins[:, 2]) / dirs[:, 2]
+        t_start = np.maximum(t_min, np.minimum(a, b))
+        t_end = np.minimum(t_max, np.maximum(a, b))
+        rays = np.nonzero(t_start < t_end)[0]
+    if rays.size == 0:
         return t_hit, normals
 
-    t_cur = np.full(n, t_min)
-    x = ox + t_cur * dx
-    y = oy + t_cur * dy
-    ix = np.floor((x - hf.x0) / s).astype(np.int64)
-    iy = np.floor((y - hf.y0) / s).astype(np.int64)
+    ox, oy, oz = origins[rays, 0], origins[rays, 1], origins[rays, 2]
+    dx, dy, dz = dirs[rays, 0], dirs[rays, 1], dirs[rays, 2]
+    t_cur = t_start[rays]
+    t_stop = t_end[rays]
+    m = rays.size
+    active = np.ones(m, dtype=bool)
+
+    # Start cell, clamped to the virtual cell just past each edge.
+    ix = np.clip(np.floor((ox + t_cur * dx - hf.x0) / s), -1, nx - 1).astype(np.int64)
+    iy = np.clip(np.floor((oy + t_cur * dy - hf.y0) / s), -1, ny - 1).astype(np.int64)
+    sx = np.sign(dx).astype(np.int64)
+    sy = np.sign(dy).astype(np.int64)
 
     with np.errstate(divide="ignore"):
         step_tx = np.abs(s / dx)
         step_ty = np.abs(s / dy)
-    # Parameter of the next x and y grid-plane crossing for each ray.
-    tx_next = np.full(n, np.inf)
-    ty_next = np.full(n, np.inf)
-    pos_x = dx > 0
-    neg_x = dx < 0
+    # Parameter of the next x and y wall crossing for each ray: inf while
+    # it moves away from the grid, the grid's edge wall while it moves
+    # toward it from the virtual cell.
+    tx_next = np.full(m, np.inf)
+    ty_next = np.full(m, np.inf)
+    pos_x = (dx > 0) & (ix < nx - 1)
+    neg_x = (dx < 0) & (ix >= 0)
     tx_next[pos_x] = (hf.x0 + (ix[pos_x] + 1) * s - ox[pos_x]) / dx[pos_x]
     tx_next[neg_x] = (hf.x0 + ix[neg_x] * s - ox[neg_x]) / dx[neg_x]
-    pos_y = dy > 0
-    neg_y = dy < 0
+    pos_y = (dy > 0) & (iy < ny - 1)
+    neg_y = (dy < 0) & (iy >= 0)
     ty_next[pos_y] = (hf.y0 + (iy[pos_y] + 1) * s - oy[pos_y]) / dy[pos_y]
     ty_next[neg_y] = (hf.y0 + iy[neg_y] * s - oy[neg_y]) / dy[neg_y]
 
     # Over a parameter length L a ray crosses at most ceil(L |dx| / s) + 1 x
-    # walls and as many y walls; each step crosses a wall or ends the ray.
-    # The constant covers those +1s, the last step and rounding.
-    crossings = np.ceil((t_stop - t_min) * (np.abs(dx) + np.abs(dy)) / s)
-    max_steps = int(crossings[active].max()) + 8
+    # walls and as many y walls, and never more than the grid's nx + ny
+    # walls; each step crosses a wall or ends the ray. The constant covers
+    # those +1s, the last step and rounding.
+    crossings = np.ceil((t_stop - t_cur) * (np.abs(dx) + np.abs(dy)) / s)
+    max_steps = int(min(crossings.max(), nx + ny)) + 8
     for _ in range(max_steps):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
@@ -325,7 +352,7 @@ def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
         if np.any(hit):
             gi = idx[hit]
             th = root[hit]
-            t_hit[gi] = th
+            t_hit[rays[gi]] = th
             uh = np.clip(u0[hit] + du[hit] * th, 0.0, 1.0)
             vh = np.clip(v0[hit] + dv[hit] * th, 0.0, 1.0)
             gx = np.where(
@@ -335,26 +362,28 @@ def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
                 out_lo_y[hit] | out_hi_y[hit], 0.0, (cb[hit] + cg[hit] * uh) / s
             )
             nvec = np.stack([gx, gy, -np.ones_like(gx)], axis=-1)
-            normals[gi] = nvec / np.linalg.norm(nvec, axis=-1, keepdims=True)
+            normals[rays[gi]] = nvec / np.linalg.norm(nvec, axis=-1, keepdims=True)
             active[gi] = False
 
-        # Advance the remaining rays into the next cell.
+        # Advance the remaining rays into the next cell; a ray that steps
+        # out of the grid on an axis crosses no more walls of that axis.
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
         t1 = np.minimum(np.minimum(tx_next[idx], ty_next[idx]), t_stop[idx])
-        done = t1 >= t_stop[idx] - 0.0
+        done = t1 >= t_stop[idx]
         adv_x = tx_next[idx] <= t1
         adv_y = ty_next[idx] <= t1
-        gi = idx
-        t_cur[gi] = t1
-        sub = gi[adv_x]
-        ix[sub] += np.sign(dx[sub]).astype(np.int64)
+        t_cur[idx] = t1
+        sub = idx[adv_x]
+        ix[sub] += sx[sub]
         tx_next[sub] += step_tx[sub]
-        sub = gi[adv_y]
-        iy[sub] += np.sign(dy[sub]).astype(np.int64)
+        tx_next[sub[(ix[sub] < 0) | (ix[sub] > nx - 2)]] = np.inf
+        sub = idx[adv_y]
+        iy[sub] += sy[sub]
         ty_next[sub] += step_ty[sub]
-        active[gi[done]] = False
+        ty_next[sub[(iy[sub] < 0) | (iy[sub] > ny - 2)]] = np.inf
+        active[idx[done]] = False
     if np.any(active):
         raise RuntimeError(
             f"heightfield trace: {np.count_nonzero(active)} rays still active "
@@ -646,7 +675,12 @@ def ping(
     origins = np.broadcast_to(origin, dirs.shape)
 
     bp_t = _beam_weights(dirs, pose, tx, sonar, c)
-    bp_r = _beam_weights(dirs, pose, beam, sonar, c)
+    # The gain depends on the beam's orientation only, so a receive beam that
+    # points where the transmitter does reuses the transmit weights.
+    if (tx.pitch_rad, tx.yaw_rad) == (beam.pitch_rad, beam.yaw_rad):
+        bp_r = bp_t
+    else:
+        bp_r = _beam_weights(dirs, pose, beam, sonar, c)
     w = bp_t * bp_r
 
     kind, t, points, normals, grazing, roughness = _trace_batch(

@@ -385,7 +385,7 @@ def loads(text: str) -> Scenario:
 
 def load_scenario(path_or_name: str) -> Scenario:
     """Load a scenario from a file path or a bundled scenario name."""
-    if os.path.exists(path_or_name):
+    if os.path.isfile(path_or_name):
         with open(path_or_name, "r", encoding="utf-8") as handle:
             return loads(handle.read())
     if path_or_name in BUNDLED_SCENARIOS:

@@ -136,7 +136,8 @@ def test_heightfield_extends_beyond_grid(scenario1):
 
 def test_heightfield_ray_crossing_many_cells_is_not_dropped(scenario1):
     # About 490 walls of 0.1 m cells lie between the sonar and the impact at
-    # 35 m, far more than the grid's own 2 x 2 nodes; every one is stepped.
+    # 35 m, far more than the grid's own 2 x 2 nodes. The walk crosses none of
+    # them: beyond the grid every cell has the same clamped patch.
     hf = Heightfield(x0=-0.1, y0=-0.1, spacing_m=0.1,
                      depths=np.full((2, 2), 12.0))
     dz = 5.0 / 35.0
@@ -408,6 +409,255 @@ def test_mesh_kernel_reproduces_brute_force(scenario1, monkeypatch, seed, t_min)
         np.testing.assert_array_equal(kind, kind_b)
         np.testing.assert_array_equal(t, t_b)
         np.testing.assert_array_equal(normals, normals_b)
+
+
+# --- the heightfield kernel against the plain lockstep walk ----------------------
+
+
+def lockstep_heightfield(hf, origins, dirs, t_min, t_max):
+    """The heightfield kernel as it was before the depth-slab clip and the
+    clamped beyond-grid cell: every ray is stepped through every cell wall
+    from t_min, the walls beyond the grid included. (t, normals) like the
+    kernel."""
+    n = origins.shape[0]
+    t_hit = np.full(n, np.inf)
+    normals = np.zeros((n, 3))
+    s = hf.spacing_m
+    nx, ny = hf.depths.shape
+    d = hf.depths
+
+    ox, oy, oz = origins[:, 0], origins[:, 1], origins[:, 2]
+    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    t_stop = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
+
+    # Rays above the shallowest terrain and not heading down can never hit.
+    active = ~((dz <= 0.0) & (oz < d.min()))
+    active &= t_stop > t_min
+    if not np.any(active):
+        return t_hit, normals
+
+    t_cur = np.full(n, t_min)
+    x = ox + t_cur * dx
+    y = oy + t_cur * dy
+    ix = np.floor((x - hf.x0) / s).astype(np.int64)
+    iy = np.floor((y - hf.y0) / s).astype(np.int64)
+
+    with np.errstate(divide="ignore"):
+        step_tx = np.abs(s / dx)
+        step_ty = np.abs(s / dy)
+    # Parameter of the next x and y grid-plane crossing for each ray.
+    tx_next = np.full(n, np.inf)
+    ty_next = np.full(n, np.inf)
+    pos_x = dx > 0
+    neg_x = dx < 0
+    tx_next[pos_x] = (hf.x0 + (ix[pos_x] + 1) * s - ox[pos_x]) / dx[pos_x]
+    tx_next[neg_x] = (hf.x0 + ix[neg_x] * s - ox[neg_x]) / dx[neg_x]
+    pos_y = dy > 0
+    neg_y = dy < 0
+    ty_next[pos_y] = (hf.y0 + (iy[pos_y] + 1) * s - oy[pos_y]) / dy[pos_y]
+    ty_next[neg_y] = (hf.y0 + iy[neg_y] * s - oy[neg_y]) / dy[neg_y]
+
+    # Over a parameter length L a ray crosses at most ceil(L |dx| / s) + 1 x
+    # walls and as many y walls; each step crosses a wall or ends the ray.
+    # The constant covers those +1s, the last step and rounding.
+    crossings = np.ceil((t_stop - t_min) * (np.abs(dx) + np.abs(dy)) / s)
+    max_steps = int(crossings[active].max()) + 8
+    for _ in range(max_steps):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        t0 = t_cur[idx]
+        t1 = np.minimum(np.minimum(tx_next[idx], ty_next[idx]), t_stop[idx])
+
+        cix = ix[idx]
+        ciy = iy[idx]
+        out_lo_x = cix < 0
+        out_hi_x = cix > nx - 2
+        out_lo_y = ciy < 0
+        out_hi_y = ciy > ny - 2
+        icx = np.clip(cix, 0, nx - 2)
+        icy = np.clip(ciy, 0, ny - 2)
+        z00 = d[icx, icy]
+        z10 = d[icx + 1, icy]
+        z01 = d[icx, icy + 1]
+        z11 = d[icx + 1, icy + 1]
+        ca = z10 - z00
+        cb = z01 - z00
+        cg = z11 - z10 - z01 + z00
+
+        # Local cell coordinates as affine functions of the ray parameter,
+        # flattened outside the grid so the edge values continue.
+        u0 = (ox[idx] - (hf.x0 + icx * s)) / s
+        du = dx[idx] / s
+        u0 = np.where(out_lo_x, 0.0, np.where(out_hi_x, 1.0, u0))
+        du = np.where(out_lo_x | out_hi_x, 0.0, du)
+        v0 = (oy[idx] - (hf.y0 + icy * s)) / s
+        dv = dy[idx] / s
+        v0 = np.where(out_lo_y, 0.0, np.where(out_hi_y, 1.0, v0))
+        dv = np.where(out_lo_y | out_hi_y, 0.0, dv)
+
+        qa = -cg * du * dv
+        qb = dz[idx] - (ca * du + cb * dv + cg * (u0 * dv + v0 * du))
+        qc = oz[idx] - (z00 + ca * u0 + cb * v0 + cg * u0 * v0)
+
+        root = np.full(idx.size, np.inf)
+        quad = np.abs(qa) > 1e-300
+        if np.any(quad):
+            disc = qb[quad] ** 2 - 4.0 * qa[quad] * qc[quad]
+            has = disc >= 0.0
+            if np.any(has):
+                sq = np.sqrt(disc[has])
+                a_h = qa[quad][has]
+                b_h = qb[quad][has]
+                c_h = qc[quad][has]
+                q = -0.5 * (b_h + np.sign(b_h) * sq)
+                q = np.where(q == 0.0, -0.5 * sq, q)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    r1 = np.where(q != 0.0, c_h / q, np.inf)
+                    r2 = np.where(a_h != 0.0, q / a_h, np.inf)
+                lo = np.minimum(r1, r2)
+                hi = np.maximum(r1, r2)
+                t0q = t0[quad][has]
+                t1q = t1[quad][has]
+                pick = np.where(
+                    (lo >= t0q) & (lo <= t1q),
+                    lo,
+                    np.where((hi >= t0q) & (hi <= t1q), hi, np.inf),
+                )
+                tmp = np.full(np.count_nonzero(quad), np.inf)
+                tmp[has] = pick
+                root[quad] = tmp
+        lin = ~quad & (np.abs(qb) > 1e-300)
+        if np.any(lin):
+            cand = -qc[lin] / qb[lin]
+            ok = (cand >= t0[lin]) & (cand <= t1[lin])
+            root[lin] = np.where(ok, cand, np.inf)
+
+        hit = np.isfinite(root)
+        if np.any(hit):
+            gi = idx[hit]
+            th = root[hit]
+            t_hit[gi] = th
+            uh = np.clip(u0[hit] + du[hit] * th, 0.0, 1.0)
+            vh = np.clip(v0[hit] + dv[hit] * th, 0.0, 1.0)
+            gx = np.where(
+                out_lo_x[hit] | out_hi_x[hit], 0.0, (ca[hit] + cg[hit] * vh) / s
+            )
+            gy = np.where(
+                out_lo_y[hit] | out_hi_y[hit], 0.0, (cb[hit] + cg[hit] * uh) / s
+            )
+            nvec = np.stack([gx, gy, -np.ones_like(gx)], axis=-1)
+            normals[gi] = nvec / np.linalg.norm(nvec, axis=-1, keepdims=True)
+            active[gi] = False
+
+        # Advance the remaining rays into the next cell.
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        t1 = np.minimum(np.minimum(tx_next[idx], ty_next[idx]), t_stop[idx])
+        done = t1 >= t_stop[idx] - 0.0
+        adv_x = tx_next[idx] <= t1
+        adv_y = ty_next[idx] <= t1
+        gi = idx
+        t_cur[gi] = t1
+        sub = gi[adv_x]
+        ix[sub] += np.sign(dx[sub]).astype(np.int64)
+        tx_next[sub] += step_tx[sub]
+        sub = gi[adv_y]
+        iy[sub] += np.sign(dy[sub]).astype(np.int64)
+        ty_next[sub] += step_ty[sub]
+        active[gi[done]] = False
+    if np.any(active):
+        raise RuntimeError(
+            f"heightfield trace: {np.count_nonzero(active)} rays still active "
+            f"after {max_steps} cell steps"
+        )
+    return t_hit, normals
+
+
+def random_heightfield(rng, flat=False):
+    """A grid of random shape (n x 2 strips included), place and spacing,
+    with depths in [4, 14] m; some grids are rounded to a few levels or have
+    a flat block, so they hold plateaus, and a flat grid is one plateau."""
+    shape = (int(rng.integers(2, 30)), int(rng.integers(2, 30)))
+    if rng.random() < 0.25:
+        shape = (shape[0], 2) if rng.random() < 0.5 else (2, shape[1])
+    depths = rng.uniform(4.0, 14.0, shape)
+    if rng.random() < 0.3:
+        depths = np.round(depths / 3.0) * 3.0 + 1.0
+    if rng.random() < 0.5:
+        i, j = rng.integers(0, shape[0]), rng.integers(0, shape[1])
+        depths[i:i + int(rng.integers(2, 8)), j:j + int(rng.integers(2, 8))] = (
+            rng.uniform(4.0, 14.0))
+    if flat:
+        depths[:] = depths[0, 0]
+    spacing = 10.0 ** rng.uniform(-1.0, 1.0)
+    x0, y0 = rng.uniform(-20.0, 5.0, 2)
+    return Heightfield(x0=x0, y0=y0, spacing_m=spacing, depths=depths)
+
+
+def terrain_probe_rays(rng, hf):
+    """Rays from inside the depth slab, from above it and from off the grid
+    on each side of each axis, some aimed at points of the grid from
+    outside it; a share of the directions has one or two components that
+    are exactly 0, and some level rays lie on a face of the kernel's padded
+    depth slab."""
+    n = 600
+    nx, ny = hf.depths.shape
+    x1 = hf.x0 + (nx - 1) * hf.spacing_m
+    y1 = hf.y0 + (ny - 1) * hf.spacing_m
+    width = max(x1 - hf.x0, y1 - hf.y0)
+    x = rng.uniform(hf.x0, x1, n)
+    y = rng.uniform(hf.y0, y1, n)
+    z = rng.uniform(hf.depths.min(), hf.depths.max(), n)
+    origins = np.stack([x, y, z], axis=1)
+    kind = rng.integers(0, 6, n)
+    far = rng.uniform(0.1, 2.0, n) * width
+    origins[kind == 1, 2] = rng.uniform(0.0, hf.depths.min(), int(np.sum(kind == 1)))
+    origins[kind == 2, 0] = hf.x0 - far[kind == 2]
+    origins[kind == 3, 0] = x1 + far[kind == 3]
+    origins[kind == 4, 1] = hf.y0 - far[kind == 4]
+    origins[kind == 5, 1] = y1 + far[kind == 5]
+    dirs = sample_ray_directions(n, rng)
+    # half of the rays are aimed at a point of the terrain
+    aim = rng.random(n) < 0.5
+    targets = np.stack([rng.uniform(hf.x0, x1, n), rng.uniform(hf.y0, y1, n),
+                        rng.uniform(hf.depths.min(), hf.depths.max(), n)], axis=1)
+    dirs[aim] = targets[aim] - origins[aim]
+    for share in (0.2, 0.1):
+        some = rng.random(n) < share
+        dirs[some, rng.integers(0, 3, int(some.sum()))] = 0.0
+    level = rng.random(n) < 0.05
+    pad = 1e-6 * (1.0 + hf.depths.max())
+    faces = np.array([hf.depths.min() - pad, hf.depths.max() + pad])
+    origins[level, 2] = faces[rng.integers(0, 2, int(level.sum()))]
+    dirs[level, 2] = 0.0
+    norms = np.linalg.norm(dirs, axis=1)
+    keep = norms > 0.0
+    return origins[keep], dirs[keep] / norms[keep, None]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("t_min", [0.0, BOUNCE_MIN_T])
+def test_heightfield_kernel_reproduces_lockstep_walk(scenario1, monkeypatch,
+                                                     seed, t_min):
+    rng = np.random.default_rng(seed)
+    for flat in (False, False, True):
+        hf = random_heightfield(rng, flat)
+        scene = Scene(env=scenario1.env, bottom=hf, surface_enabled=False)
+        origins, dirs = terrain_probe_rays(rng, hf)
+        # per-ray range, a few of them shorter than t_min
+        t_max = rng.uniform(0.0, 80.0, origins.shape[0])
+        kind, t, _, normals, _, _ = _trace_batch(scene, origins, dirs, t_min, t_max)
+        with monkeypatch.context() as patch:
+            patch.setattr(raysim, "_trace_heightfield", lockstep_heightfield)
+            kind_r, t_r, _, normals_r, _, _ = _trace_batch(
+                scene, origins, dirs, t_min, t_max)
+        assert np.count_nonzero(kind_r == KIND_BOTTOM) > 20
+        np.testing.assert_array_equal(kind, kind_r)
+        np.testing.assert_array_equal(t, t_r)
+        np.testing.assert_array_equal(normals, normals_r)
 
 
 # --- per-ray measures -----------------------------------------------------------

@@ -194,6 +194,21 @@ def test_cli_rejects_bad_inputs(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+def test_cli_scenario_names_a_file_or_a_bundled_scenario(tmp_path, monkeypatch,
+                                                        capsys):
+    # a directory is not a scenario file, even when it has a bundled name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario1").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    assert main(["null", "--scenario", "scenario1", "--out", "out"]) == 0
+    assert (tmp_path / "out" / "null_forward.csv").exists()
+    capsys.readouterr()
+    assert main(["null", "--scenario", "elsewhere", "--out", "out2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "neither a file nor one of the bundled scenarios" in err
+
+
 def test_cli_reports_quadrature_diagnostics(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise QuadratureError("did not converge")
