@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import EnvironmentParams, SonarConfig, max_range
+from .acoustics import BeamOrientation, EnvironmentParams, SonarConfig, max_range
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,12 @@ def bin_index(distance_m, layout: BinLayout):
     """1-based bin index ceil(d / d_b) for half-open bins (d_{n-1}, d_n].
 
     A small tolerance keeps distances that are exact bin edges (up to float
-    rounding of d / d_b) in the lower bin. Accepts scalars or arrays.
+    rounding of d / d_b) in the lower bin; a positive distance within that
+    tolerance of 0 still lies in bin 1. Accepts scalars or arrays.
     """
-    idx = np.ceil(np.asarray(distance_m) / layout.bin_length_m - 1e-9).astype(int)
+    d = np.asarray(distance_m)
+    idx = np.ceil(d / layout.bin_length_m - 1e-9).astype(int)
+    idx = np.where(d > 0.0, np.maximum(idx, 1), idx)
     if idx.ndim == 0:
         return int(idx)
     return idx
@@ -238,3 +241,12 @@ class SonarPose:
             raise ValueError(f"depth_m must be > 0, got {self.depth_m}")
         if not math.isfinite(self.pitch_rad):
             raise ValueError(f"pitch_rad must be finite, got {self.pitch_rad}")
+
+
+def beam_orientations(pose: SonarPose, beam: BeamOrientation,
+                      transmit_beam: BeamOrientation | None) -> list:
+    """The (pitch, yaw) on the posed vehicle of the receive beam and of the
+    transmit beam (the receive beam unless given): the orientations whose
+    gain product weighs an echo."""
+    tx = transmit_beam if transmit_beam is not None else beam
+    return [(pose.pitch_rad + b.pitch_rad, b.yaw_rad) for b in (beam, tx)]

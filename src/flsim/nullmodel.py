@@ -46,6 +46,7 @@ from .geometry import (
     SonarPose,
     beam_angles_surface,
     beam_angles_volume,
+    beam_orientations,
     cutoff_angle,
     grazing_between,
     layout_for,
@@ -269,15 +270,6 @@ def _ring_front_arc(rho: float, z: float, pitch: float, yaw: float) -> list:
 # Ring (bottom/surface) beam-pattern averages
 
 
-def _orientations(pose: SonarPose, beam: BeamOrientation,
-                  transmit_beam: BeamOrientation | None) -> list:
-    """Orientations whose gain product one average integrates: the total
-    (pitch, yaw) on the posed vehicle of the receive beam and of the
-    transmit beam (the receive beam unless given)."""
-    tx = transmit_beam if transmit_beam is not None else beam
-    return [(pose.pitch_rad + b.pitch_rad, b.yaw_rad) for b in (beam, tx)]
-
-
 def _ring_averages(rho, z: float, orientations: list, sonar: SonarConfig,
                    c: float) -> np.ndarray:
     """Beam-pattern averages (dB) around the rings of radii rho at vertical
@@ -314,7 +306,7 @@ def ring_bp_average(
     """Average transmit-times-receive beam-pattern loss (dB) around the ring
     of radius rho_mid at vertical offset z from the sonar, or NO_RESPONSE
     when the whole ring is outside the gate."""
-    orientations = _orientations(pose, beam, transmit_beam)
+    orientations = beam_orientations(pose, beam, transmit_beam)
     return float(_ring_averages([rho_mid], z, orientations, sonar, c)[0])
 
 
@@ -408,7 +400,7 @@ def shell_bp_average(
         cutoffs = (_effective_cutoff(d_inner, d_outer, pose.altitude_m),
                    _effective_cutoff(d_inner, d_outer, pose.depth_m))
     theta_ha, theta_hd = (np.array([x], dtype=float) for x in cutoffs)
-    orientations = _orientations(pose, beam, transmit_beam)
+    orientations = beam_orientations(pose, beam, transmit_beam)
     return float(_shell_averages(theta_ha, theta_hd, orientations, sonar, c)[0])
 
 
@@ -442,7 +434,7 @@ def _cell_sum(component, env, sonar, pose, beam, layout, transmit_beam, cells):
     wet = np.flatnonzero(measure > 0.0)
     bp = np.zeros(a.size)  # dry cells return nothing anyway
     try:
-        bp[wet] = averages(_orientations(pose, beam, transmit_beam), wet)
+        bp[wet] = averages(beam_orientations(pose, beam, transmit_beam), wet)
     except QuadratureError as err:
         cell = wet[err.row]
         raise QuadratureError(f"{component} bin {cell // m + 1}, cell "

@@ -18,9 +18,14 @@ grid on an axis it stays in one clamped virtual cell and crosses no walls.
 
 Every bounce goes through one batch path, _bounce: reflect the ray about the
 hit normal, offset the new origin along the reflection, and retrace with the
-range left. ping calls it on all its impacts. A bounce's echo is binned
-and attenuated at the path length t1 + t2 and received with the beam
-weight of the direct line from the second impact to the sonar.
+range left. ping calls it on all its impacts.
+
+Every impact, direct or bounced, becomes an echo through one sonar-equation
+term, _echo: source level, two-way loss and ensonified patch at the path
+length, the transmit and receive gains, and the backscatter coefficient of
+the impact. A bounce differs from a direct hit only in its path length,
+t1 + t2 instead of t, and its receive weight, the gain of the direct line
+from the second impact to the sonar instead of the launch direction.
 
 All per-bin accumulators are linear intensities; dB views are provided on
 the result object. Ambient noise is added separately by add_noise so a
@@ -44,11 +49,12 @@ from .acoustics import (
     noise_level_band,
     transmission_loss,
 )
-from .db import to_db
+from .db import to_db, to_linear
 from .geometry import (
     BinLayout,
     SonarPose,
     beam_angles_surface,
+    beam_orientations,
     bin_index,
     layout_for,
     rotate_to_sonar_frame,
@@ -63,6 +69,9 @@ MIN_GRAZING_RAD = 1e-9
 # own reflection point.
 BOUNCE_OFFSET_M = 1e-9
 BOUNCE_MIN_T = 1e-6
+# Rays per Moller-Trumbore block of _trace_mesh; a block holds a few
+# (rays, faces, 3) arrays.
+MESH_CHUNK_RAYS = 4096
 
 KIND_BOTTOM = 0
 KIND_SURFACE = 1
@@ -392,7 +401,7 @@ def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
     return t_hit, normals
 
 
-def _trace_mesh(mesh: TriangleMesh, origins, dirs, t_min, chunk=4096):
+def _trace_mesh(mesh: TriangleMesh, origins, dirs, t_min):
     """Nearest face hit by Moller-Trumbore (JGT 1997) over every face, run in
     chunks of rays on only the rays that meet the mesh's bounding box: a
     Kay-Kajiya slab test (SIGGRAPH 1986) culls the rest."""
@@ -418,8 +427,8 @@ def _trace_mesh(mesh: TriangleMesh, origins, dirs, t_min, chunk=4096):
     e1 = mesh.vertices[mesh.faces[:, 1]] - v0
     e2 = mesh.vertices[mesh.faces[:, 2]] - v0
     face_n = np.cross(e1, e2)
-    for start in range(0, rays.size, chunk):
-        ri = rays[start:start + chunk]
+    for start in range(0, rays.size, MESH_CHUNK_RAYS):
+        ri = rays[start:start + MESH_CHUNK_RAYS]
         o = origins[ri][:, None, :]
         dr = dirs[ri][:, None, :]
         pvec = np.cross(dr, e2[None, :, :])
@@ -500,10 +509,10 @@ def _trace_batch(scene: Scene, origins, dirs, t_min, t_max):
 
 
 def _bounce(scene: Scene, points, dirs, normals, remaining):
-    """Specular bounce of a batch of impacts: reflected directions, origins
-    offset along them, the mask of rays with range left to retrace
-    (remaining > BOUNCE_MIN_T), and the _trace_batch result of those rays
-    (None when there are none)."""
+    """Specular bounce of a batch of impacts: reflected directions, the mask
+    of rays with range left to retrace (remaining > BOUNCE_MIN_T), and the
+    _trace_batch result of those rays from origins offset along their
+    reflection (None when there are none)."""
     refl = dirs - 2.0 * np.einsum("rc,rc->r", dirs, normals)[:, None] * normals
     refl /= np.linalg.norm(refl, axis=1, keepdims=True)
     origins = points + BOUNCE_OFFSET_M * refl
@@ -513,7 +522,7 @@ def _bounce(scene: Scene, points, dirs, normals, remaining):
         trace = _trace_batch(
             scene, origins[live], refl[live], BOUNCE_MIN_T, remaining[live]
         )
-    return origins, refl, live, trace
+    return refl, live, trace
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +555,9 @@ def ray_patch_area(distance_m, grazing_rad, n_rays: int):
     return out if out.ndim else float(out)
 
 
-def ray_bin_volume(n: int, layout: BinLayout, n_rays: int):
-    """Share of bin n's shell volume represented by one ray."""
+def ray_bin_volume(n, layout: BinLayout, n_rays: int):
+    """Share of bin n's shell volume represented by one ray; n may be an
+    array of bin numbers."""
     if n_rays < 1:
         raise ValueError(f"n_rays must be >= 1, got {n_rays}")
     a = layout.edge(n - 1)
@@ -613,34 +623,41 @@ class PingReturn:
         return self.layout.centers
 
 
-def _beam_weights(dirs, pose, beam, sonar, c):
-    vb = rotate_to_sonar_frame(
-        dirs, pose.pitch_rad + beam.pitch_rad, beam.yaw_rad
-    )
-    theta, psi = beam_angles_surface(vb)
+def _beam_weights(dirs, orientation, sonar, c):
+    """Beam gain at world directions dirs of the beam pointed at the
+    (pitch, yaw) orientation of geometry.beam_orientations."""
+    theta, psi = beam_angles_surface(rotate_to_sonar_frame(dirs, *orientation))
     return beam_gain(theta, psi, sonar, c)
 
 
 def _boundary_coeff_linear(kind, grazing, roughness, env, f_khz):
-    """Per-hit backscatter factor in linear intensity, by impact kind."""
+    """Per-hit backscatter factor in linear intensity, by impact kind. The
+    surface has its own fit. The bottom and every object scatter like a
+    rough seabed patch of their roughness class, env.bottom_type for the
+    bottom."""
     out = np.zeros(kind.shape[0])
-    is_bottom = kind == KIND_BOTTOM
-    if np.any(is_bottom):
-        s = bottom_coeff(env.bottom_type, grazing[is_bottom], f_khz)
-        out[is_bottom] = 10.0 ** (np.asarray(s) / 10.0)
-    is_surface = kind == KIND_SURFACE
-    if np.any(is_surface):
-        s = surface_coeff(env.wind_knots, grazing[is_surface], f_khz)
-        out[is_surface] = 10.0 ** (np.asarray(s) / 10.0)
-    is_object = kind == KIND_OBJECT
-    if np.any(is_object):
-        # Object echoes scatter like a rough boundary patch of the object's
-        # own roughness class.
-        for r in np.unique(roughness[is_object]):
-            sel = is_object & (roughness == r)
-            s = bottom_coeff(float(r), grazing[sel], f_khz)
-            out[sel] = 10.0 ** (np.asarray(s) / 10.0)
+    surface = kind == KIND_SURFACE
+    out[surface] = to_linear(surface_coeff(env.wind_knots, grazing[surface], f_khz))
+    rough = np.where(kind == KIND_BOTTOM, env.bottom_type, roughness)
+    for r in np.unique(rough[~surface]):
+        sel = ~surface & (rough == r)
+        out[sel] = to_linear(bottom_coeff(float(r), grazing[sel], f_khz))
     return out
+
+
+def _echo(distance, kind, grazing, roughness, gains, env, sonar, layout):
+    """Sonar-equation echo of a batch of impacts at path length distance:
+    the 0-based bin of each and its linear intensity, the source level times
+    the two-way loss, the beam gains (multiplied in the order given), the
+    backscatter coefficient and the ray's ensonified patch."""
+    f = sonar.frequency_khz
+    value = to_linear(sonar.source_level_db) * to_linear(
+        -transmission_loss(distance, absorption_coeff(f, env)))
+    for gain in gains:
+        value = value * gain
+    value = (value * _boundary_coeff_linear(kind, grazing, roughness, env, f)
+             * ray_patch_area(distance, grazing, sonar.num_rays))
+    return bin_index(distance, layout) - 1, value
 
 
 def ping(
@@ -657,16 +674,12 @@ def ping(
     per range bin. seed goes to np.random.default_rng, so it may be an
     integer, a SeedSequence or a Generator, which is used as it is."""
     rng = np.random.default_rng(seed)
-    tx = transmit_beam if transmit_beam is not None else beam
     env = scene.env
     c = env.sound_speed()
     layout = layout_for(env, sonar)
     t_max = layout.end_m
-    f = sonar.frequency_khz
-    alpha_w = absorption_coeff(f, env)
     n_rays = sonar.num_rays
     num_bins = layout.num_bins
-    sl_fac = 10.0 ** (sonar.source_level_db / 10.0)
 
     dirs = sample_ray_directions(n_rays, rng)
 
@@ -674,80 +687,60 @@ def ping(
     origin[2] = pose.depth_m
     origins = np.broadcast_to(origin, dirs.shape)
 
-    bp_t = _beam_weights(dirs, pose, tx, sonar, c)
-    # The gain depends on the beam's orientation only, so a receive beam that
+    rx, tx = beam_orientations(pose, beam, transmit_beam)
+    bp_t = _beam_weights(dirs, tx, sonar, c)
+    # The gain depends on the orientation only, so a receive beam that
     # points where the transmitter does reuses the transmit weights.
-    if (tx.pitch_rad, tx.yaw_rad) == (beam.pitch_rad, beam.yaw_rad):
-        bp_r = bp_t
-    else:
-        bp_r = _beam_weights(dirs, pose, beam, sonar, c)
+    bp_r = bp_t if rx == tx else _beam_weights(dirs, rx, sonar, c)
     w = bp_t * bp_r
 
     kind, t, points, normals, grazing, roughness = _trace_batch(
         scene, origins, dirs, 0.0, t_max
     )
     hit = kind >= 0
-
-    bottom = np.zeros(num_bins)
-    surface = np.zeros(num_bins)
-    object_ = np.zeros(num_bins)
-    volume = np.zeros(num_bins)
-    multipath = np.zeros(num_bins)
-
-    if np.any(hit):
-        t_h = t[hit]
-        bins_h = bin_index(t_h, layout) - 1
-        tl_lin = 10.0 ** (-transmission_loss(t_h, alpha_w) / 10.0)
-        patch = ray_patch_area(t_h, grazing[hit], n_rays)
-        coeff = _boundary_coeff_linear(
-            kind[hit], grazing[hit], roughness[hit], env, f
-        )
-        value = sl_fac * tl_lin * w[hit] * coeff * patch
-        kinds_h = kind[hit]
-        for code, acc in ((KIND_BOTTOM, bottom), (KIND_SURFACE, surface),
-                          (KIND_OBJECT, object_)):
-            sel = kinds_h == code
-            if np.any(sel):
-                np.add.at(acc, bins_h[sel], value[sel])
+    kinds_h = kind[hit]
+    bins, value = _echo(t[hit], kinds_h, grazing[hit], roughness[hit],
+                        (w[hit],), env, sonar, layout)
+    bottom, surface, object_ = (np.zeros(num_bins) for _ in range(3))
+    for code, acc in ((KIND_BOTTOM, bottom), (KIND_SURFACE, surface),
+                      (KIND_OBJECT, object_)):
+        sel = kinds_h == code
+        np.add.at(acc, bins[sel], value[sel])
 
     # Volume reverberation: every ray ensonifies each shell it crosses, up
     # to and including the shell of its impact.
+    volume = np.zeros(num_bins)
     if scene.volume_enabled:
-        last_bin = np.where(hit, bin_index(np.where(hit, t, t_max), layout), num_bins)
+        last_bin = np.full(n_rays, num_bins)
+        last_bin[hit] = bins + 1
         per_last = np.bincount(last_bin, weights=w, minlength=num_bins + 1)[1:]
         reach = np.cumsum(per_last[::-1])[::-1]
-        sv_fac = 10.0 ** (volume_coeff(env.particle_density_db, f) / 10.0)
-        centers = layout.centers
-        tl_lin_c = 10.0 ** (-transmission_loss(centers, alpha_w) / 10.0)
-        shares = np.array(
-            [ray_bin_volume(m, layout, n_rays) for m in range(1, num_bins + 1)]
-        )
-        volume = sl_fac * sv_fac * tl_lin_c * shares * reach
+        f = sonar.frequency_khz
+        sv_fac = to_linear(volume_coeff(env.particle_density_db, f))
+        tl_lin_c = to_linear(
+            -transmission_loss(layout.centers, absorption_coeff(f, env)))
+        shares = ray_bin_volume(np.arange(1, num_bins + 1), layout, n_rays)
+        volume = (to_linear(sonar.source_level_db) * sv_fac * tl_lin_c
+                  * shares * reach)
 
-    # First-order multipath: one specular bounce per impacted ray.
-    if np.any(hit):
-        idx = np.nonzero(hit)[0]
-        _, _, live, trace2 = _bounce(
-            scene, points[idx], dirs[idx], normals[idx], t_max - t[idx]
-        )
-        if trace2 is not None:
-            idx = idx[live]
-            kind2, t2, points2, normals2, grazing2, roughness2 = trace2
-            hit2 = kind2 >= 0
-            if np.any(hit2):
-                gi = idx[hit2]
-                total_d = t[gi] + t2[hit2]
-                bins2 = bin_index(total_d, layout) - 1
-                to_sonar = points2[hit2] - origin[None, :]
-                to_sonar /= np.linalg.norm(to_sonar, axis=1, keepdims=True)
-                bp_r2 = _beam_weights(to_sonar, pose, beam, sonar, c)
-                tl2 = 10.0 ** (-transmission_loss(total_d, alpha_w) / 10.0)
-                patch2 = ray_patch_area(total_d, grazing2[hit2], n_rays)
-                coeff2 = _boundary_coeff_linear(
-                    kind2[hit2], grazing2[hit2], roughness2[hit2], env, f
-                )
-                value2 = sl_fac * tl2 * bp_t[gi] * bp_r2 * coeff2 * patch2
-                np.add.at(multipath, bins2, value2)
+    # First-order multipath: one specular bounce per impacted ray, received
+    # along the direct line from its second impact.
+    multipath = np.zeros(num_bins)
+    idx = np.nonzero(hit)[0]
+    _, live, trace2 = _bounce(
+        scene, points[idx], dirs[idx], normals[idx], t_max - t[idx]
+    )
+    if trace2 is not None:
+        kind2, t2, points2, _, grazing2, roughness2 = trace2
+        hit2 = kind2 >= 0
+        gi = idx[live][hit2]
+        to_sonar = points2[hit2] - origin[None, :]
+        to_sonar /= np.linalg.norm(to_sonar, axis=1, keepdims=True)
+        bp_r2 = _beam_weights(to_sonar, rx, sonar, c)
+        bins2, value2 = _echo(t[gi] + t2[hit2], kind2[hit2], grazing2[hit2],
+                              roughness2[hit2], (bp_t[gi], bp_r2), env, sonar,
+                              layout)
+        np.add.at(multipath, bins2, value2)
 
     return PingReturn(
         layout=layout,
@@ -777,6 +770,6 @@ def add_noise(
         return ping_return
     rng = np.random.default_rng(seed)
     level = noise_level_band(sonar.frequency_khz, env, sonar.bandwidth_hz)
-    mean = 10.0 ** (level / 10.0)
+    mean = to_linear(level)
     noise = rng.exponential(mean, ping_return.layout.num_bins)
     return replace(ping_return, noise=noise)

@@ -6,7 +6,8 @@ metric that BENCHMARK.json declares for the run: the end-to-end metrics at
 A run at --seconds 0 does the fewest iterations the harness allows, so each
 case here takes a few seconds. s1_detect covers the detect path (null
 curves, pings, detector); s2_detect does too, over steered beams and a
-heightfield bottom; mesh_sim covers the sim path with a mesh obstacle.
+heightfield bottom; mesh_sim covers the sim path with a mesh obstacle;
+big_ping traces 10^6 rays in one batch and requires that no bin is flagged.
 A traced run times every layer, so a layer that a ping stops reaching
 leaves a metric missing or not finite.
 """
@@ -29,6 +30,7 @@ def _reject_constant(name):
     pytest.param("s1_detect", 0, id="s1_detect"),
     pytest.param("s2_detect", 0, id="s2_detect"),
     pytest.param("mesh_sim", 0, id="mesh_sim"),
+    pytest.param("big_ping", 0, id="big_ping"),
     pytest.param("s1_detect", 1, id="s1_detect-trace"),
 ])
 def test_run_prints_a_correct_result_line(workload, trace):

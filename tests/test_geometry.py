@@ -49,6 +49,7 @@ def test_bin_index_half_open_intervals():
     assert bin_index(0.2500000001, layout) == 1  # edge up to fp rounding
     assert bin_index(0.26, layout) == 2
     assert bin_index(40.25, layout) == 161
+    assert bin_index(1e-12, layout) == 1  # within the tolerance of 0
 
 
 def test_bin_index_array():

@@ -23,6 +23,9 @@ from flsim import (
     to_db,
 )
 from flsim import raysim
+from flsim.acoustics import absorption_coeff, beam_gain, transmission_loss
+from flsim.db import to_linear
+from flsim.geometry import beam_angles_surface, rotate_to_sonar_frame
 from flsim.raysim import (
     BOUNCE_MIN_T,
     KIND_BOTTOM,
@@ -31,7 +34,7 @@ from flsim.raysim import (
     _bounce,
     _trace_batch,
 )
-from flsim.scatter import ObjectMaterial
+from flsim.scatter import ObjectMaterial, bottom_coeff, surface_coeff
 
 POSE = SonarPose(altitude_m=5.0, depth_m=7.0)
 FORWARD = BeamOrientation(name="forward")
@@ -100,7 +103,7 @@ def bounce_one(scene, hit, direction, max_range):
     max_range: the reflected direction, whether any range is left, and row
     0 of the retrace (None when nothing is retraced)."""
     _, t, point, normal, _, _ = hit
-    _, refl, live, trace = _bounce(
+    refl, live, trace = _bounce(
         scene, np.array([point]), np.array([direction], dtype=float),
         np.array([normal]), np.array([max_range - t]))
     second = None if trace is None else tuple(column[0] for column in trace)
@@ -676,6 +679,13 @@ def test_ray_patch_area_shares_and_floor():
 def test_ray_bin_volume_share(s1_layout):
     v1 = ray_bin_volume(1, s1_layout, 1)
     assert v1 == pytest.approx(4.0 / 3.0 * math.pi * 0.25**3)
+    # an array of bins gives the scalar shares, which tile the whole sphere
+    n = np.arange(1, s1_layout.num_bins + 1)
+    shares = ray_bin_volume(n, s1_layout, 20000)
+    np.testing.assert_array_equal(
+        shares, [ray_bin_volume(int(k), s1_layout, 20000) for k in n])
+    assert shares.sum() == pytest.approx(
+        4.0 / 3.0 * math.pi * s1_layout.end_m**3 / 20000, rel=1e-12)
     with pytest.raises(ValueError):
         ray_bin_volume(1, s1_layout, 0)
 
@@ -753,3 +763,72 @@ def test_mean_ping_converges_toward_expectation(scenario1, s1_layout):
     medium = rms_gap(10000, 9010)
     fine = rms_gap(20000, 9020)
     assert fine < medium < coarse
+
+
+def test_an_impact_next_to_the_sonar_lands_in_the_first_bin(scenario1):
+    # Most downward rays meet a plate 1e-11 m below the sonar within 1e-9 bin
+    # lengths; their echo belongs to bin 1 and must not wrap to the last bin.
+    z = POSE.depth_m + 1e-11
+    plate = TriangleMesh(
+        vertices=[(-1.0, -1.0, z), (1.0, -1.0, z), (1.0, 1.0, z), (-1.0, 1.0, z)],
+        faces=[(0, 1, 2), (0, 2, 3)])
+    pr = ping(flat_scene(scenario1.env, objects=(plate,)), scenario1.sonar,
+              POSE, FORWARD, seed=1)
+    assert pr.object_[0] > 0.0
+    assert pr.object_[-1] == 0.0
+
+
+@pytest.mark.parametrize("receive_pitch_deg", [0.0, 20.0],
+                         ids=["level", "receive_down20"])
+def test_multipath_matches_image_source_expectation(scenario1, s1_layout,
+                                                    receive_pitch_deg):
+    """Image-source oracle (Allen & Berkley, JASA 1979) for a flat bottom
+    plus the surface. Each ray of the ping, redrawn from its seed, goes to
+    the plane it heads for, mirrors, and crosses the water column
+    H = altitude + depth to the other plane; in closed form the legs are
+    t1 = (altitude or depth) / |dz| and t2 = H / |dz|. Its echo is the
+    second plane's coefficient at asin|dz|, the transmit gain at launch, the
+    receive gain along the direct line from the second impact to the sonar,
+    and the loss and patch at L = t1 + t2, binned at L."""
+    env = scenario1.env
+    sonar = replace(scenario1.sonar, num_rays=20000)
+    c = env.sound_speed()
+    f = sonar.frequency_khz
+    receive = BeamOrientation(pitch_rad=math.radians(receive_pitch_deg))
+    seed = 2024
+    pr = ping(flat_scene(env, volume_enabled=False), sonar, POSE, receive,
+              transmit_beam=FORWARD, seed=seed)
+
+    d = sample_ray_directions(sonar.num_rays, np.random.default_rng(seed))
+    dz = np.abs(d[:, 2])
+    down = d[:, 2] > 0.0
+    t1 = np.where(down, POSE.altitude_m, POSE.depth_m) / dz
+    t2 = (POSE.altitude_m + POSE.depth_m) / dz
+    length = t1 + t2
+    keep = length <= s1_layout.end_m
+    d, dz, down, t1, t2, length = (
+        a[keep] for a in (d, dz, down, t1, t2, length))
+    grazing = np.arcsin(dz)
+    coeff_db = np.where(down, surface_coeff(env.wind_knots, grazing, f),
+                        bottom_coeff(env.bottom_type, grazing, f))
+    sonar_at = np.array([0.0, 0.0, POSE.depth_m])
+    second = sonar_at + t1[:, None] * d + t2[:, None] * d * [1.0, 1.0, -1.0]
+    back = (second - sonar_at) / np.linalg.norm(second - sonar_at, axis=1,
+                                                keepdims=True)
+
+    def gain(v, beam):
+        vb = rotate_to_sonar_frame(v, POSE.pitch_rad + beam.pitch_rad,
+                                   beam.yaw_rad)
+        return beam_gain(*beam_angles_surface(vb), sonar, c)
+
+    value = (to_linear(sonar.source_level_db
+                       - transmission_loss(length, absorption_coeff(f, env))
+                       + coeff_db)
+             * gain(d, FORWARD) * gain(back, receive)
+             * ray_patch_area(length, grazing, sonar.num_rays))
+    expected = np.zeros(s1_layout.num_bins)
+    np.add.at(expected, bin_index(length, s1_layout) - 1, value)
+
+    assert np.count_nonzero(expected) > 50
+    np.testing.assert_array_equal(pr.multipath > 0.0, expected > 0.0)
+    np.testing.assert_allclose(pr.multipath, expected, rtol=1e-8)

@@ -10,9 +10,15 @@ from flsim import (
     reverb_level,
     ray_patch_area,
     surface_coeff,
+    to_linear,
     volume_coeff,
 )
-from flsim.raysim import KIND_OBJECT, _boundary_coeff_linear
+from flsim.raysim import (
+    KIND_BOTTOM,
+    KIND_OBJECT,
+    KIND_SURFACE,
+    _boundary_coeff_linear,
+)
 from flsim.scatter import SURFACE_GRAZING_CAP_RAD
 
 
@@ -134,13 +140,21 @@ def test_object_material_roughness_bounds():
 def test_target_strength_is_patch_scaled_roughness(scenario1):
     """An object hit scatters like a seabed patch of the object's roughness:
     the ping's per-hit factor is bottom_coeff at that roughness, scaled by
-    the ray's patch area."""
-    kind = np.array([KIND_OBJECT, KIND_OBJECT])
-    grazing = np.array([0.7, 0.5])
-    roughness = np.array([3.0, 2.0])
-    got = _boundary_coeff_linear(kind, grazing, roughness, scenario1.env, 450.0)
-    s_b = [bottom_coeff(r, g, 450.0) for r, g in zip(roughness, grazing)]
-    np.testing.assert_array_equal(got, [10.0 ** (s / 10.0) for s in s_b])
-    patch = ray_patch_area(12.0, grazing, 20000)
-    np.testing.assert_allclose(10.0 * np.log10(got * patch),
+    the ray's patch area. The bottom is such a patch of roughness
+    bottom_type, so an object of that roughness scatters as the bottom does;
+    the surface has its own fit."""
+    env = scenario1.env
+    kind = np.array([KIND_OBJECT, KIND_OBJECT, KIND_BOTTOM, KIND_SURFACE,
+                     KIND_OBJECT])
+    grazing = np.array([0.7, 0.5, 0.4, 0.3, 0.4])
+    roughness = np.array([3.0, 2.0, np.nan, np.nan, env.bottom_type])
+    got = _boundary_coeff_linear(kind, grazing, roughness, env, 450.0)
+    s_b = [bottom_coeff(r, g, 450.0) for r, g in zip(roughness[:2], grazing)]
+    s_all = s_b + [bottom_coeff(env.bottom_type, 0.4, 450.0),
+                   surface_coeff(env.wind_knots, 0.3, 450.0),
+                   bottom_coeff(env.bottom_type, 0.4, 450.0)]
+    np.testing.assert_array_equal(got, [to_linear(s) for s in s_all])
+    assert got[2] == got[4]
+    patch = ray_patch_area(12.0, grazing[:2], 20000)
+    np.testing.assert_allclose(10.0 * np.log10(got[:2] * patch),
                                s_b + 10.0 * np.log10(patch), rtol=0.0, atol=1e-12)
