@@ -10,14 +10,18 @@ one product in linear intensity, normalized by the full integration
 measure. This is the expectation the Monte-Carlo ray estimator converges
 to, so simulated and expected curves are directly comparable.
 
-Every component is a power sum over bins and their resolution cells, all
-cells taken at once in _cell_sum. Quadrature is one batched kernel,
-_nested_trapezoid, for the 1-D ring and 2-D shell integrals alike: every
-row (an interval of a ring's gated arc, or a shell) starts at 16 trapezoid
-panels, each doubling evaluates only the new nested nodes of the rows still
-active, CHUNK_NODES at a time, and a row leaves once a doubling changes it
-by at most 0.01 dB, else QuadratureError names the beam, component, bin
-and cell. A node evaluates the gain once per distinct (pitch, yaw)
+Each component takes one path. _cells lays every bin's resolution cells
+out once; the bottom and the surface (one plane pipeline, _ring_return_bins,
+given the plane's signed offset and backscatter function) and the volume
+compute a measure and a coefficient per cell, and _cell_sum power-sums the
+cells into bins, with the beam-pattern averages of all wet cells taken in
+one batch by _ring_averages or _shell_averages. Quadrature is one batched
+kernel, _nested_trapezoid, for the 1-D ring and 2-D shell integrals alike:
+every row (an interval of a ring's gated arc, or a shell) starts at 16
+trapezoid panels, each doubling evaluates only the new nested nodes of the
+rows still active, CHUNK_NODES at a time, and a row leaves once a doubling
+changes it by at most 0.01 dB, else QuadratureError names the beam,
+component, bin and cell. A node evaluates the gain once per distinct (pitch, yaw)
 orientation. Integration domains are restricted to the closed-form gate
 intervals, so integrands stay smooth; beams with nonzero yaw fall back to
 pointwise gating of the shell integral.
@@ -293,34 +297,8 @@ def _ring_averages(rho, z: float, orientations: list, sonar: SonarConfig,
                          2.0 * math.pi)
 
 
-def ring_bp_average(
-    rho_mid: float,
-    z: float,
-    pose: SonarPose,
-    beam: BeamOrientation,
-    sonar: SonarConfig,
-    c: float,
-    *,
-    transmit_beam: BeamOrientation | None = None,
-) -> float:
-    """Average transmit-times-receive beam-pattern loss (dB) around the ring
-    of radius rho_mid at vertical offset z from the sonar, or NO_RESPONSE
-    when the whole ring is outside the gate."""
-    orientations = beam_orientations(pose, beam, transmit_beam)
-    return float(_ring_averages([rho_mid], z, orientations, sonar, c)[0])
-
-
 # ---------------------------------------------------------------------------
 # Shell (volume) beam-pattern averages
-
-
-def _effective_cutoff(d_inner: float, d_outer: float, plane_distance: float) -> float:
-    """Cutoff angle used by the expected-return pipeline. When the boundary
-    plane lies at or beyond the shell midpoint it cannot clip the shell;
-    cutoff_angle's 0 in that case means an absent boundary, not an empty
-    gate, so the constraint is dropped and only the hemisphere clamp acts."""
-    value = cutoff_angle(d_inner, d_outer, plane_distance)
-    return math.inf if value == 0.0 else value
 
 
 def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
@@ -376,34 +354,6 @@ def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
                          2.0 * math.pi**2)
 
 
-def shell_bp_average(
-    d_inner: float,
-    d_outer: float,
-    pose: SonarPose,
-    beam: BeamOrientation,
-    sonar: SonarConfig,
-    c: float,
-    *,
-    cutoffs: tuple | None = None,
-    transmit_beam: BeamOrientation | None = None,
-) -> float:
-    """Average transmit-times-receive beam-pattern loss (dB) over the gated
-    shell between slant ranges d_inner and d_outer, or NO_RESPONSE when the
-    gate is empty.
-
-    The shell is parametrized by the in-plane angle pair (theta_h, theta_v)
-    over the full square; the square double-covers directions, which the
-    strip reduction accounts for. Vertical gating excludes angles beyond the
-    bottom/surface cutoffs, shifted per orientation with its pitch.
-    """
-    if cutoffs is None:
-        cutoffs = (_effective_cutoff(d_inner, d_outer, pose.altitude_m),
-                   _effective_cutoff(d_inner, d_outer, pose.depth_m))
-    theta_ha, theta_hd = (np.array([x], dtype=float) for x in cutoffs)
-    orientations = beam_orientations(pose, beam, transmit_beam)
-    return float(_shell_averages(theta_ha, theta_hd, orientations, sonar, c)[0])
-
-
 # ---------------------------------------------------------------------------
 # Per-bin expected returns
 
@@ -415,26 +365,33 @@ def _resolution_cells(layout: BinLayout, delta_y: float):
     return m, layout.bin_length_m / m
 
 
-def _cell_sum(component, env, sonar, pose, beam, layout, transmit_beam, cells):
+def _cells(env, sonar, layout):
+    """Every resolution cell (a, b] of every bin, in (bin, cell) order, as
+    (a, b, bin_end, m, cell_len): the cell edges, the end of each cell's
+    bin, the cells per bin and the cell length."""
+    c = env.sound_speed()
+    m, cell_len = _resolution_cells(layout, range_resolution(c, sonar.bandwidth_hz))
+    a = (layout.edges[:-1, None] + np.arange(m) * cell_len).ravel()
+    return a, a + cell_len, np.repeat(layout.edges[1:], m), m, cell_len
+
+
+def _cell_sum(component, env, sonar, cells, coeff, measure, averages):
     """Expected reverberation level per bin (dB): the power sum over each
     bin's resolution cells, all cells of all bins in one batch.
 
-    cells(a, b, bin_end) takes every cell (a, b] in (bin, cell) order with
-    the end of its bin and returns (averages, coeff_db, measure), a measure
-    of 0 marking a cell that returns nothing; averages(orientations, wet)
-    gives the wet cells' ring or shell beam-pattern averages (dB). The
-    coupled average enters reverb_level as BP_T, with BP_R at 0 dB.
+    cells is _cells' result; coeff (dB) and measure give each cell's
+    backscatter coefficient and ensonified area or volume, a measure of 0
+    marking a cell that returns nothing. averages(wet) gives the ring or
+    shell beam-pattern averages (dB) of the wet cells, the indices of the
+    cells with a positive measure. The coupled average enters reverb_level
+    as BP_T, with BP_R at 0 dB.
     """
-    c = env.sound_speed()
+    a, b, _, m, cell_len = cells
     alpha_w = absorption_coeff(sonar.frequency_khz, env)
-    m, cell_len = _resolution_cells(layout, range_resolution(c, sonar.bandwidth_hz))
-    a = (layout.edges[:-1, None] + np.arange(m) * cell_len).ravel()
-    b = a + cell_len
-    averages, coeff, measure = cells(a, b, np.repeat(layout.edges[1:], m))
     wet = np.flatnonzero(measure > 0.0)
     bp = np.zeros(a.size)  # dry cells return nothing anyway
     try:
-        bp[wet] = averages(beam_orientations(pose, beam, transmit_beam), wet)
+        bp[wet] = averages(wet)
     except QuadratureError as err:
         cell = wet[err.row]
         raise QuadratureError(f"{component} bin {cell // m + 1}, cell "
@@ -443,7 +400,7 @@ def _cell_sum(component, env, sonar, pose, beam, layout, transmit_beam, cells):
         sonar.source_level_db, transmission_loss(b - cell_len / 2.0, alpha_w),
         bp, 0.0, coeff, measure,
     )
-    return to_db(to_linear(rl).reshape(layout.num_bins, m).sum(axis=1))
+    return to_db(to_linear(rl).reshape(-1, m).sum(axis=1))
 
 
 def bottom_return_bins(
@@ -457,8 +414,10 @@ def bottom_return_bins(
 ) -> np.ndarray:
     """Expected bottom reverberation level per bin (dB, NO_RESPONSE where
     the bottom is out of reach)."""
-    return _ring_return_bins(env, sonar, pose, beam, layout, kind="bottom",
-                             transmit_beam=transmit_beam)
+    return _ring_return_bins(
+        "bottom", pose.altitude_m,
+        lambda g: bottom_coeff(env.bottom_type, g, sonar.frequency_khz),
+        env, sonar, pose, beam, layout, transmit_beam)
 
 
 def surface_return_bins(
@@ -472,35 +431,32 @@ def surface_return_bins(
 ) -> np.ndarray:
     """Expected surface reverberation level per bin; the bottom pipeline
     mirrored above the sonar with the surface coefficient."""
-    return _ring_return_bins(env, sonar, pose, beam, layout, kind="surface",
-                             transmit_beam=transmit_beam)
+    return _ring_return_bins(
+        "surface", -pose.depth_m,
+        lambda g: surface_coeff(env.wind_knots, g, sonar.frequency_khz),
+        env, sonar, pose, beam, layout, transmit_beam)
 
 
-def _ring_return_bins(env, sonar, pose, beam, layout, *, kind, transmit_beam):
+def _ring_return_bins(component, z, coeff_of, env, sonar, pose, beam, layout,
+                      transmit_beam):
+    """Expected reverberation level per bin (dB) of the plane at signed
+    vertical offset z from the sonar (down positive), whose backscatter
+    coefficient (dB) at a grazing angle is coeff_of(grazing)."""
+    offset = abs(z)
+    a, b, bin_end, _, _ = cells = _cells(env, sonar, layout)
+    r_a, r_b = ring_radius(a, offset), ring_radius(b, offset)
+    area = math.pi * (r_b * r_b - r_a * r_a)
+    # A bin that ends short of the plane stays empty, whatever the rounding
+    # of its last cell edge.
+    area[(offset >= bin_end) | (offset >= b) | (area <= 0.0)] = 0.0
+    wet = area > 0.0
+    coeff = np.zeros(a.size)
+    coeff[wet] = coeff_of(grazing_between(a[wet], b[wet], offset))
+    rho = (r_a + r_b) / 2.0
+    orientations = beam_orientations(pose, beam, transmit_beam)
     c = env.sound_speed()
-    f = sonar.frequency_khz
-    offset = pose.altitude_m if kind == "bottom" else pose.depth_m
-    z = offset if kind == "bottom" else -offset
-
-    def cells(a, b, bin_end):
-        r_a, r_b = ring_radius(a, offset), ring_radius(b, offset)
-        area = math.pi * (r_b * r_b - r_a * r_a)
-        # A bin that ends short of the plane stays empty, whatever the
-        # rounding of its last cell edge.
-        area[(offset >= bin_end) | (offset >= b) | (area <= 0.0)] = 0.0
-        wet = area > 0.0
-        grazing = grazing_between(a[wet], b[wet], offset)
-        coeff = np.zeros(a.size)
-        coeff[wet] = (bottom_coeff(env.bottom_type, grazing, f) if kind == "bottom"
-                      else surface_coeff(env.wind_knots, grazing, f))
-        rho = (r_a + r_b) / 2.0
-
-        def averages(orientations, rows):
-            return _ring_averages(rho[rows], z, orientations, sonar, c)
-
-        return averages, coeff, area
-
-    return _cell_sum(kind, env, sonar, pose, beam, layout, transmit_beam, cells)
+    return _cell_sum(component, env, sonar, cells, coeff, area, lambda rows:
+                     _ring_averages(rho[rows], z, orientations, sonar, c))
 
 
 def volume_return_bins(
@@ -515,25 +471,23 @@ def volume_return_bins(
     """Expected volume reverberation level per bin (dB). The ensonified
     volume of a cell is the full hollow shell; the bottom and surface cuts
     are accounted for by the gated beam-pattern average."""
+    a, b, _, _, _ = cells = _cells(env, sonar, layout)
+    volume = 4.0 / 3.0 * math.pi * (b**3 - a**3)
+    # Scalar cutoffs: a gate edge can fall on a node at the hemisphere
+    # edge, where one ulp of the angle moves the average by 1e-8 dB.
+    # cutoff_angle's 0 means a plane that cannot clip the shell, not an
+    # empty gate, so that bound is dropped and only the hemisphere clamp acts.
+    theta_ha, theta_hd = (
+        np.array([cutoff_angle(x, y, plane) or math.inf for x, y in zip(a, b)])
+        for plane in (pose.altitude_m, pose.depth_m)
+    )
+    orientations = beam_orientations(pose, beam, transmit_beam)
     c = env.sound_speed()
-    coeff = volume_coeff(env.particle_density_db, sonar.frequency_khz)
-
-    def cells(a, b, bin_end):
-        volume = 4.0 / 3.0 * math.pi * (b**3 - a**3)
-        # Scalar cutoffs: a gate edge can fall on a node at the hemisphere
-        # edge, where one ulp of the angle moves the average by 1e-8 dB.
-        theta_ha, theta_hd = (
-            np.array([_effective_cutoff(x, y, plane) for x, y in zip(a, b)])
-            for plane in (pose.altitude_m, pose.depth_m)
-        )
-
-        def averages(orientations, rows):
-            return _shell_averages(theta_ha[rows], theta_hd[rows], orientations,
-                                   sonar, c)
-
-        return averages, np.full(a.size, coeff), volume
-
-    return _cell_sum("volume", env, sonar, pose, beam, layout, transmit_beam, cells)
+    return _cell_sum(
+        "volume", env, sonar, cells,
+        volume_coeff(env.particle_density_db, sonar.frequency_khz), volume,
+        lambda rows: _shell_averages(theta_ha[rows], theta_hd[rows],
+                                     orientations, sonar, c))
 
 
 def expected_null(

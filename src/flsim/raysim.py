@@ -376,10 +376,7 @@ def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
 
         # Advance the remaining rays into the next cell; a ray that steps
         # out of the grid on an axis crosses no more walls of that axis.
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        t1 = np.minimum(np.minimum(tx_next[idx], ty_next[idx]), t_stop[idx])
+        idx, t1 = idx[~hit], t1[~hit]
         done = t1 >= t_stop[idx]
         adv_x = tx_next[idx] <= t1
         adv_y = ty_next[idx] <= t1
@@ -410,7 +407,7 @@ def _trace_mesh(mesh: TriangleMesh, origins, dirs, t_min):
     normals = np.zeros((n, 3))
     # Rounding can put a Moller-Trumbore hit a little outside its face, by an
     # amount that grows with the coordinates, so the box is padded to match.
-    pad = 1e-6 * (1.0 + np.abs(mesh.vertices).max() + np.abs(origins).max())
+    pad = 1e-6 * (1.0 + np.abs(mesh.vertices).max() + np.abs(origins).max(initial=0.0))
     lo = mesh.vertices.min(axis=0) - pad
     hi = mesh.vertices.max(axis=0) + pad
     # A direction component of 0 gives a slab an infinite entry and exit of
@@ -512,16 +509,14 @@ def _bounce(scene: Scene, points, dirs, normals, remaining):
     """Specular bounce of a batch of impacts: reflected directions, the mask
     of rays with range left to retrace (remaining > BOUNCE_MIN_T), and the
     _trace_batch result of those rays from origins offset along their
-    reflection (None when there are none)."""
+    reflection."""
     refl = dirs - 2.0 * np.einsum("rc,rc->r", dirs, normals)[:, None] * normals
     refl /= np.linalg.norm(refl, axis=1, keepdims=True)
     origins = points + BOUNCE_OFFSET_M * refl
     live = remaining > BOUNCE_MIN_T
-    trace = None
-    if np.any(live):
-        trace = _trace_batch(
-            scene, origins[live], refl[live], BOUNCE_MIN_T, remaining[live]
-        )
+    trace = _trace_batch(
+        scene, origins[live], refl[live], BOUNCE_MIN_T, remaining[live]
+    )
     return refl, live, trace
 
 
@@ -727,20 +722,18 @@ def ping(
     # along the direct line from its second impact.
     multipath = np.zeros(num_bins)
     idx = np.nonzero(hit)[0]
-    _, live, trace2 = _bounce(
+    _, live, (kind2, t2, points2, _, grazing2, roughness2) = _bounce(
         scene, points[idx], dirs[idx], normals[idx], t_max - t[idx]
     )
-    if trace2 is not None:
-        kind2, t2, points2, _, grazing2, roughness2 = trace2
-        hit2 = kind2 >= 0
-        gi = idx[live][hit2]
-        to_sonar = points2[hit2] - origin[None, :]
-        to_sonar /= np.linalg.norm(to_sonar, axis=1, keepdims=True)
-        bp_r2 = _beam_weights(to_sonar, rx, sonar, c)
-        bins2, value2 = _echo(t[gi] + t2[hit2], kind2[hit2], grazing2[hit2],
-                              roughness2[hit2], (bp_t[gi], bp_r2), env, sonar,
-                              layout)
-        np.add.at(multipath, bins2, value2)
+    hit2 = kind2 >= 0
+    gi = idx[live][hit2]
+    to_sonar = points2[hit2] - origin[None, :]
+    to_sonar /= np.linalg.norm(to_sonar, axis=1, keepdims=True)
+    bp_r2 = _beam_weights(to_sonar, rx, sonar, c)
+    bins2, value2 = _echo(t[gi] + t2[hit2], kind2[hit2], grazing2[hit2],
+                          roughness2[hit2], (bp_t[gi], bp_r2), env, sonar,
+                          layout)
+    np.add.at(multipath, bins2, value2)
 
     return PingReturn(
         layout=layout,

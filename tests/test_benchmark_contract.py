@@ -9,7 +9,8 @@ curves, pings, detector); s2_detect does too, over steered beams and a
 heightfield bottom; mesh_sim covers the sim path with a mesh obstacle;
 big_ping traces 10^6 rays in one batch and requires that no bin is flagged.
 A traced run times every layer, so a layer that a ping stops reaching
-leaves a metric missing or not finite.
+leaves a metric missing or not finite; it runs on both detect workloads,
+the flat bottom and the heightfield.
 """
 
 import json
@@ -32,6 +33,7 @@ def _reject_constant(name):
     pytest.param("mesh_sim", 0, id="mesh_sim"),
     pytest.param("big_ping", 0, id="big_ping"),
     pytest.param("s1_detect", 1, id="s1_detect-trace"),
+    pytest.param("s2_detect", 1, id="s2_detect-trace"),
 ])
 def test_run_prints_a_correct_result_line(workload, trace):
     proc = subprocess.run(

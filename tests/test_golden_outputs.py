@@ -8,7 +8,7 @@ kept across changes to the code, not only across reruns of one version.
 
 The null goldens change only when the null model is meant to move its
 curves. The sim goldens also depend on the random streams: a change to how
-pings draw their random numbers (ROADMAP item 3) must regenerate them,
+pings draw their random numbers (ROADMAP item 2) must regenerate them,
 
     PYTHONPATH=src python -m flsim.cli sim --scenario scenario1 \
         --rays 5000 --pings 2 --out tests/golden/sim_scenario1

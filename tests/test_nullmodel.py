@@ -22,12 +22,13 @@ from flsim import (
 )
 from flsim.acoustics import absorption_coeff, range_resolution
 from flsim.db import to_db, to_linear
-from flsim.geometry import grazing_between, ring_radius
-from flsim.nullmodel import _nested_trapezoid, ring_bp_average, shell_bp_average
+from flsim.geometry import beam_orientations, grazing_between, ring_radius
+from flsim.nullmodel import _nested_trapezoid, _ring_averages, _shell_averages
 from flsim.scatter import bottom_coeff, reverb_level, surface_coeff
 
 POSE = SonarPose(altitude_m=5.0, depth_m=7.0)
 FORWARD = BeamOrientation(name="forward")
+LEVEL = beam_orientations(POSE, FORWARD, None)
 
 
 def make_sonar(**overrides):
@@ -71,13 +72,19 @@ def test_adaptive_trapezoid_raises_on_divergent_integrand():
 
 def test_quadrature_error_names_beam_component_and_bin(scenario1, monkeypatch):
     """With a panel cap no integral can meet, the first cell to integrate
-    fails: the bottom's first wet bin, 21 at 5 m altitude."""
+    fails: the bottom's first wet bin, 21 at 5 m altitude, the surface's, 29
+    at 7 m depth, or the first volume bin."""
     monkeypatch.setattr("flsim.nullmodel.MAX_PANELS", 16)
     with pytest.raises(QuadratureError) as exc:
         expected_null(scenario1.env, scenario1.sonar, POSE, FORWARD)
     message = str(exc.value)
     assert "'forward'" in message
     assert "bottom bin 21" in message
+    with pytest.raises(QuadratureError) as exc:
+        expected_null(scenario1.env, scenario1.sonar, POSE, FORWARD,
+                      include_bottom=False, include_volume=False)
+    assert "'forward'" in str(exc.value)
+    assert "surface bin 29," in str(exc.value)
     with pytest.raises(QuadratureError) as exc:
         expected_null(scenario1.env, scenario1.sonar, POSE, FORWARD,
                       include_bottom=False, include_surface=False)
@@ -92,8 +99,7 @@ def test_ring_directly_below_is_no_response(scenario1):
     """A degenerate ring at the nadir lies on the open hemisphere boundary
     of a level beam."""
     c = scenario1.env.sound_speed()
-    got = ring_bp_average(0.0, POSE.altitude_m, POSE, FORWARD,
-                          scenario1.sonar, c)
+    (got,) = _ring_averages([0.0], POSE.altitude_m, LEVEL, scenario1.sonar, c)
     assert got == NO_RESPONSE
 
 
@@ -102,7 +108,7 @@ def test_ring_average_omni_limit(scenario1):
     fraction of the ring: half of it, a 3.01 dB reduction."""
     c = scenario1.env.sound_speed()
     sonar = omni_sonar(c)
-    got = ring_bp_average(10.0, 5.0, POSE, FORWARD, sonar, c)
+    (got,) = _ring_averages([10.0], 5.0, LEVEL, sonar, c)
     assert got == pytest.approx(10.0 * math.log10(0.5), abs=0.02)
 
 
@@ -124,7 +130,7 @@ def test_ring_average_reference_quadrature(scenario1, s1_layout):
     gain = beam_gain(th, ps, sonar, c)
     ref = to_db(float(np.trapezoid(gain * gain, theta)) / (2.0 * math.pi))
 
-    got = ring_bp_average(rho, h, POSE, FORWARD, sonar, c)
+    (got,) = _ring_averages([rho], h, LEVEL, sonar, c)
     assert got == pytest.approx(ref, abs=0.05)
 
 
@@ -137,28 +143,25 @@ def test_ring_average_transmit_receive_coupling(scenario1, s1_layout):
     h = POSE.altitude_m
     rho = (ring_radius(s1_layout.edge(41), h)
            + ring_radius(s1_layout.edge(40), h)) / 2.0
-    same = ring_bp_average(rho, h, POSE, FORWARD, sonar, c)
+    def average(beam, transmit_beam):
+        orientations = beam_orientations(POSE, beam, transmit_beam)
+        return _ring_averages([rho], h, orientations, sonar, c)[0]
+
+    same = average(FORWARD, None)
     # an explicit identical transmitter changes nothing
-    explicit = ring_bp_average(rho, h, POSE, FORWARD, sonar, c,
-                               transmit_beam=FORWARD)
-    assert explicit == same
-    down = ring_bp_average(
-        rho, h, POSE, BeamOrientation(pitch_rad=math.radians(20.0)),
-        sonar, c, transmit_beam=FORWARD)
-    up = ring_bp_average(
-        rho, h, POSE, BeamOrientation(pitch_rad=math.radians(-20.0)),
-        sonar, c, transmit_beam=FORWARD)
+    assert average(FORWARD, FORWARD) == same
+    down = average(BeamOrientation(pitch_rad=math.radians(20.0)), FORWARD)
+    up = average(BeamOrientation(pitch_rad=math.radians(-20.0)), FORWARD)
     assert up < same < down
 
 
 # --- shell averages -----------------------------------------------------------------
 
 
-def test_sphere_average_empty_gate(scenario1, s1_layout):
+def test_sphere_average_empty_gate(scenario1):
     """Explicit zero cutoffs leave no admitted band."""
     c = scenario1.env.sound_speed()
-    got = shell_bp_average(s1_layout.edge(4), s1_layout.edge(5), POSE, FORWARD,
-                           scenario1.sonar, c, cutoffs=(0.0, 0.0))
+    (got,) = _shell_averages(np.zeros(1), np.zeros(1), LEVEL, scenario1.sonar, c)
     assert got == NO_RESPONSE
 
 
@@ -200,19 +203,19 @@ def test_sphere_average_reference_quadrature(scenario1, s1_layout):
     theta_ha = math.asin(2.0 * POSE.altitude_m / (a + b))
     theta_hd = math.asin(2.0 * POSE.depth_m / (a + b))
     ref = _sphere_reference(sonar, c, theta_ha, theta_hd)
-    got = shell_bp_average(a, b, POSE, FORWARD, sonar, c,
-                           cutoffs=(theta_ha, theta_hd))
+    (got,) = _shell_averages(np.array([theta_ha]), np.array([theta_hd]), LEVEL,
+                             sonar, c)
     assert got == pytest.approx(ref, abs=0.05)
 
 
-def test_sphere_average_open_water_reference(scenario1, s1_layout):
+def test_sphere_average_open_water_reference(scenario1):
     """With both cutoffs wide open only the front-hemisphere gate remains."""
     c = scenario1.env.sound_speed()
     sonar = scenario1.sonar
     ref = _sphere_reference(sonar, c, math.pi / 2, math.pi / 2,
                             n_h=2048, n_v=4096)
-    got = shell_bp_average(s1_layout.edge(40), s1_layout.edge(41), POSE, FORWARD,
-                           sonar, c, cutoffs=(math.pi / 2, math.pi / 2))
+    open_gate = np.array([math.pi / 2])
+    (got,) = _shell_averages(open_gate, open_gate, LEVEL, sonar, c)
     assert got == pytest.approx(ref, abs=0.05)
 
 
@@ -222,10 +225,11 @@ def test_sphere_average_yawed_fallback_matches_fast_path(scenario1, s1_layout):
     c = scenario1.env.sound_speed()
     sonar = scenario1.sonar
     a, b = s1_layout.edge(80), s1_layout.edge(81)
-    fast = shell_bp_average(a, b, POSE, FORWARD, sonar, c)
-    nudged = shell_bp_average(
-        a, b, POSE, BeamOrientation(yaw_rad=1e-12), sonar, c,
-        transmit_beam=FORWARD)
+    theta_ha = np.array([math.asin(2.0 * POSE.altitude_m / (a + b))])
+    theta_hd = np.array([math.asin(2.0 * POSE.depth_m / (a + b))])
+    (fast,) = _shell_averages(theta_ha, theta_hd, LEVEL, sonar, c)
+    yawed = beam_orientations(POSE, BeamOrientation(yaw_rad=1e-12), FORWARD)
+    (nudged,) = _shell_averages(theta_ha, theta_hd, yawed, sonar, c)
     assert nudged == pytest.approx(fast, abs=0.1)
 
 
@@ -295,7 +299,7 @@ def test_single_cell_pipeline_reduces_to_per_bin_formula(scenario1):
         a, b = layout.edge(n - 1), layout.edge(n)
         r_a, r_b = ring_radius(a, 5.0), ring_radius(b, 5.0)
         area = math.pi * (r_b**2 - r_a**2)
-        avg = ring_bp_average((r_a + r_b) / 2.0, 5.0, POSE, FORWARD, sonar, c)
+        (avg,) = _ring_averages([(r_a + r_b) / 2.0], 5.0, LEVEL, sonar, c)
         want = reverb_level(
             0.0,
             transmission_loss(b - layout.bin_length_m / 2.0, alpha),

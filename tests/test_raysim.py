@@ -15,6 +15,7 @@ from flsim import (
     TriangleMesh,
     bin_index,
     box_mesh,
+    build_scene,
     expected_null,
     ping,
     ray_bin_volume,
@@ -101,12 +102,12 @@ def trace_one(scene, origin, direction, max_range):
 def bounce_one(scene, hit, direction, max_range):
     """Specular bounce through _bounce of a hit that trace_one found within
     max_range: the reflected direction, whether any range is left, and row
-    0 of the retrace (None when nothing is retraced)."""
+    0 of the retrace (None when no range is left)."""
     _, t, point, normal, _, _ = hit
     refl, live, trace = _bounce(
         scene, np.array([point]), np.array([direction], dtype=float),
         np.array([normal]), np.array([max_range - t]))
-    second = None if trace is None else tuple(column[0] for column in trace)
+    second = tuple(column[0] for column in trace) if live[0] else None
     return refl[0], bool(live[0]), second
 
 
@@ -228,6 +229,20 @@ def test_trace_batch_accounts_for_every_ray(scenario1):
     assert int(missed.sum()) + int((~missed).sum()) == 4096
     # every hit in this scene is a horizontal plane
     assert np.all(np.abs(normals[~missed][:, 2]) == 1.0)
+
+
+@pytest.mark.parametrize("bottom, objects", [
+    pytest.param(FlatBottom(depth_m=12.0),
+                 (box_mesh((15.0, 0.0, 10.0), (2.0, 2.0, 2.0)),), id="box"),
+    pytest.param(Heightfield(x0=-50.0, y0=-50.0, spacing_m=25.0,
+                             depths=np.linspace(10.0, 14.0, 25).reshape(5, 5)),
+                 (), id="heightfield"),
+])
+def test_trace_batch_takes_an_empty_batch(scenario1, bottom, objects):
+    """A bounce retraces its live rays even when there are none."""
+    scene = Scene(env=scenario1.env, bottom=bottom, objects=objects)
+    trace = _trace_batch(scene, np.zeros((0, 3)), np.zeros((0, 3)), 0.0, 40.0)
+    assert [len(column) for column in trace] == [0] * 6
 
 
 def test_a_ray_leaving_a_box_from_inside_hits_its_exit_face(scenario1):
@@ -703,6 +718,25 @@ def test_ping_is_deterministic_for_a_seed(scenario1):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     c = ping(scene, sonar, POSE, FORWARD, transmit_beam=FORWARD, seed=43)
     assert not np.array_equal(a.total, c.total)
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["scenario1", "empty"])
+def test_a_ping_traces_exactly_twice(scenario1, monkeypatch, empty):
+    """One trace of the rays and one retrace of their bounces, even in a
+    scene with nothing to hit: perfbench's traced runs name the primary and
+    multipath spans by these two calls."""
+    scene = (Scene(env=scenario1.env, bottom=None, surface_enabled=False)
+             if empty else build_scene(scenario1))
+    calls = []
+    trace = raysim._trace_batch
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return trace(*args)
+
+    monkeypatch.setattr(raysim, "_trace_batch", counted)
+    ping(scene, scenario1.sonar, scenario1.pose, FORWARD, seed=1)
+    assert len(calls) == 2
 
 
 def test_ping_components_and_layout(scenario1, s1_layout):
