@@ -10,7 +10,7 @@ is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -18,6 +18,11 @@ import numpy as np
 def _check_range(name: str, value: float, lo: float, hi: float) -> None:
     if not lo <= value <= hi:
         raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+
+
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -63,6 +68,8 @@ class EnvironmentParams:
     bottom_type: float
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_finite(f.name, getattr(self, f.name))
         _check_range("temperature_c", self.temperature_c, 0.0, 35.0)
         _check_range("salinity_ppt", self.salinity_ppt, 0.0, 45.0)
         _check_range("depth_m", self.depth_m, 0.0, 1000.0)
@@ -92,8 +99,7 @@ class BeamOrientation:
     def __post_init__(self):
         for attr in ("pitch_rad", "yaw_rad"):
             value = getattr(self, attr)
-            if not math.isfinite(value):
-                raise ValueError(f"{attr} must be finite, got {value}")
+            _check_finite(attr, value)
             wrapped = math.remainder(value, 2.0 * math.pi)
             if wrapped <= -math.pi:
                 wrapped = math.pi

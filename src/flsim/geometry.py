@@ -235,12 +235,14 @@ class SonarPose:
     pitch_rad: float = 0.0
 
     def __post_init__(self):
+        for attr in ("altitude_m", "depth_m", "pitch_rad"):
+            value = getattr(self, attr)
+            if not math.isfinite(value):
+                raise ValueError(f"{attr} must be finite, got {value}")
         if self.altitude_m <= 0:
             raise ValueError(f"altitude_m must be > 0, got {self.altitude_m}")
         if self.depth_m <= 0:
             raise ValueError(f"depth_m must be > 0, got {self.depth_m}")
-        if not math.isfinite(self.pitch_rad):
-            raise ValueError(f"pitch_rad must be finite, got {self.pitch_rad}")
 
 
 def beam_orientations(pose: SonarPose, beam: BeamOrientation,

@@ -12,9 +12,11 @@ bounding box drops the rays that cannot reach it, and Moller-Trumbore over
 every face finds the nearest hit of the rest.
 
 A heightfield bottom is traced by _trace_heightfield, a lockstep grid walk
-that solves each cell's bilinear patch. A ray is walked only while it lies
-inside the terrain's depth slab [depths.min(), depths.max()], and beyond the
-grid on an axis it stays in one clamped virtual cell and crosses no walls.
+with one body for the x and y axes and one root rule for each cell's
+bilinear patch (_patch, which Heightfield.depth_at shares). A ray is walked
+only while it lies inside the terrain's depth slab [depths.min(),
+depths.max()], and beyond the grid on an axis it stays in one clamped
+virtual cell and crosses no walls.
 
 Every bounce goes through one batch path, _bounce: reflect the ray about the
 hit normal, offset the new origin along the reflection, and retrace with the
@@ -85,8 +87,8 @@ class FlatBottom:
     depth_m: float
 
     def __post_init__(self):
-        if not self.depth_m > 0:
-            raise ValueError(f"depth_m must be > 0, got {self.depth_m}")
+        if not 0 < self.depth_m < math.inf:
+            raise ValueError(f"depth_m must be finite and > 0, got {self.depth_m}")
 
 
 @dataclass(frozen=True)
@@ -103,13 +105,17 @@ class Heightfield:
     depths: np.ndarray
 
     def __post_init__(self):
+        for attr in ("x0", "y0", "spacing_m"):
+            value = getattr(self, attr)
+            if not math.isfinite(value):
+                raise ValueError(f"{attr} must be finite, got {value}")
         if not self.spacing_m > 0:
             raise ValueError(f"spacing_m must be > 0, got {self.spacing_m}")
         depths = np.asarray(self.depths, dtype=float)
         if depths.ndim != 2 or depths.shape[0] < 2 or depths.shape[1] < 2:
             raise ValueError("depths must be a 2-D grid with at least 2x2 nodes")
-        if not np.all(depths > 0):
-            raise ValueError("all heightfield depths must be > 0")
+        if not np.all((depths > 0) & np.isfinite(depths)):
+            raise ValueError("all heightfield depths must be finite and > 0")
         object.__setattr__(self, "depths", depths)
 
     def depth_at(self, x, y):
@@ -123,13 +129,8 @@ class Heightfield:
         iy = np.minimum(fy.astype(int), ny - 2)
         u = fx - ix
         v = fy - iy
-        d = self.depths
-        out = (
-            d[ix, iy] * (1 - u) * (1 - v)
-            + d[ix + 1, iy] * u * (1 - v)
-            + d[ix, iy + 1] * (1 - u) * v
-            + d[ix + 1, iy + 1] * u * v
-        )
+        z00, ca, cb, cg = _patch(self.depths, ix, iy)
+        out = z00 + ca * u + cb * v + cg * u * v
         return out if out.ndim else float(out)
 
 
@@ -149,6 +150,8 @@ class TriangleMesh:
             raise ValueError("faces index outside the vertex array") from None
         if vertices.ndim != 2 or vertices.shape[1] != 3 or vertices.shape[0] < 3:
             raise ValueError("vertices must be an (n, 3) array with n >= 3")
+        if not np.all(np.isfinite(vertices)):
+            raise ValueError("vertices must be finite")
         if faces.ndim != 2 or faces.shape[1] != 3 or faces.shape[0] < 1:
             raise ValueError("faces must be an (m, 3) array with m >= 1")
         if faces.min() < 0 or faces.max() >= vertices.shape[0]:
@@ -218,10 +221,23 @@ def _trace_plane(origins, dirs, z, heading, t_min):
     return t, (0.0, 0.0, -heading)
 
 
+def _patch(depths, i, j):
+    """Bilinear patch of cells (i, j): depth z00 + ca*u + cb*v + cg*u*v at
+    local coordinates (u, v) in [0, 1]^2. Each corner is gathered once."""
+    z00 = depths[i, j]
+    z10 = depths[i + 1, j]
+    z01 = depths[i, j + 1]
+    return z00, z10 - z00, z01 - z00, depths[i + 1, j + 1] - z10 - z01 + z00
+
+
 def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
     """First intersection with the bilinear terrain by stepping every ray
     through grid columns in lockstep (Amanatides-Woo, Eurographics 1987) and
     solving the per-cell quadratic.
+
+    The x and y axes share one walk body, and one root rule solves each
+    cell: the linear root on a planar patch, the stable quadratic pair on a
+    curved one, then the first root inside the cell's parameter span.
 
     Two exact cuts keep the walk short. The terrain never leaves the depth
     slab [depths.min(), depths.max()], so each ray is walked only over the
@@ -233,7 +249,6 @@ def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
     t_hit = np.full(n, np.inf)
     normals = np.zeros((n, 3))
     s = hf.spacing_m
-    nx, ny = hf.depths.shape
     d = hf.depths
 
     # Parameter interval of each ray inside the depth slab, padded against
@@ -250,127 +265,97 @@ def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
     if rays.size == 0:
         return t_hit, normals
 
-    ox, oy, oz = origins[rays, 0], origins[rays, 1], origins[rays, 2]
-    dx, dy, dz = dirs[rays, 0], dirs[rays, 1], dirs[rays, 2]
+    oz, dz = origins[rays, 2], dirs[rays, 2]
     t_cur = t_start[rays]
     t_stop = t_end[rays]
     m = rays.size
     active = np.ones(m, dtype=bool)
 
-    # Start cell, clamped to the virtual cell just past each edge.
-    ix = np.clip(np.floor((ox + t_cur * dx - hf.x0) / s), -1, nx - 1).astype(np.int64)
-    iy = np.clip(np.floor((oy + t_cur * dy - hf.y0) / s), -1, ny - 1).astype(np.int64)
-    sx = np.sign(dx).astype(np.int64)
-    sy = np.sign(dy).astype(np.int64)
-
-    with np.errstate(divide="ignore"):
-        step_tx = np.abs(s / dx)
-        step_ty = np.abs(s / dy)
-    # Parameter of the next x and y wall crossing for each ray: inf while
-    # it moves away from the grid, the grid's edge wall while it moves
-    # toward it from the virtual cell.
-    tx_next = np.full(m, np.inf)
-    ty_next = np.full(m, np.inf)
-    pos_x = (dx > 0) & (ix < nx - 1)
-    neg_x = (dx < 0) & (ix >= 0)
-    tx_next[pos_x] = (hf.x0 + (ix[pos_x] + 1) * s - ox[pos_x]) / dx[pos_x]
-    tx_next[neg_x] = (hf.x0 + ix[neg_x] * s - ox[neg_x]) / dx[neg_x]
-    pos_y = (dy > 0) & (iy < ny - 1)
-    neg_y = (dy < 0) & (iy >= 0)
-    ty_next[pos_y] = (hf.y0 + (iy[pos_y] + 1) * s - oy[pos_y]) / dy[pos_y]
-    ty_next[neg_y] = (hf.y0 + iy[neg_y] * s - oy[neg_y]) / dy[neg_y]
+    # Walk state per axis, x then y, one 1-D array each (an (m, 2) stack
+    # gathers more slowly): the grid corner, the last real cell, the ray
+    # origin and direction, the cell (clamped to the virtual cell just past
+    # each edge), its step, the wall spacing in t, and the parameter of the
+    # next wall crossing. That is inf while the ray moves away from the
+    # grid, and the grid's edge wall while it moves toward it from the
+    # virtual cell.
+    axes = []
+    for ax, c0 in ((0, hf.x0), (1, hf.y0)):
+        k = d.shape[ax] - 2  # the last real cell
+        o, dr = origins[rays, ax], dirs[rays, ax]
+        i = np.clip(np.floor((o + t_cur * dr - c0) / s), -1, k + 1).astype(np.int64)
+        with np.errstate(divide="ignore"):
+            wall_dt = np.abs(s / dr)
+        wall_t = np.full(m, np.inf)
+        toward = ((dr > 0) & (i <= k)) | ((dr < 0) & (i >= 0))
+        wall = i[toward] + (dr[toward] > 0)
+        wall_t[toward] = (c0 + wall * s - o[toward]) / dr[toward]
+        axes.append((c0, k, o, dr, i, np.sign(dr).astype(np.int64), wall_dt, wall_t))
+    corner, last, org, drn, cell, step, wall_dt, wall_t = zip(*axes)
 
     # Over a parameter length L a ray crosses at most ceil(L |dx| / s) + 1 x
     # walls and as many y walls, and never more than the grid's nx + ny
     # walls; each step crosses a wall or ends the ray. The constant covers
     # those +1s, the last step and rounding.
-    crossings = np.ceil((t_stop - t_cur) * (np.abs(dx) + np.abs(dy)) / s)
-    max_steps = int(min(crossings.max(), nx + ny)) + 8
+    crossings = np.ceil((t_stop - t_cur) * (np.abs(drn[0]) + np.abs(drn[1])) / s)
+    max_steps = int(min(crossings.max(), sum(d.shape))) + 8
     for _ in range(max_steps):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
         t0 = t_cur[idx]
-        t1 = np.minimum(np.minimum(tx_next[idx], ty_next[idx]), t_stop[idx])
-
-        cix = ix[idx]
-        ciy = iy[idx]
-        out_lo_x = cix < 0
-        out_hi_x = cix > nx - 2
-        out_lo_y = ciy < 0
-        out_hi_y = ciy > ny - 2
-        icx = np.clip(cix, 0, nx - 2)
-        icy = np.clip(ciy, 0, ny - 2)
-        z00 = d[icx, icy]
-        z10 = d[icx + 1, icy]
-        z01 = d[icx, icy + 1]
-        z11 = d[icx + 1, icy + 1]
-        ca = z10 - z00
-        cb = z01 - z00
-        cg = z11 - z10 - z01 + z00
+        t1 = np.minimum(np.minimum(wall_t[0][idx], wall_t[1][idx]), t_stop[idx])
 
         # Local cell coordinates as affine functions of the ray parameter,
         # flattened outside the grid so the edge values continue.
-        u0 = (ox[idx] - (hf.x0 + icx * s)) / s
-        du = dx[idx] / s
-        u0 = np.where(out_lo_x, 0.0, np.where(out_hi_x, 1.0, u0))
-        du = np.where(out_lo_x | out_hi_x, 0.0, du)
-        v0 = (oy[idx] - (hf.y0 + icy * s)) / s
-        dv = dy[idx] / s
-        v0 = np.where(out_lo_y, 0.0, np.where(out_hi_y, 1.0, v0))
-        dv = np.where(out_lo_y | out_hi_y, 0.0, dv)
+        real, out, coord, rate = [], [], [], []
+        for c0, k, o, dr, i in zip(corner, last, org, drn, cell):
+            c = i[idx]
+            ic = np.clip(c, 0, k)
+            off = c != ic
+            real.append(ic)
+            out.append(off)
+            coord.append(np.where(off, c > k, (o[idx] - (c0 + ic * s)) / s))
+            rate.append(np.where(off, 0.0, dr[idx] / s))
+        z00, ca, cb, cg = _patch(d, *real)
+        (u0, v0), (du, dv) = coord, rate
 
         qa = -cg * du * dv
         qb = dz[idx] - (ca * du + cb * dv + cg * (u0 * dv + v0 * du))
         qc = oz[idx] - (z00 + ca * u0 + cb * v0 + cg * u0 * v0)
 
-        root = np.full(idx.size, np.inf)
-        quad = np.abs(qa) > 1e-300
-        if np.any(quad):
-            disc = qb[quad] ** 2 - 4.0 * qa[quad] * qc[quad]
-            has = disc >= 0.0
-            if np.any(has):
-                sq = np.sqrt(disc[has])
-                a_h = qa[quad][has]
-                b_h = qb[quad][has]
-                c_h = qc[quad][has]
-                q = -0.5 * (b_h + np.sign(b_h) * sq)
-                q = np.where(q == 0.0, -0.5 * sq, q)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    r1 = np.where(q != 0.0, c_h / q, np.inf)
-                    r2 = np.where(a_h != 0.0, q / a_h, np.inf)
-                lo = np.minimum(r1, r2)
-                hi = np.maximum(r1, r2)
-                t0q = t0[quad][has]
-                t1q = t1[quad][has]
-                pick = np.where(
-                    (lo >= t0q) & (lo <= t1q),
-                    lo,
-                    np.where((hi >= t0q) & (hi <= t1q), hi, np.inf),
-                )
-                tmp = np.full(np.count_nonzero(quad), np.inf)
-                tmp[has] = pick
-                root[quad] = tmp
-        lin = ~quad & (np.abs(qb) > 1e-300)
-        if np.any(lin):
-            cand = -qc[lin] / qb[lin]
-            ok = (cand >= t0[lin]) & (cand <= t1[lin])
-            root[lin] = np.where(ok, cand, np.inf)
+        # One root rule: the linear root on a planar patch, the stable
+        # quadratic pair on a curved one (a negative discriminant gives nan),
+        # then the first root inside [t0, t1].
+        lo = np.full(idx.size, np.nan)
+        hi = np.full(idx.size, np.nan)
+        planar = np.abs(qb) > 1e-300
+        lo[planar] = -qc[planar] / qb[planar]
+        curved = np.abs(qa) > 1e-300
+        if np.any(curved):
+            a_c, b_c, c_c = qa[curved], qb[curved], qc[curved]
+            with np.errstate(invalid="ignore"):
+                sq = np.sqrt(b_c ** 2 - 4.0 * a_c * c_c)
+            q = -0.5 * (b_c + np.sign(b_c) * sq)
+            q = np.where(q == 0.0, -0.5 * sq, q)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r1 = np.where(q != 0.0, c_c / q, np.inf)
+                r2 = q / a_c
+            lo[curved] = np.minimum(r1, r2)
+            hi[curved] = np.maximum(r1, r2)
+        root = np.where((lo >= t0) & (lo <= t1), lo,
+                        np.where((hi >= t0) & (hi <= t1), hi, np.inf))
 
         hit = np.isfinite(root)
         if np.any(hit):
             gi = idx[hit]
             th = root[hit]
             t_hit[rays[gi]] = th
-            uh = np.clip(u0[hit] + du[hit] * th, 0.0, 1.0)
-            vh = np.clip(v0[hit] + dv[hit] * th, 0.0, 1.0)
-            gx = np.where(
-                out_lo_x[hit] | out_hi_x[hit], 0.0, (ca[hit] + cg[hit] * vh) / s
-            )
-            gy = np.where(
-                out_lo_y[hit] | out_hi_y[hit], 0.0, (cb[hit] + cg[hit] * uh) / s
-            )
-            nvec = np.stack([gx, gy, -np.ones_like(gx)], axis=-1)
+            at = [np.clip(c[hit] + r[hit] * th, 0.0, 1.0) for c, r in zip(coord, rate)]
+            grad = [
+                np.where(off[hit], 0.0, (slope[hit] + cg[hit] * at[1 - ax]) / s)
+                for ax, (off, slope) in enumerate(zip(out, (ca, cb)))
+            ]
+            nvec = np.stack([*grad, -np.ones_like(th)], axis=-1)
             normals[rays[gi]] = nvec / np.linalg.norm(nvec, axis=-1, keepdims=True)
             active[gi] = False
 
@@ -378,17 +363,12 @@ def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
         # out of the grid on an axis crosses no more walls of that axis.
         idx, t1 = idx[~hit], t1[~hit]
         done = t1 >= t_stop[idx]
-        adv_x = tx_next[idx] <= t1
-        adv_y = ty_next[idx] <= t1
         t_cur[idx] = t1
-        sub = idx[adv_x]
-        ix[sub] += sx[sub]
-        tx_next[sub] += step_tx[sub]
-        tx_next[sub[(ix[sub] < 0) | (ix[sub] > nx - 2)]] = np.inf
-        sub = idx[adv_y]
-        iy[sub] += sy[sub]
-        ty_next[sub] += step_ty[sub]
-        ty_next[sub[(iy[sub] < 0) | (iy[sub] > ny - 2)]] = np.inf
+        for k, i, di, dt, tw in zip(last, cell, step, wall_dt, wall_t):
+            sub = idx[tw[idx] <= t1]
+            i[sub] += di[sub]
+            tw[sub] += dt[sub]
+            tw[sub[(i[sub] < 0) | (i[sub] > k)]] = np.inf
         active[idx[done]] = False
     if np.any(active):
         raise RuntimeError(

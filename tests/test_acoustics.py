@@ -288,3 +288,14 @@ def test_environment_rejects_bad_values():
             max_depth_m=12.0, ph=8.0, wind_knots=10.0, shipping_density=1.5,
             particle_density_db=-90.0, bottom_type=2.0,
         )
+    # non-finite values, which would turn a ping's bins into nan
+    good = dict(
+        temperature_c=10.0, salinity_ppt=35.0, depth_m=7.0, max_depth_m=12.0,
+        ph=8.0, wind_knots=10.0, shipping_density=0.5,
+        particle_density_db=-90.0, bottom_type=2.0,
+    )
+    EnvironmentParams(**good)
+    for key in ("wind_knots", "ph", "particle_density_db", "max_depth_m"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                EnvironmentParams(**{**good, key: bad})

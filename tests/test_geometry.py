@@ -240,3 +240,10 @@ def test_sonar_pose_validation():
         SonarPose(altitude_m=0.0, depth_m=7.0)
     with pytest.raises(ValueError):
         SonarPose(altitude_m=5.0, depth_m=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SonarPose(altitude_m=bad, depth_m=7.0)
+        with pytest.raises(ValueError, match="finite"):
+            SonarPose(altitude_m=5.0, depth_m=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SonarPose(altitude_m=5.0, depth_m=7.0, pitch_rad=bad)

@@ -57,6 +57,22 @@ def test_scene_component_validation(scenario1):
         Heightfield(x0=0.0, y0=0.0, spacing_m=1.0, depths=np.zeros((3, 3)))
     with pytest.raises(ValueError):
         Heightfield(x0=0.0, y0=0.0, spacing_m=0.0, depths=np.ones((2, 2)))
+    # non-finite geometry: an infinite spacing would hide the floor, a nan
+    # corner would reach the walk's cell index
+    grid = dict(x0=0.0, y0=0.0, spacing_m=1.0, depths=np.full((3, 3), 10.0))
+    for key, bad in (("spacing_m", math.inf), ("x0", math.nan),
+                     ("y0", -math.inf),
+                     ("depths", np.where(np.eye(3) > 0, math.inf, 10.0)),
+                     ("depths", np.where(np.eye(3) > 0, math.nan, 10.0))):
+        with pytest.raises(ValueError, match="finite"):
+            Heightfield(**{**grid, key: bad})
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            FlatBottom(depth_m=bad)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TriangleMesh(vertices=[[0, 0, 0], [1, 0, bad], [0, 1, 0]],
+                         faces=[[0, 1, 2]])
     with pytest.raises(ValueError, match=re.escape(
             "size_m components must be > 0, got (1.0, 0.0, 1.0)")):
         box_mesh((0, 0, 0), (1.0, 0.0, 1.0))
@@ -155,6 +171,30 @@ def test_heightfield_ray_crossing_many_cells_is_not_dropped(scenario1):
     assert flat_kind == KIND_BOTTOM and flat_t == pytest.approx(35.0, rel=1e-9)
     assert kind == KIND_BOTTOM
     assert t == pytest.approx(flat_t, abs=1e-9)
+
+
+@pytest.mark.parametrize("origin,heading", [((0.0, 0.0), 1.0), ((1.0, 1.0), -1.0)])
+def test_heightfield_diagonal_hit_takes_the_nearer_quadratic_root(
+        scenario1, origin, heading):
+    # Along the cell diagonal u = v = w the patch depth is 10 - 2w + 2w^2, so
+    # a level ray at 9.7 m meets it at w = (1 -+ sqrt(0.4)) / 2; from either
+    # corner the nearer root lies sqrt(2) (1 - sqrt(0.4)) / 2 along the ray.
+    hf = Heightfield(x0=0.0, y0=0.0, spacing_m=1.0,
+                     depths=np.array([[10.0, 9.0], [9.0, 10.0]]))
+    scene = Scene(env=scenario1.env, bottom=hf, surface_enabled=False)
+    d = np.array([heading, heading, 0.0]) / math.sqrt(2.0)
+    kind, t, point, normal, _, _ = trace_one(scene, (*origin, 9.7), d, 10.0)
+    t_exact = math.sqrt(2.0) * (1.0 - math.sqrt(0.4)) / 2.0
+    assert kind == KIND_BOTTOM
+    assert t == pytest.approx(t_exact, rel=1e-12)
+    # the analytic normal (dz/dx, dz/dy, -1) = (-1 + 2v, -1 + 2u, -1)
+    u, v = point[0], point[1]
+    n_exact = np.array([-1.0 + 2.0 * v, -1.0 + 2.0 * u, -1.0])
+    n_exact /= np.linalg.norm(n_exact)
+    np.testing.assert_allclose(normal, n_exact, rtol=0.0, atol=1e-12)
+    side = -heading * math.sqrt(0.2 / 0.9)
+    np.testing.assert_allclose(normal, [side, side, -math.sqrt(0.5 / 0.9)],
+                               rtol=0.0, atol=1e-12)
 
 
 def test_box_face_hit(scenario1):
