@@ -26,8 +26,8 @@ def _check_finite(name: str, value: float) -> None:
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

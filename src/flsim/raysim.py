@@ -29,6 +29,16 @@ the impact. A bounce differs from a direct hit only in its path length,
 t1 + t2 instead of t, and its receive weight, the gain of the direct line
 from the second impact to the sonar instead of the launch direction.
 
+ping draws all its ray directions up front, from one generator call, and
+then runs its whole body (beam weights, trace, echoes, bounce) over chunks
+of PING_CHUNK_RAYS rays, adding each chunk into the per-bin accumulators.
+Every per-ray array but the directions (24 bytes a ray) lives for one
+chunk, so beyond its directions a ping's memory does not grow with
+num_rays. The rays are independent and np.add.at adds in ray order, so
+every bin sums the same terms in the same order however the rays are split:
+the outputs do not depend on the chunk size. A ping of at most one chunk,
+every 20k-ray ping, calls _trace_batch exactly twice.
+
 All per-bin accumulators are linear intensities; dB views are provided on
 the result object. Ambient noise is added separately by add_noise so a
 simulated ping can be compared against the analytic expectation with the
@@ -74,6 +84,9 @@ BOUNCE_MIN_T = 1e-6
 # Rays per Moller-Trumbore block of _trace_mesh; a block holds a few
 # (rays, faces, 3) arrays.
 MESH_CHUNK_RAYS = 4096
+# Rays per pass of ping's body: the bound on every per-ray array of a ping
+# but its directions.
+PING_CHUNK_RAYS = 65536
 
 KIND_BOTTOM = 0
 KIND_SURFACE = 1
@@ -386,18 +399,26 @@ def _trace_mesh(mesh: TriangleMesh, origins, dirs, t_min):
     t_best = np.full(n, np.inf)
     normals = np.zeros((n, 3))
     # Rounding can put a Moller-Trumbore hit a little outside its face, by an
-    # amount that grows with the coordinates, so the box is padded to match.
-    pad = 1e-6 * (1.0 + np.abs(mesh.vertices).max() + np.abs(origins).max(initial=0.0))
-    lo = mesh.vertices.min(axis=0) - pad
-    hi = mesh.vertices.max(axis=0) + pad
-    # A direction component of 0 gives a slab an infinite entry and exit of
+    # amount that grows with the coordinates, so the box is padded to match:
+    # for each ray by its own origin, so no other ray of the batch moves it.
+    ao = np.abs(origins)
+    pad = 1e-6 * (1.0 + np.abs(mesh.vertices).max()
+                  + np.maximum(np.maximum(ao[:, 0], ao[:, 1]), ao[:, 2]))
+    # One slab per axis, in a loop over the three columns, which numpy runs
+    # several times faster than a reduction over each row's three values. A
+    # direction component of 0 gives a slab an infinite entry and exit of
     # the right signs, or nan for an origin on the padded plane, which no
-    # face reaches and every comparison below rejects.
+    # face reaches: np.maximum and np.minimum carry the nan, and every
+    # comparison below rejects it.
+    t_near = np.full(n, -np.inf)
+    t_far = np.full(n, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = (lo - origins) / dirs
-        b = (hi - origins) / dirs
-        t_near = np.minimum(a, b).max(axis=1)
-        t_far = np.maximum(a, b).min(axis=1)
+        for lo, hi, o, dr in zip(mesh.vertices.min(axis=0),
+                                 mesh.vertices.max(axis=0), origins.T, dirs.T):
+            a = (lo - pad - o) / dr
+            b = (hi + pad - o) / dr
+            t_near = np.maximum(t_near, np.minimum(a, b))
+            t_far = np.minimum(t_far, np.maximum(a, b))
         rays = np.nonzero((t_near <= t_far) & (t_far >= t_min))[0]
 
     v0 = mesh.vertices[mesh.faces[:, 0]]
@@ -657,39 +678,59 @@ def ping(
     num_bins = layout.num_bins
 
     dirs = sample_ray_directions(n_rays, rng)
-
     origin = np.zeros(3)
     origin[2] = pose.depth_m
-    origins = np.broadcast_to(origin, dirs.shape)
-
     rx, tx = beam_orientations(pose, beam, transmit_beam)
-    bp_t = _beam_weights(dirs, tx, sonar, c)
-    # The gain depends on the orientation only, so a receive beam that
-    # points where the transmitter does reuses the transmit weights.
-    bp_r = bp_t if rx == tx else _beam_weights(dirs, rx, sonar, c)
-    w = bp_t * bp_r
 
-    kind, t, points, normals, grazing, roughness = _trace_batch(
-        scene, origins, dirs, 0.0, t_max
-    )
-    hit = kind >= 0
-    kinds_h = kind[hit]
-    bins, value = _echo(t[hit], kinds_h, grazing[hit], roughness[hit],
-                        (w[hit],), env, sonar, layout)
-    bottom, surface, object_ = (np.zeros(num_bins) for _ in range(3))
-    for code, acc in ((KIND_BOTTOM, bottom), (KIND_SURFACE, surface),
-                      (KIND_OBJECT, object_)):
-        sel = kinds_h == code
-        np.add.at(acc, bins[sel], value[sel])
+    bottom, surface, object_, multipath = (np.zeros(num_bins) for _ in range(4))
+    # The volume term's beam weight summed by each ray's last ensonified
+    # shell, numbered from 1 (num_bins for a ray that escapes).
+    per_last = np.zeros(num_bins + 1)
+    for start in range(0, n_rays, PING_CHUNK_RAYS):
+        d = dirs[start:start + PING_CHUNK_RAYS]
+        bp_t = _beam_weights(d, tx, sonar, c)
+        # The gain depends on the orientation only, so a receive beam that
+        # points where the transmitter does reuses the transmit weights.
+        bp_r = bp_t if rx == tx else _beam_weights(d, rx, sonar, c)
+        w = bp_t * bp_r
 
-    # Volume reverberation: every ray ensonifies each shell it crosses, up
-    # to and including the shell of its impact.
+        kind, t, points, normals, grazing, roughness = _trace_batch(
+            scene, np.broadcast_to(origin, d.shape), d, 0.0, t_max
+        )
+        hit = kind >= 0
+        kinds_h = kind[hit]
+        bins, value = _echo(t[hit], kinds_h, grazing[hit], roughness[hit],
+                            (w[hit],), env, sonar, layout)
+        for code, acc in ((KIND_BOTTOM, bottom), (KIND_SURFACE, surface),
+                          (KIND_OBJECT, object_)):
+            sel = kinds_h == code
+            np.add.at(acc, bins[sel], value[sel])
+
+        # Volume reverberation: every ray ensonifies each shell it crosses,
+        # up to and including the shell of its impact.
+        last_bin = np.full(d.shape[0], num_bins)
+        last_bin[hit] = bins + 1
+        np.add.at(per_last, last_bin, w)
+
+        # First-order multipath: one specular bounce per impacted ray,
+        # received along the direct line from its second impact.
+        idx = np.nonzero(hit)[0]
+        _, live, (kind2, t2, points2, _, grazing2, roughness2) = _bounce(
+            scene, points[idx], d[idx], normals[idx], t_max - t[idx]
+        )
+        hit2 = kind2 >= 0
+        gi = idx[live][hit2]
+        to_sonar = points2[hit2] - origin[None, :]
+        to_sonar /= np.linalg.norm(to_sonar, axis=1, keepdims=True)
+        bp_r2 = _beam_weights(to_sonar, rx, sonar, c)
+        bins2, value2 = _echo(t[gi] + t2[hit2], kind2[hit2], grazing2[hit2],
+                              roughness2[hit2], (bp_t[gi], bp_r2), env, sonar,
+                              layout)
+        np.add.at(multipath, bins2, value2)
+
     volume = np.zeros(num_bins)
     if scene.volume_enabled:
-        last_bin = np.full(n_rays, num_bins)
-        last_bin[hit] = bins + 1
-        per_last = np.bincount(last_bin, weights=w, minlength=num_bins + 1)[1:]
-        reach = np.cumsum(per_last[::-1])[::-1]
+        reach = np.cumsum(per_last[1:][::-1])[::-1]
         f = sonar.frequency_khz
         sv_fac = to_linear(volume_coeff(env.particle_density_db, f))
         tl_lin_c = to_linear(
@@ -697,23 +738,6 @@ def ping(
         shares = ray_bin_volume(np.arange(1, num_bins + 1), layout, n_rays)
         volume = (to_linear(sonar.source_level_db) * sv_fac * tl_lin_c
                   * shares * reach)
-
-    # First-order multipath: one specular bounce per impacted ray, received
-    # along the direct line from its second impact.
-    multipath = np.zeros(num_bins)
-    idx = np.nonzero(hit)[0]
-    _, live, (kind2, t2, points2, _, grazing2, roughness2) = _bounce(
-        scene, points[idx], dirs[idx], normals[idx], t_max - t[idx]
-    )
-    hit2 = kind2 >= 0
-    gi = idx[live][hit2]
-    to_sonar = points2[hit2] - origin[None, :]
-    to_sonar /= np.linalg.norm(to_sonar, axis=1, keepdims=True)
-    bp_r2 = _beam_weights(to_sonar, rx, sonar, c)
-    bins2, value2 = _echo(t[gi] + t2[hit2], kind2[hit2], grazing2[hit2],
-                          roughness2[hit2], (bp_t[gi], bp_r2), env, sonar,
-                          layout)
-    np.add.at(multipath, bins2, value2)
 
     return PingReturn(
         layout=layout,

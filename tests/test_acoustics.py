@@ -273,6 +273,10 @@ def test_sonar_config_rejects_bad_values():
         params[key] = bad
         with pytest.raises(ValueError):
             SonarConfig(**params)
+    for key in ("frequency_khz", "bandwidth_hz", "ping_rate_hz",
+                "horizontal_len_m", "vertical_len_m", "bin_length_m"):
+        with pytest.raises(ValueError, match=f"{key} must be finite and > 0"):
+            SonarConfig(**{**good, key: math.inf})
 
 
 def test_environment_rejects_bad_values():

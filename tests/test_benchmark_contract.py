@@ -7,7 +7,8 @@ A run at --seconds 0 does the fewest iterations the harness allows, so each
 case here takes a few seconds. s1_detect covers the detect path (null
 curves, pings, detector); s2_detect does too, over steered beams and a
 heightfield bottom; mesh_sim covers the sim path with a mesh obstacle;
-big_ping traces 10^6 rays in one batch and requires that no bin is flagged.
+big_ping traces 10^6 rays in one ping, streamed in fixed-size chunks, and
+requires that no bin is flagged.
 A traced run times every layer, so a layer that a ping stops reaching
 leaves a metric missing or not finite; it runs on both detect workloads,
 the flat bottom and the heightfield.

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,11 @@ from flsim import (
 from flsim import raysim
 from flsim.acoustics import absorption_coeff, beam_gain, transmission_loss
 from flsim.db import to_linear
-from flsim.geometry import beam_angles_surface, rotate_to_sonar_frame
+from flsim.geometry import (
+    beam_angles_surface,
+    rotate_to_sonar_frame,
+    rotation_matrix_yaw,
+)
 from flsim.raysim import (
     BOUNCE_MIN_T,
     KIND_BOTTOM,
@@ -39,6 +44,7 @@ from flsim.scatter import ObjectMaterial, bottom_coeff, surface_coeff
 
 POSE = SonarPose(altitude_m=5.0, depth_m=7.0)
 FORWARD = BeamOrientation(name="forward")
+COMPONENTS = ("bottom", "surface", "object_", "volume", "multipath")
 
 
 def flat_scene(env, **kw):
@@ -762,9 +768,10 @@ def test_ping_is_deterministic_for_a_seed(scenario1):
 
 @pytest.mark.parametrize("empty", [False, True], ids=["scenario1", "empty"])
 def test_a_ping_traces_exactly_twice(scenario1, monkeypatch, empty):
-    """One trace of the rays and one retrace of their bounces, even in a
-    scene with nothing to hit: perfbench's traced runs name the primary and
-    multipath spans by these two calls."""
+    """A ping of at most one chunk (raysim.PING_CHUNK_RAYS) makes one trace
+    of the rays and one retrace of their bounces, even in a scene with
+    nothing to hit: perfbench's traced runs name the primary and multipath
+    spans by these two calls. Every 20k-ray workload is one chunk."""
     scene = (Scene(env=scenario1.env, bottom=None, surface_enabled=False)
              if empty else build_scene(scenario1))
     calls = []
@@ -777,6 +784,108 @@ def test_a_ping_traces_exactly_twice(scenario1, monkeypatch, empty):
     monkeypatch.setattr(raysim, "_trace_batch", counted)
     ping(scene, scenario1.sonar, scenario1.pose, FORWARD, seed=1)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("case", ["flat", "step_pitched", "mesh"])
+def test_a_ping_does_not_depend_on_how_its_rays_are_chunked(
+        scenario1, scenario2, monkeypatch, case):
+    """A 20k-ray ping is one chunk. In chunks of 4999 rays, which do not
+    divide the ray count, every component must come out bit for bit the
+    same: on a flat bottom, on the step with a pitched receive beam (its
+    receive and transmit weights differ) and with a mesh obstacle."""
+    sc, beam = scenario1, FORWARD
+    if case == "step_pitched":
+        sc, beam = scenario2, scenario2.sonar.beams[1]
+        assert beam.pitch_rad != sc.transmitter.pitch_rad
+    scene = build_scene(sc)
+    if case == "mesh":
+        box = box_mesh((15.0, 0.0, 10.0), (2.0, 2.0, 2.0))
+        scene = replace(scene, objects=(box,))
+    sonar = replace(sc.sonar, num_rays=20000)
+    assert raysim.PING_CHUNK_RAYS >= sonar.num_rays
+    whole = ping(scene, sonar, sc.pose, beam, transmit_beam=sc.transmitter, seed=3)
+    monkeypatch.setattr(raysim, "PING_CHUNK_RAYS", 4999)
+    chunked = ping(scene, sonar, sc.pose, beam, transmit_beam=sc.transmitter, seed=3)
+    for name in COMPONENTS:
+        np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name),
+                                      err_msg=name)
+    assert np.any(whole.multipath > 0.0)
+    assert np.any(whole.object_ > 0.0) == (case == "mesh")
+
+
+def test_ping_memory_does_not_grow_with_the_ray_count(scenario1):
+    """Only the directions, drawn up front, scale with num_rays: 24 bytes a
+    ray held, 64 while sample_ray_directions draws them. Every other per-ray
+    array lives for one chunk of raysim.PING_CHUNK_RAYS rays. numpy reports
+    its buffers to tracemalloc, so the traced peak of a ping may grow by at
+    most 64 bytes per extra ray; a ping that held all its per-ray arrays at
+    once grows by hundreds."""
+    scene = build_scene(scenario1)
+
+    def peak_bytes(n_rays):
+        sonar = replace(scenario1.sonar, num_rays=n_rays)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ping(scene, sonar, scenario1.pose, FORWARD,
+                 transmit_beam=scenario1.transmitter, seed=1)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_bytes(200_000), peak_bytes(400_000)
+    assert (large - small) / 200_000 <= 64.0
+
+
+@pytest.mark.parametrize("yaw_deg", [10.0, 37.0])
+def test_a_yawed_ping_is_the_level_ping_turned(scenario1, monkeypatch, yaw_deg):
+    """Metamorphic check of the frame conventions (beam_orientations,
+    rotate_to_sonar_frame): scenario1 is symmetric about the vertical
+    through the sonar, so turning the transmitter, the receiver and every
+    ray direction by one yaw reproduces the level ping. Small chunks run the
+    chunk loop too."""
+    monkeypatch.setattr(raysim, "PING_CHUNK_RAYS", 4999)
+    scene = build_scene(scenario1)
+    sonar = replace(scenario1.sonar, num_rays=20000)
+    level = ping(scene, sonar, scenario1.pose, FORWARD, transmit_beam=FORWARD,
+                 seed=11)
+    yaw = math.radians(yaw_deg)
+    turn = rotation_matrix_yaw(yaw)
+    draw = raysim.sample_ray_directions
+    monkeypatch.setattr(raysim, "sample_ray_directions",
+                        lambda n, rng: draw(n, rng) @ turn.T)
+    beam = BeamOrientation(yaw_rad=yaw, name="turned")
+    turned = ping(scene, sonar, scenario1.pose, beam, transmit_beam=beam, seed=11)
+    for name in COMPONENTS:
+        np.testing.assert_allclose(getattr(turned, name), getattr(level, name),
+                                   rtol=1e-12, atol=0.0, err_msg=name)
+    assert np.count_nonzero(level.multipath) > 50
+
+
+def test_a_mirrored_ping_is_bit_identical(scenario2, monkeypatch):
+    """Metamorphic check: scenario2's step varies along x only, so the scene
+    is its own mirror image in y. A beam pitched 10 deg and yawed +20 deg,
+    with every ray direction mirrored y -> -y, must give the ping of the
+    beam yawed -20 deg bit for bit. Small chunks run the chunk loop too."""
+    monkeypatch.setattr(raysim, "PING_CHUNK_RAYS", 4999)
+    scene = build_scene(scenario2)
+    sonar = replace(scenario2.sonar, num_rays=20000)
+
+    def beam(yaw_deg):
+        return BeamOrientation(pitch_rad=math.radians(10.0),
+                               yaw_rad=math.radians(yaw_deg), name="b")
+
+    port = ping(scene, sonar, scenario2.pose, beam(-20.0),
+                transmit_beam=beam(-20.0), seed=12)
+    draw = raysim.sample_ray_directions
+    monkeypatch.setattr(raysim, "sample_ray_directions",
+                        lambda n, rng: draw(n, rng) * np.array([1.0, -1.0, 1.0]))
+    starboard = ping(scene, sonar, scenario2.pose, beam(20.0),
+                     transmit_beam=beam(20.0), seed=12)
+    for name in COMPONENTS:
+        np.testing.assert_array_equal(getattr(starboard, name),
+                                      getattr(port, name), err_msg=name)
+    assert np.count_nonzero(port.bottom) > 50
 
 
 def test_ping_components_and_layout(scenario1, s1_layout):
