@@ -7,16 +7,12 @@ transmit and receive beam patterns, adds volume reverberation along every
 ray, and follows one specular bounce per ray for first-order multipath.
 
 Every obstacle is a triangle mesh; a box is its 12-triangle mesh (box_mesh).
-One kernel traces them, _trace_mesh: a slab test against the mesh's
-bounding box drops the rays that cannot reach it, and Moller-Trumbore over
-every face finds the nearest hit of the rest.
-
-A heightfield bottom is traced by _trace_heightfield, a lockstep grid walk
-with one body for the x and y axes and one root rule for each cell's
-bilinear patch (_patch, which Heightfield.depth_at shares). A ray is walked
-only while it lies inside the terrain's depth slab [depths.min(),
-depths.max()], and beyond the grid on an axis it stays in one clamped
-virtual cell and crosses no walls.
+A bottom is a horizontal plane (FlatBottom) or a triangle mesh too: the
+scenario's step is a 6-triangle mesh of three planar quads. One kernel
+traces every mesh, _trace_mesh: a slab test against the mesh's bounding box
+drops the rays that cannot reach it, and Moller-Trumbore over every face
+finds the nearest hit of the rest. A bottom mesh's hits are KIND_BOTTOM and
+scatter with the environment's bottom_type, not the mesh's material.
 
 Every bounce goes through one batch path, _bounce: reflect the ray about the
 hit normal, offset the new origin along the reflection, and retrace with the
@@ -105,51 +101,9 @@ class FlatBottom:
 
 
 @dataclass(frozen=True)
-class Heightfield:
-    """Sea-floor depth sampled on a regular grid, bilinear between nodes.
-
-    depths[i, j] is the depth below the surface at (x0 + i*spacing_m,
-    y0 + j*spacing_m). Beyond the grid the edge values continue unchanged.
-    """
-
-    x0: float
-    y0: float
-    spacing_m: float
-    depths: np.ndarray
-
-    def __post_init__(self):
-        for attr in ("x0", "y0", "spacing_m"):
-            value = getattr(self, attr)
-            if not math.isfinite(value):
-                raise ValueError(f"{attr} must be finite, got {value}")
-        if not self.spacing_m > 0:
-            raise ValueError(f"spacing_m must be > 0, got {self.spacing_m}")
-        depths = np.asarray(self.depths, dtype=float)
-        if depths.ndim != 2 or depths.shape[0] < 2 or depths.shape[1] < 2:
-            raise ValueError("depths must be a 2-D grid with at least 2x2 nodes")
-        if not np.all((depths > 0) & np.isfinite(depths)):
-            raise ValueError("all heightfield depths must be finite and > 0")
-        object.__setattr__(self, "depths", depths)
-
-    def depth_at(self, x, y):
-        """Bilinear depth below the surface, clamped beyond the grid."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        nx, ny = self.depths.shape
-        fx = np.clip((x - self.x0) / self.spacing_m, 0.0, nx - 1.0)
-        fy = np.clip((y - self.y0) / self.spacing_m, 0.0, ny - 1.0)
-        ix = np.minimum(fx.astype(int), nx - 2)
-        iy = np.minimum(fy.astype(int), ny - 2)
-        u = fx - ix
-        v = fy - iy
-        z00, ca, cb, cg = _patch(self.depths, ix, iy)
-        out = z00 + ca * u + cb * v + cg * u * v
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
 class TriangleMesh:
-    """Triangle-mesh obstacle with vertices (n, 3) and faces (m, 3)."""
+    """Triangle mesh with vertices (n, 3) and faces (m, 3): an obstacle, or
+    the sea floor as a Scene's bottom, which ignores the material."""
 
     vertices: np.ndarray
     faces: np.ndarray
@@ -207,9 +161,9 @@ class Scene:
 
     def __post_init__(self):
         if self.bottom is not None and not isinstance(
-            self.bottom, (FlatBottom, Heightfield)
+            self.bottom, (FlatBottom, TriangleMesh)
         ):
-            raise ValueError("bottom must be FlatBottom, Heightfield or None")
+            raise ValueError("bottom must be FlatBottom, TriangleMesh or None")
         objects = tuple(self.objects)
         for obj in objects:
             if not isinstance(obj, TriangleMesh):
@@ -232,163 +186,6 @@ def _trace_plane(origins, dirs, z, heading, t_min):
     ok = (heading * dirs[:, 2] > 0.0) & (cand > t_min) & np.isfinite(cand)
     t[ok] = cand[ok]
     return t, (0.0, 0.0, -heading)
-
-
-def _patch(depths, i, j):
-    """Bilinear patch of cells (i, j): depth z00 + ca*u + cb*v + cg*u*v at
-    local coordinates (u, v) in [0, 1]^2. Each corner is gathered once."""
-    z00 = depths[i, j]
-    z10 = depths[i + 1, j]
-    z01 = depths[i, j + 1]
-    return z00, z10 - z00, z01 - z00, depths[i + 1, j + 1] - z10 - z01 + z00
-
-
-def _trace_heightfield(hf: Heightfield, origins, dirs, t_min, t_max):
-    """First intersection with the bilinear terrain by stepping every ray
-    through grid columns in lockstep (Amanatides-Woo, Eurographics 1987) and
-    solving the per-cell quadratic.
-
-    The x and y axes share one walk body, and one root rule solves each
-    cell: the linear root on a planar patch, the stable quadratic pair on a
-    curved one, then the first root inside the cell's parameter span.
-
-    Two exact cuts keep the walk short. The terrain never leaves the depth
-    slab [depths.min(), depths.max()], so each ray is walked only over the
-    part of [t_min, t_max] where it lies inside that slab. Every cell beyond
-    the grid on one axis has the same clamped patch, so on that axis a ray
-    outside the grid sits in the one virtual cell just past the edge (index
-    -1 or n - 1) and crosses no walls until it comes back to the grid."""
-    n = origins.shape[0]
-    t_hit = np.full(n, np.inf)
-    normals = np.zeros((n, 3))
-    s = hf.spacing_m
-    d = hf.depths
-
-    # Parameter interval of each ray inside the depth slab, padded against
-    # rounding as the mesh cull is. A level ray gets (-inf, inf) inside the
-    # slab, an empty interval outside it, and nan on a padded face, which
-    # the comparison below rejects.
-    pad = 1e-6 * (1.0 + d.max())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = (d.min() - pad - origins[:, 2]) / dirs[:, 2]
-        b = (d.max() + pad - origins[:, 2]) / dirs[:, 2]
-        t_start = np.maximum(t_min, np.minimum(a, b))
-        t_end = np.minimum(t_max, np.maximum(a, b))
-        rays = np.nonzero(t_start < t_end)[0]
-    if rays.size == 0:
-        return t_hit, normals
-
-    oz, dz = origins[rays, 2], dirs[rays, 2]
-    t_cur = t_start[rays]
-    t_stop = t_end[rays]
-    m = rays.size
-    active = np.ones(m, dtype=bool)
-
-    # Walk state per axis, x then y, one 1-D array each (an (m, 2) stack
-    # gathers more slowly): the grid corner, the last real cell, the ray
-    # origin and direction, the cell (clamped to the virtual cell just past
-    # each edge), its step, the wall spacing in t, and the parameter of the
-    # next wall crossing. That is inf while the ray moves away from the
-    # grid, and the grid's edge wall while it moves toward it from the
-    # virtual cell.
-    axes = []
-    for ax, c0 in ((0, hf.x0), (1, hf.y0)):
-        k = d.shape[ax] - 2  # the last real cell
-        o, dr = origins[rays, ax], dirs[rays, ax]
-        i = np.clip(np.floor((o + t_cur * dr - c0) / s), -1, k + 1).astype(np.int64)
-        with np.errstate(divide="ignore"):
-            wall_dt = np.abs(s / dr)
-        wall_t = np.full(m, np.inf)
-        toward = ((dr > 0) & (i <= k)) | ((dr < 0) & (i >= 0))
-        wall = i[toward] + (dr[toward] > 0)
-        wall_t[toward] = (c0 + wall * s - o[toward]) / dr[toward]
-        axes.append((c0, k, o, dr, i, np.sign(dr).astype(np.int64), wall_dt, wall_t))
-    corner, last, org, drn, cell, step, wall_dt, wall_t = zip(*axes)
-
-    # Over a parameter length L a ray crosses at most ceil(L |dx| / s) + 1 x
-    # walls and as many y walls, and never more than the grid's nx + ny
-    # walls; each step crosses a wall or ends the ray. The constant covers
-    # those +1s, the last step and rounding.
-    crossings = np.ceil((t_stop - t_cur) * (np.abs(drn[0]) + np.abs(drn[1])) / s)
-    max_steps = int(min(crossings.max(), sum(d.shape))) + 8
-    for _ in range(max_steps):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        t0 = t_cur[idx]
-        t1 = np.minimum(np.minimum(wall_t[0][idx], wall_t[1][idx]), t_stop[idx])
-
-        # Local cell coordinates as affine functions of the ray parameter,
-        # flattened outside the grid so the edge values continue.
-        real, out, coord, rate = [], [], [], []
-        for c0, k, o, dr, i in zip(corner, last, org, drn, cell):
-            c = i[idx]
-            ic = np.clip(c, 0, k)
-            off = c != ic
-            real.append(ic)
-            out.append(off)
-            coord.append(np.where(off, c > k, (o[idx] - (c0 + ic * s)) / s))
-            rate.append(np.where(off, 0.0, dr[idx] / s))
-        z00, ca, cb, cg = _patch(d, *real)
-        (u0, v0), (du, dv) = coord, rate
-
-        qa = -cg * du * dv
-        qb = dz[idx] - (ca * du + cb * dv + cg * (u0 * dv + v0 * du))
-        qc = oz[idx] - (z00 + ca * u0 + cb * v0 + cg * u0 * v0)
-
-        # One root rule: the linear root on a planar patch, the stable
-        # quadratic pair on a curved one (a negative discriminant gives nan),
-        # then the first root inside [t0, t1].
-        lo = np.full(idx.size, np.nan)
-        hi = np.full(idx.size, np.nan)
-        planar = np.abs(qb) > 1e-300
-        lo[planar] = -qc[planar] / qb[planar]
-        curved = np.abs(qa) > 1e-300
-        if np.any(curved):
-            a_c, b_c, c_c = qa[curved], qb[curved], qc[curved]
-            with np.errstate(invalid="ignore"):
-                sq = np.sqrt(b_c ** 2 - 4.0 * a_c * c_c)
-            q = -0.5 * (b_c + np.sign(b_c) * sq)
-            q = np.where(q == 0.0, -0.5 * sq, q)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r1 = np.where(q != 0.0, c_c / q, np.inf)
-                r2 = q / a_c
-            lo[curved] = np.minimum(r1, r2)
-            hi[curved] = np.maximum(r1, r2)
-        root = np.where((lo >= t0) & (lo <= t1), lo,
-                        np.where((hi >= t0) & (hi <= t1), hi, np.inf))
-
-        hit = np.isfinite(root)
-        if np.any(hit):
-            gi = idx[hit]
-            th = root[hit]
-            t_hit[rays[gi]] = th
-            at = [np.clip(c[hit] + r[hit] * th, 0.0, 1.0) for c, r in zip(coord, rate)]
-            grad = [
-                np.where(off[hit], 0.0, (slope[hit] + cg[hit] * at[1 - ax]) / s)
-                for ax, (off, slope) in enumerate(zip(out, (ca, cb)))
-            ]
-            nvec = np.stack([*grad, -np.ones_like(th)], axis=-1)
-            normals[rays[gi]] = nvec / np.linalg.norm(nvec, axis=-1, keepdims=True)
-            active[gi] = False
-
-        # Advance the remaining rays into the next cell; a ray that steps
-        # out of the grid on an axis crosses no more walls of that axis.
-        idx, t1 = idx[~hit], t1[~hit]
-        done = t1 >= t_stop[idx]
-        t_cur[idx] = t1
-        for k, i, di, dt, tw in zip(last, cell, step, wall_dt, wall_t):
-            sub = idx[tw[idx] <= t1]
-            i[sub] += di[sub]
-            tw[sub] += dt[sub]
-            tw[sub[(i[sub] < 0) | (i[sub] > k)]] = np.inf
-        active[idx[done]] = False
-    if np.any(active):
-        raise RuntimeError(
-            f"heightfield trace: {np.count_nonzero(active)} rays still active "
-            f"after {max_steps} cell steps"
-        )
-    return t_hit, normals
 
 
 def _trace_mesh(mesh: TriangleMesh, origins, dirs, t_min):
@@ -481,9 +278,8 @@ def _trace_batch(scene: Scene, origins, dirs, t_min, t_max):
     if isinstance(scene.bottom, FlatBottom):
         depth = scene.bottom.depth_m
         nearer(KIND_BOTTOM, *_trace_plane(origins, dirs, depth, 1.0, t_min))
-    elif isinstance(scene.bottom, Heightfield):
-        hf = scene.bottom
-        nearer(KIND_BOTTOM, *_trace_heightfield(hf, origins, dirs, t_min, t_max))
+    elif isinstance(scene.bottom, TriangleMesh):
+        nearer(KIND_BOTTOM, *_trace_mesh(scene.bottom, origins, dirs, t_min))
     for obj in scene.objects:
         better = nearer(KIND_OBJECT, *_trace_mesh(obj, origins, dirs, t_min))
         roughness[better] = obj.material.rms_roughness
@@ -526,16 +322,22 @@ def _bounce(scene: Scene, points, dirs, normals, remaining):
 
 
 def sample_ray_directions(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n isotropically distributed unit vectors (normalized Gaussians)."""
+    """n isotropically distributed unit vectors (normalized Gaussians). The
+    norms are taken PING_CHUNK_RAYS rows at a time and the draw is divided
+    in place, so the function holds 32 bytes a ray for the 24 it returns."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     dirs = rng.standard_normal((n, 3))
-    norms = np.linalg.norm(dirs, axis=1)
+    norms = np.empty(n)
+    for start in range(0, n, PING_CHUNK_RAYS):
+        rows = slice(start, start + PING_CHUNK_RAYS)
+        norms[rows] = np.linalg.norm(dirs[rows], axis=1)
     while np.any(norms < 1e-12):
         bad = norms < 1e-12
         dirs[bad] = rng.standard_normal((int(bad.sum()), 3))
-        norms = np.linalg.norm(dirs, axis=1)
-    return dirs / norms[:, None]
+        norms[bad] = np.linalg.norm(dirs[bad], axis=1)
+    dirs /= norms[:, None]
+    return dirs
 
 
 def ray_patch_area(distance_m, grazing_rad, n_rays: int):

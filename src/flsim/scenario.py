@@ -31,7 +31,7 @@ import yaml
 
 from .acoustics import BeamOrientation, EnvironmentParams, SonarConfig
 from .geometry import SonarPose, layout_for
-from .raysim import FlatBottom, Heightfield, Scene, TriangleMesh, box_mesh
+from .raysim import FlatBottom, Scene, TriangleMesh, box_mesh
 from .scatter import ObjectMaterial
 
 import numpy as np
@@ -404,27 +404,65 @@ def serialize(scenario: Scenario) -> str:
     return yaml.safe_dump(scenario.raw, sort_keys=False)
 
 
-def _bottom(spec: dict, base_depth: float):
+def _step_nodes(distance: float, spacing: float, extent: float):
+    """The step's grid has nodes x_k = -extent + spacing * k, k = 0 .. num - 1.
+    Returns (deep, num): the first deep nodes, those with x_k <= distance +
+    1e-9, lie on the deep side. deep is a floor corrected against that exact
+    test, so no grid is built. Past 2**52 cells, nodes would share floats."""
+    cells = 2.0 * extent / spacing
+    if not cells < 2.0**52:
+        raise ValueError(f"extent_m {extent} spans more than 2**52 cells of "
+                         f"spacing_m {spacing}")
+    num = int(round(cells)) + 1
+    limit = distance + 1e-9
+    deep = math.floor(min(max((limit + extent) / spacing + 1.0, 0.0), num))
+    while deep < num and -extent + spacing * deep <= limit:
+        deep += 1
+    while deep > 0 and -extent + spacing * (deep - 1) > limit:
+        deep -= 1
+    return deep, num
+
+
+def _bottom(spec: dict, base_depth: float, end_m: float):
+    """The scene's bottom. A step is deep up to x_a, the last grid node at or
+    before distance_m, rises linearly to base - rise_m at the next node x_b,
+    and stays there: three planar quads that reach 1 m further than end_m
+    from the sonar (at x = y = 0) and from the ramp, past any point that a
+    ray or its bounce reaches. With every node on one side the step is flat.
+
+    Each quad is two opposed wedges: a triangle with one side along y, from
+    -2 reach to 2 reach, at one end of the quad and its apex at y = 0 on the
+    other end. Between them they cover |y| <= reach. A side along y makes
+    Moller-Trumbore's t and normal independent of the ray's y, so the step,
+    which is its own mirror image in y -> -y, gives mirrored rays
+    bit-identical hits."""
     if spec["type"] == "flat":
         return FlatBottom(depth_m=base_depth)
     if spec["type"] == "none":
         return None
-    distance = spec["distance_m"]
     rise = spec["rise_m"]
-    spacing = spec["spacing_m"]
-    extent = spec["extent_m"]
     shallow = base_depth - rise
     if shallow <= 0:
         raise ValueError(
             f"rise_m {rise} reaches the surface (sea floor at {base_depth} m)"
         )
-    num = int(round(2.0 * extent / spacing)) + 1
-    xs = -extent + spacing * np.arange(num)
-    depths = np.where(xs <= distance + 1e-9, base_depth, shallow)
-    # The depth does not vary along y and the edge values continue beyond
-    # the grid, so two columns describe the whole step.
-    grid = np.tile(depths[:, None], (1, 2))
-    return Heightfield(x0=-extent, y0=-extent, spacing_m=spacing, depths=grid)
+    spacing, extent = spec["spacing_m"], spec["extent_m"]
+    deep, num = _step_nodes(spec["distance_m"], spacing, extent)
+    if deep == 0:
+        return FlatBottom(depth_m=shallow)
+    if deep == num:
+        return FlatBottom(depth_m=base_depth)
+    x_a = -extent + spacing * (deep - 1)
+    x_b = -extent + spacing * deep
+    reach = end_m + 1.0
+    xs = (min(x_a, 0.0) - reach, x_a, x_b, max(x_b, 0.0) + reach)
+    zs = (base_depth, base_depth, shallow, shallow)
+    # vertex 3i + k lies at xs[i], y = (k - 1) * 2 reach
+    vertices = [(x, y, z) for x, z in zip(xs, zs)
+                for y in (-2.0 * reach, 0.0, 2.0 * reach)]
+    faces = [f for i in (0, 3, 6)
+             for f in ((i, i + 4, i + 2), (i + 3, i + 1, i + 5))]
+    return TriangleMesh(vertices=vertices, faces=faces)
 
 
 def _object(spec: dict, sonar_depth: float):
@@ -450,9 +488,11 @@ def build_scene(scenario: Scenario) -> Scene:
     spec = scenario.raw["scene"]
     pose = scenario.pose
     base_depth = pose.depth_m + pose.altitude_m
+    end_m = layout_for(scenario.env, scenario.sonar).end_m
     return Scene(
         env=scenario.env,
-        bottom=_at("scenario.scene.bottom", _bottom, spec["bottom"], base_depth),
+        bottom=_at("scenario.scene.bottom", _bottom, spec["bottom"], base_depth,
+                   end_m),
         surface_enabled=spec["surface"],
         volume_enabled=spec["volume"],
         objects=tuple(

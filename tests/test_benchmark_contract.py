@@ -5,13 +5,13 @@ metric that BENCHMARK.json declares for the run: the end-to-end metrics at
 
 A run at --seconds 0 does the fewest iterations the harness allows, so each
 case here takes a few seconds. s1_detect covers the detect path (null
-curves, pings, detector); s2_detect does too, over steered beams and a
-heightfield bottom; mesh_sim covers the sim path with a mesh obstacle;
-big_ping traces 10^6 rays in one ping, streamed in fixed-size chunks, and
-requires that no bin is flagged.
+curves, pings, detector); s2_detect does too, over steered beams and the
+step bottom; mesh_sim covers the sim path with a mesh obstacle; big_ping
+traces 10^6 rays in one ping, streamed in fixed-size chunks, and requires
+that no bin is flagged.
 A traced run times every layer, so a layer that a ping stops reaching
-leaves a metric missing or not finite; it runs on both detect workloads,
-the flat bottom and the heightfield.
+leaves a metric missing or not finite; it runs on every workload that CI
+runs traced: both detect workloads and mesh_sim.
 """
 
 import json
@@ -35,6 +35,7 @@ def _reject_constant(name):
     pytest.param("big_ping", 0, id="big_ping"),
     pytest.param("s1_detect", 1, id="s1_detect-trace"),
     pytest.param("s2_detect", 1, id="s2_detect-trace"),
+    pytest.param("mesh_sim", 1, id="mesh_sim-trace"),
 ])
 def test_run_prints_a_correct_result_line(workload, trace):
     proc = subprocess.run(

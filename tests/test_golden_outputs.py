@@ -31,6 +31,8 @@ CASES = {
                       "--pings", "2"],
     "sim_scenario2": ["sim", "--scenario", "scenario2", "--rays", "2000",
                       "--pings", "1"],
+    "detect_scenario2": ["detect", "--scenario", "scenario2", "--rays", "2000",
+                         "--pings", "1"],
 }
 
 

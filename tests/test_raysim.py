@@ -1,7 +1,7 @@
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ import pytest
 from flsim import (
     BeamOrientation,
     FlatBottom,
-    Heightfield,
     NO_RESPONSE,
     Scene,
     SonarPose,
@@ -41,6 +40,7 @@ from flsim.raysim import (
     _trace_batch,
 )
 from flsim.scatter import ObjectMaterial, bottom_coeff, surface_coeff
+from flsim.scenario import _bottom
 
 POSE = SonarPose(altitude_m=5.0, depth_m=7.0)
 FORWARD = BeamOrientation(name="forward")
@@ -51,27 +51,20 @@ def flat_scene(env, **kw):
     return Scene(env=env, bottom=FlatBottom(depth_m=12.0), **kw)
 
 
+def step_bottom(distance, rise, spacing, extent, base=12.0, end_m=40.25):
+    """The bottom a scenario builds for a step of these parameters over a
+    base depth, for rays that travel at most end_m from x = y = 0."""
+    spec = {"type": "step", "distance_m": distance, "rise_m": rise,
+            "spacing_m": spacing, "extent_m": extent}
+    return _bottom(spec, base, end_m)
+
+
 # --- construction validation -------------------------------------------------
 
 
 def test_scene_component_validation(scenario1):
     with pytest.raises(ValueError):
         FlatBottom(depth_m=0.0)
-    with pytest.raises(ValueError):
-        Heightfield(x0=0.0, y0=0.0, spacing_m=1.0, depths=np.ones(5))
-    with pytest.raises(ValueError):
-        Heightfield(x0=0.0, y0=0.0, spacing_m=1.0, depths=np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        Heightfield(x0=0.0, y0=0.0, spacing_m=0.0, depths=np.ones((2, 2)))
-    # non-finite geometry: an infinite spacing would hide the floor, a nan
-    # corner would reach the walk's cell index
-    grid = dict(x0=0.0, y0=0.0, spacing_m=1.0, depths=np.full((3, 3), 10.0))
-    for key, bad in (("spacing_m", math.inf), ("x0", math.nan),
-                     ("y0", -math.inf),
-                     ("depths", np.where(np.eye(3) > 0, math.inf, 10.0)),
-                     ("depths", np.where(np.eye(3) > 0, math.nan, 10.0))):
-        with pytest.raises(ValueError, match="finite"):
-            Heightfield(**{**grid, key: bad})
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             FlatBottom(depth_m=bad)
@@ -88,6 +81,7 @@ def test_scene_component_validation(scenario1):
         TriangleMesh(vertices=np.zeros((3, 3)), faces=np.array([[0, 1, 3]]))
     with pytest.raises(ValueError):
         Scene(env=scenario1.env, bottom="mud")
+    Scene(env=scenario1.env, bottom=box_mesh((0, 0, 12), (50, 50, 1)))
     with pytest.raises(ValueError):
         Scene(env=scenario1.env, objects=("rock",))
 
@@ -108,6 +102,25 @@ def test_sampled_directions_are_unit_and_cover_both_hemispheres():
 def test_sample_ray_directions_rejects_bad_count():
     with pytest.raises(ValueError):
         sample_ray_directions(0, np.random.default_rng(1))
+
+
+def test_sampling_directions_holds_little_more_than_its_result():
+    """The directions take 24 bytes a ray; drawing them takes 8 more for the
+    norms, which are taken in chunks and divided in place. numpy reports its
+    buffers to tracemalloc, so the traced peak may grow by at most 40 bytes
+    per extra ray; norms over the whole draw and a divided copy take 64."""
+
+    def peak_bytes(n):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sample_ray_directions(n, np.random.default_rng(1))
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_bytes(200_000), peak_bytes(400_000)
+    assert (large - small) / 200_000 <= 40.0
 
 
 # --- single-ray tracing -------------------------------------------------------
@@ -134,8 +147,9 @@ def bounce_one(scene, hit, direction, max_range):
 
 
 def test_flat_heightfield_matches_plane(scenario1):
-    depths = np.full((5, 5), 12.0)
-    hf = Heightfield(x0=-50.0, y0=-50.0, spacing_m=25.0, depths=depths)
+    # a step that does not rise is a flat 6-face mesh
+    hf = step_bottom(5.0, 0.0, 25.0, 50.0)
+    assert isinstance(hf, TriangleMesh) and np.all(hf.vertices[:, 2] == 12.0)
     plane = flat_scene(scenario1.env)
     bumpy = Scene(env=scenario1.env, bottom=hf)
     rng = np.random.default_rng(11)
@@ -150,22 +164,24 @@ def test_flat_heightfield_matches_plane(scenario1):
 
 
 def test_heightfield_extends_beyond_grid(scenario1):
-    # a tiny grid far behind the ray still defines the floor ahead of it
-    hf = Heightfield(x0=-2.0, y0=-2.0, spacing_m=1.0,
-                     depths=np.full((2, 2), 12.0))
-    scene = Scene(env=scenario1.env, bottom=hf)
-    d = (math.cos(0.5), 0.0, math.sin(0.5))
-    kind, t, *_ = trace_one(scene, (0.0, 0.0, 7.0), d, 100.0)
-    assert kind == KIND_BOTTOM
-    assert t == pytest.approx(5.0 / math.sin(0.5), rel=1e-9)
+    # a step grid of five nodes, -2 .. 2 m, rising 2 m between 0 and 1 m,
+    # still defines the floor far beyond its ends, on either side
+    scene = Scene(env=scenario1.env, bottom=step_bottom(0.5, 2.0, 1.0, 2.0))
+    for heading, depth in ((-1.0, 12.0), (1.0, 10.0)):
+        d = (heading * math.cos(0.5), 0.0, math.sin(0.5))
+        kind, t, point, normal, _, _ = trace_one(scene, (0.0, 0.0, 7.0), d, 100.0)
+        assert kind == KIND_BOTTOM
+        assert t == pytest.approx((depth - 7.0) / math.sin(0.5), rel=1e-12)
+        assert abs(point[0]) > 5.0
+        assert tuple(normal) == (0.0, 0.0, -1.0)
 
 
 def test_heightfield_ray_crossing_many_cells_is_not_dropped(scenario1):
-    # About 490 walls of 0.1 m cells lie between the sonar and the impact at
-    # 35 m, far more than the grid's own 2 x 2 nodes. The walk crosses none of
-    # them: beyond the grid every cell has the same clamped patch.
-    hf = Heightfield(x0=-0.1, y0=-0.1, spacing_m=0.1,
-                     depths=np.full((2, 2), 12.0))
+    # About 270 x walls and 220 y walls of the default step's 0.1 m cells lie
+    # between the sonar and the deep-side impact at 35 m. The mesh has six
+    # faces however fine the grid, so none of them can drop the ray.
+    hf = step_bottom(36.0, 2.0, 0.1, 42.0)
+    assert hf.faces.shape == (6, 3)
     dz = 5.0 / 35.0
     horizontal = np.array([1.0, 0.8]) / math.hypot(1.0, 0.8)
     d = np.append(horizontal * math.sqrt(1.0 - dz * dz), dz)
@@ -177,30 +193,6 @@ def test_heightfield_ray_crossing_many_cells_is_not_dropped(scenario1):
     assert flat_kind == KIND_BOTTOM and flat_t == pytest.approx(35.0, rel=1e-9)
     assert kind == KIND_BOTTOM
     assert t == pytest.approx(flat_t, abs=1e-9)
-
-
-@pytest.mark.parametrize("origin,heading", [((0.0, 0.0), 1.0), ((1.0, 1.0), -1.0)])
-def test_heightfield_diagonal_hit_takes_the_nearer_quadratic_root(
-        scenario1, origin, heading):
-    # Along the cell diagonal u = v = w the patch depth is 10 - 2w + 2w^2, so
-    # a level ray at 9.7 m meets it at w = (1 -+ sqrt(0.4)) / 2; from either
-    # corner the nearer root lies sqrt(2) (1 - sqrt(0.4)) / 2 along the ray.
-    hf = Heightfield(x0=0.0, y0=0.0, spacing_m=1.0,
-                     depths=np.array([[10.0, 9.0], [9.0, 10.0]]))
-    scene = Scene(env=scenario1.env, bottom=hf, surface_enabled=False)
-    d = np.array([heading, heading, 0.0]) / math.sqrt(2.0)
-    kind, t, point, normal, _, _ = trace_one(scene, (*origin, 9.7), d, 10.0)
-    t_exact = math.sqrt(2.0) * (1.0 - math.sqrt(0.4)) / 2.0
-    assert kind == KIND_BOTTOM
-    assert t == pytest.approx(t_exact, rel=1e-12)
-    # the analytic normal (dz/dx, dz/dy, -1) = (-1 + 2v, -1 + 2u, -1)
-    u, v = point[0], point[1]
-    n_exact = np.array([-1.0 + 2.0 * v, -1.0 + 2.0 * u, -1.0])
-    n_exact /= np.linalg.norm(n_exact)
-    np.testing.assert_allclose(normal, n_exact, rtol=0.0, atol=1e-12)
-    side = -heading * math.sqrt(0.2 / 0.9)
-    np.testing.assert_allclose(normal, [side, side, -math.sqrt(0.5 / 0.9)],
-                               rtol=0.0, atol=1e-12)
 
 
 def test_box_face_hit(scenario1):
@@ -280,9 +272,7 @@ def test_trace_batch_accounts_for_every_ray(scenario1):
 @pytest.mark.parametrize("bottom, objects", [
     pytest.param(FlatBottom(depth_m=12.0),
                  (box_mesh((15.0, 0.0, 10.0), (2.0, 2.0, 2.0)),), id="box"),
-    pytest.param(Heightfield(x0=-50.0, y0=-50.0, spacing_m=25.0,
-                             depths=np.linspace(10.0, 14.0, 25).reshape(5, 5)),
-                 (), id="heightfield"),
+    pytest.param(step_bottom(35.0, 2.0, 0.5, 42.0), (), id="step"),
 ])
 def test_trace_batch_takes_an_empty_batch(scenario1, bottom, objects):
     """A bounce retraces its live rays even when there are none."""
@@ -475,14 +465,26 @@ def test_mesh_kernel_reproduces_brute_force(scenario1, monkeypatch, seed, t_min)
         np.testing.assert_array_equal(normals, normals_b)
 
 
-# --- the heightfield kernel against the plain lockstep walk ----------------------
+# --- the step mesh against the plain lockstep walk of its grid ------------------
+
+
+@dataclass(frozen=True)
+class Grid:
+    """A heightfield for lockstep_heightfield: depths[i, j] below the
+    surface at (x0 + i*spacing_m, y0 + j*spacing_m), bilinear between nodes
+    and continued unchanged beyond the grid."""
+
+    x0: float
+    y0: float
+    spacing_m: float
+    depths: np.ndarray
 
 
 def lockstep_heightfield(hf, origins, dirs, t_min, t_max):
-    """The heightfield kernel as it was before the depth-slab clip and the
-    clamped beyond-grid cell: every ray is stepped through every cell wall
-    from t_min, the walls beyond the grid included. (t, normals) like the
-    kernel."""
+    """First hit of a Grid by stepping every ray through every cell wall
+    from t_min, the walls beyond the grid included, and solving each cell's
+    bilinear patch: the reference for the step bottom's mesh. (t, normals)
+    like the mesh kernel, the normals facing up."""
     n = origins.shape[0]
     t_hit = np.full(n, np.inf)
     normals = np.zeros((n, 3))
@@ -639,66 +641,75 @@ def lockstep_heightfield(hf, origins, dirs, t_min, t_max):
     return t_hit, normals
 
 
-def random_heightfield(rng, flat=False):
-    """A grid of random shape (n x 2 strips included), place and spacing,
-    with depths in [4, 14] m; some grids are rounded to a few levels or have
-    a flat block, so they hold plateaus, and a flat grid is one plateau."""
-    shape = (int(rng.integers(2, 30)), int(rng.integers(2, 30)))
-    if rng.random() < 0.25:
-        shape = (shape[0], 2) if rng.random() < 0.5 else (2, shape[1])
-    depths = rng.uniform(4.0, 14.0, shape)
-    if rng.random() < 0.3:
-        depths = np.round(depths / 3.0) * 3.0 + 1.0
-    if rng.random() < 0.5:
-        i, j = rng.integers(0, shape[0]), rng.integers(0, shape[1])
-        depths[i:i + int(rng.integers(2, 8)), j:j + int(rng.integers(2, 8))] = (
-            rng.uniform(4.0, 14.0))
+def random_step(rng, flat):
+    """A step bottom's parameters at random, as a scenario's bottom spec and
+    a base depth: spacing 0.1-5 m, extent 1-20 m more than one spacing, base
+    4-14 m, a rise of either sign, and a distance on a node or between
+    nodes. A flat step has every node on one side of distance, the deep side
+    or the shallow one."""
+    spacing = 10.0 ** rng.uniform(-1.0, 0.7)
+    extent = spacing + rng.uniform(1.0, 20.0)
+    base = rng.uniform(4.0, 14.0)
+    rise = rng.uniform(-4.0, base - 1.0)
+    num = int(round(2.0 * extent / spacing)) + 1
     if flat:
-        depths[:] = depths[0, 0]
-    spacing = 10.0 ** rng.uniform(-1.0, 1.0)
-    x0, y0 = rng.uniform(-20.0, 5.0, 2)
-    return Heightfield(x0=x0, y0=y0, spacing_m=spacing, depths=depths)
+        distance = (extent + spacing) * (1.0 if rng.random() < 0.5 else -1.0)
+    elif rng.random() < 0.3:
+        distance = -extent + spacing * int(rng.integers(0, num - 1))
+    else:
+        distance = rng.uniform(-extent, extent - spacing)
+    spec = {"type": "step", "distance_m": distance, "rise_m": rise,
+            "spacing_m": spacing, "extent_m": extent}
+    return spec, base
 
 
-def terrain_probe_rays(rng, hf):
-    """Rays from inside the depth slab, from above it and from off the grid
-    on each side of each axis, some aimed at points of the grid from
-    outside it; a share of the directions has one or two components that
-    are exactly 0, and some level rays lie on a face of the kernel's padded
-    depth slab."""
+def step_grid(spec, base):
+    """The grid that the scenario loader built for a step: two columns of
+    num nodes along x, deep up to distance_m + 1e-9."""
+    extent, spacing = spec["extent_m"], spec["spacing_m"]
+    num = int(round(2.0 * extent / spacing)) + 1
+    xs = -extent + spacing * np.arange(num)
+    depths = np.where(xs <= spec["distance_m"] + 1e-9, base, base - spec["rise_m"])
+    return Grid(x0=-extent, y0=-extent, spacing_m=spacing,
+                depths=np.tile(depths[:, None], (1, 2)))
+
+
+def step_probe_rays(rng, grid):
+    """Rays that start in the water, where a ping's rays start (at the
+    sonar, or at a bounce point offset into the water): above the terrain,
+    over the grid and up to 5 m off either end of it. Half are aimed at a
+    point of the terrain about the rise, a share of the directions has one
+    or two components that are exactly 0, and some level rays pass just
+    above or below a plateau."""
     n = 600
-    nx, ny = hf.depths.shape
-    x1 = hf.x0 + (nx - 1) * hf.spacing_m
-    y1 = hf.y0 + (ny - 1) * hf.spacing_m
-    width = max(x1 - hf.x0, y1 - hf.y0)
-    x = rng.uniform(hf.x0, x1, n)
-    y = rng.uniform(hf.y0, y1, n)
-    z = rng.uniform(hf.depths.min(), hf.depths.max(), n)
+    xs = grid.x0 + grid.spacing_m * np.arange(grid.depths.shape[0])
+    column = grid.depths[:, 0]
+    x = rng.uniform(xs[0] - 5.0, xs[-1] + 5.0, n)
+    y = rng.uniform(-10.0, 10.0, n)
+    floor = np.interp(x, xs, column)
+    z = rng.uniform(0.0, 1.0, n) * floor
     origins = np.stack([x, y, z], axis=1)
-    kind = rng.integers(0, 6, n)
-    far = rng.uniform(0.1, 2.0, n) * width
-    origins[kind == 1, 2] = rng.uniform(0.0, hf.depths.min(), int(np.sum(kind == 1)))
-    origins[kind == 2, 0] = hf.x0 - far[kind == 2]
-    origins[kind == 3, 0] = x1 + far[kind == 3]
-    origins[kind == 4, 1] = hf.y0 - far[kind == 4]
-    origins[kind == 5, 1] = y1 + far[kind == 5]
     dirs = sample_ray_directions(n, rng)
-    # half of the rays are aimed at a point of the terrain
+    rise = np.nonzero(np.diff(column))[0]
+    at = xs[rise[0]] if rise.size else 0.0
+    tx = rng.uniform(at - 2.0 * grid.spacing_m, at + 3.0 * grid.spacing_m, n)
+    targets = np.stack([tx, rng.uniform(-10.0, 10.0, n),
+                        np.interp(tx, xs, column)], axis=1)
     aim = rng.random(n) < 0.5
-    targets = np.stack([rng.uniform(hf.x0, x1, n), rng.uniform(hf.y0, y1, n),
-                        rng.uniform(hf.depths.min(), hf.depths.max(), n)], axis=1)
     dirs[aim] = targets[aim] - origins[aim]
     for share in (0.2, 0.1):
         some = rng.random(n) < share
         dirs[some, rng.integers(0, 3, int(some.sum()))] = 0.0
     level = rng.random(n) < 0.05
-    pad = 1e-6 * (1.0 + hf.depths.max())
-    faces = np.array([hf.depths.min() - pad, hf.depths.max() + pad])
-    origins[level, 2] = faces[rng.integers(0, 2, int(level.sum()))]
+    plateau = column[rng.choice([0, -1], int(level.sum()))]
+    gap = 10.0 ** rng.uniform(-9.0, -3.0, int(level.sum()))
+    origins[level, 2] = plateau + np.where(rng.random(gap.size) < 0.5, gap, -gap)
     dirs[level, 2] = 0.0
-    norms = np.linalg.norm(dirs, axis=1)
-    keep = norms > 0.0
-    return origins[keep], dirs[keep] / norms[keep, None]
+    # a level ray below a plateau starts in the ground where that plateau
+    # runs under it; keep it only where the ground is deeper
+    keep = np.linalg.norm(dirs, axis=1) > 0.0
+    keep &= origins[:, 2] < np.interp(origins[:, 0], xs, column)
+    return origins[keep], dirs[keep] / np.linalg.norm(dirs[keep], axis=1)[:, None]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -706,22 +717,37 @@ def terrain_probe_rays(rng, hf):
 @pytest.mark.parametrize("t_min", [0.0, BOUNCE_MIN_T])
 def test_heightfield_kernel_reproduces_lockstep_walk(scenario1, monkeypatch,
                                                      seed, t_min):
+    """The step heightfield is traced as its 6-face mesh (or a plane when it
+    is flat). On random steps, _trace_batch must find the hits the lockstep
+    walk finds on the step's grid: the same kind, and t and normals to
+    rtol 1e-12 on the hits."""
     rng = np.random.default_rng(seed)
     for flat in (False, False, True):
-        hf = random_heightfield(rng, flat)
-        scene = Scene(env=scenario1.env, bottom=hf, surface_enabled=False)
-        origins, dirs = terrain_probe_rays(rng, hf)
+        spec, base = random_step(rng, flat)
+        grid = step_grid(spec, base)
+        origins, dirs = step_probe_rays(rng, grid)
         # per-ray range, a few of them shorter than t_min
-        t_max = rng.uniform(0.0, 80.0, origins.shape[0])
+        t_max = rng.uniform(0.0, 60.0, origins.shape[0])
+        # the mesh reaches 1 m past end_m from x = y = 0, past every ray's end
+        end_m = float(np.max(np.abs(origins[:, :2]).max(axis=1) + t_max))
+        bottom = _bottom(spec, base, end_m)
+        assert isinstance(bottom, FlatBottom if flat else TriangleMesh)
+        scene = Scene(env=scenario1.env, bottom=bottom, surface_enabled=False)
         kind, t, _, normals, _, _ = _trace_batch(scene, origins, dirs, t_min, t_max)
         with monkeypatch.context() as patch:
-            patch.setattr(raysim, "_trace_heightfield", lockstep_heightfield)
+            reference = (lambda *args: lockstep_heightfield(grid, origins, dirs,
+                                                            t_min, t_max))
+            patch.setattr(raysim, "_trace_mesh" if not flat else "_trace_plane",
+                          reference)
             kind_r, t_r, _, normals_r, _, _ = _trace_batch(
                 scene, origins, dirs, t_min, t_max)
         assert np.count_nonzero(kind_r == KIND_BOTTOM) > 20
         np.testing.assert_array_equal(kind, kind_r)
-        np.testing.assert_array_equal(t, t_r)
-        np.testing.assert_array_equal(normals, normals_r)
+        np.testing.assert_allclose(t, t_r, rtol=1e-12, atol=0.0)
+        # past t_max only the mesh has looked, so a miss keeps its normal
+        hit = kind >= 0
+        np.testing.assert_allclose(normals[hit], normals_r[hit], rtol=1e-12,
+                                   atol=0.0)
 
 
 # --- per-ray measures -----------------------------------------------------------
@@ -815,7 +841,7 @@ def test_a_ping_does_not_depend_on_how_its_rays_are_chunked(
 
 def test_ping_memory_does_not_grow_with_the_ray_count(scenario1):
     """Only the directions, drawn up front, scale with num_rays: 24 bytes a
-    ray held, 64 while sample_ray_directions draws them. Every other per-ray
+    ray held, 32 while sample_ray_directions draws them. Every other per-ray
     array lives for one chunk of raysim.PING_CHUNK_RAYS rays. numpy reports
     its buffers to tracemalloc, so the traced peak of a ping may grow by at
     most 64 bytes per extra ray; a ping that held all its per-ray arrays at

@@ -1,18 +1,22 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
 
 from flsim import (
     FlatBottom,
-    Heightfield,
+    Scene,
     TriangleMesh,
     build_scene,
+    layout_for,
     load_scenario,
     loads,
     serialize,
 )
+from flsim.raysim import KIND_BOTTOM, _trace_batch
+from flsim.scenario import _step_nodes
 from flsim.runner import with_overrides
 
 MINIMAL = """
@@ -71,31 +75,72 @@ def test_bundled_step_scenario(scenario2):
     assert scenario2.num_pings == 20
     assert scenario2.seed == 202
     scene = build_scene(scenario2)
-    assert isinstance(scene.bottom, Heightfield)
-    # deep side up to the rise, shallow side beyond it
-    assert scene.bottom.depth_at(0.0, 0.0) == pytest.approx(12.0)
-    assert scene.bottom.depth_at(34.0, 0.0) == pytest.approx(12.0)
-    assert scene.bottom.depth_at(36.0, 3.0) == pytest.approx(10.0)
+    bottom = scene.bottom
+    assert isinstance(bottom, TriangleMesh) and bottom.faces.shape == (6, 3)
+    # deep side up to the rise, shallow side beyond it, as far as any ray
+    # of a ping reaches: end_m from the sonar at x = y = 0 in x and y
+    end_m = layout_for(scenario2.env, scenario2.sonar).end_m
+    assert np.all(bottom.vertices.min(axis=0)[:2] < -end_m)
+    assert np.all(bottom.vertices.max(axis=0)[:2] > end_m)
+    x, y = np.meshgrid(*[np.linspace(-end_m, end_m, 9)] * 2)
+    xy = np.array([(0.0, 0.0), (34.0, 0.0), (36.0, 3.0),
+                   *zip(x.ravel(), y.ravel())])
+    origins = np.column_stack([xy, np.full(len(xy), 1.0)])
+    down = np.broadcast_to([0.0, 0.0, 1.0], origins.shape)
+    floor = Scene(env=scenario2.env, bottom=bottom, surface_enabled=False)
+    kind, t, *_ = _trace_batch(floor, origins, down, 0.0, 20.0)
+    assert np.all(kind == KIND_BOTTOM)
+    np.testing.assert_allclose(1.0 + t, np.where(xy[:, 0] < 35.0, 12.0, 10.0),
+                               rtol=1e-12)
 
 
-def test_step_bottom_grid_has_two_columns(scenario2):
-    """The step does not vary along y, so two grid columns describe it; the
-    depths match the full square grid everywhere, beyond the grid too."""
-    bottom = build_scene(scenario2).bottom
-    spec = scenario2.raw["scene"]["bottom"]
-    extent, spacing = spec["extent_m"], spec["spacing_m"]
-    num = int(round(2.0 * extent / spacing)) + 1
-    assert bottom.depths.shape == (num, 2)
-    full = Heightfield(x0=bottom.x0, y0=bottom.y0, spacing_m=spacing,
-                       depths=np.tile(bottom.depths[:, :1], (1, num)))
-    rng = np.random.default_rng(7)
-    x = rng.uniform(-1.5 * extent, 1.5 * extent, 2000)
-    y = rng.uniform(-1.5 * extent, 1.5 * extent, 2000)
-    y[:20] = [-extent, extent, -extent - spacing, extent + spacing] * 5
-    assert np.any(np.abs(y) > extent)
-    # the full grid interpolates between equal depths, which can round
-    np.testing.assert_allclose(bottom.depth_at(x, y), full.depth_at(x, y),
-                               rtol=1e-15, atol=0.0)
+def test_step_nodes_match_the_grid():
+    """_step_nodes finds the deep side's nodes in closed form; they must be
+    the nodes the grid -extent + spacing * k finds, both flat cases (every
+    node on one side) and distances on a node included."""
+    rng = np.random.default_rng(17)
+    sides = set()
+    for _ in range(400):
+        spacing = 10.0 ** rng.uniform(-1.5, 1.0)
+        extent = rng.uniform(0.01, 30.0)
+        num = int(round(2.0 * extent / spacing)) + 1
+        xs = -extent + spacing * np.arange(num)
+        pick = rng.random()
+        if pick < 0.3:
+            distance = float(xs[rng.integers(0, num)])
+        elif pick < 0.4:
+            distance = float(xs[rng.integers(0, num)]) + rng.choice([-1e-9, 1e-9])
+        else:
+            distance = rng.uniform(-extent - 2.0 * spacing, extent + 2.0 * spacing)
+        deep = np.count_nonzero(xs <= distance + 1e-9)
+        assert _step_nodes(distance, spacing, extent) == (deep, num)
+        sides.add(min(deep, 1) + (deep == num))
+        # YAML reads a float exactly from 17 digits with a signed exponent
+        bottom = build_scene(loads(MINIMAL + (
+            "\nscene:\n  bottom: {type: step, distance_m: %.16e, rise_m: 1.5, "
+            "spacing_m: %.16e, extent_m: %.16e}\n" % (distance, spacing, extent)
+        ))).bottom
+        if 0 < deep < num:
+            x_a, x_b = np.unique(bottom.vertices[:, 0])[1:3]
+            assert (x_a, x_b) == (xs[deep - 1], xs[deep])
+        else:
+            assert bottom == FlatBottom(depth_m=12.0 if deep else 10.5)
+    assert sides == {0, 1, 2}
+
+
+def test_a_fine_step_grid_is_never_built():
+    """A step of 2 * 10^9 grid cells loads as quickly as any other: its
+    bottom is 6 faces whatever the spacing."""
+    doc = MINIMAL + ("\nscene:\n  bottom: {type: step, distance_m: 10.0, "
+                     "rise_m: 2.0, spacing_m: 1.0e-3, extent_m: 1.0e+6}\n")
+    start = time.perf_counter()
+    bottom = build_scene(loads(doc)).bottom
+    assert time.perf_counter() - start < 0.5
+    assert bottom.faces.shape == (6, 3)
+    # past 2**52 cells neighbouring nodes could not be told apart
+    with pytest.raises(ValueError, match=re.escape(
+            "scenario.scene.bottom: extent_m 1e+300 spans more than 2**52 cells")):
+        loads(doc.replace("extent_m: 1.0e+6", "extent_m: 1.0e+300"))
 
 
 # --- parsing and validation --------------------------------------------------------
