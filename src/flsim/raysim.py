@@ -14,6 +14,12 @@ drops the rays that cannot reach it, and Moller-Trumbore over every face
 finds the nearest hit of the rest. A bottom mesh's hits are KIND_BOTTOM and
 scatter with the environment's bottom_type, not the mesh's material.
 
+_trace_mesh works on per-axis columns: a ray-face term is a (faces, rays)
+array, in blocks of MESH_BLOCK_PAIRS pairs that stay in cache. Its crosses do
+np.cross's operations and its dots add as np.einsum, (a0*b0 + a2*b2) + a1*b1,
+so its hits are bit-identical to einsum's. A ping's rays share one (1, 3)
+origin, whose terms are (faces, 1) columns.
+
 Every bounce goes through one batch path, _bounce: reflect the ray about the
 hit normal, offset the new origin along the reflection, and retrace with the
 range left. ping calls it on all its impacts.
@@ -77,9 +83,9 @@ MIN_GRAZING_RAD = 1e-9
 # own reflection point.
 BOUNCE_OFFSET_M = 1e-9
 BOUNCE_MIN_T = 1e-6
-# Rays per Moller-Trumbore block of _trace_mesh; a block holds a few
-# (rays, faces, 3) arrays.
-MESH_CHUNK_RAYS = 4096
+# Ray-face pairs per Moller-Trumbore block of _trace_mesh: a block's
+# (faces, rays) arrays then stay in cache. A block holds at least one ray.
+MESH_BLOCK_PAIRS = 32768
 # Rays per pass of ping's body: the bound on every per-ray array of a ping
 # but its directions.
 PING_CHUNK_RAYS = 65536
@@ -180,7 +186,7 @@ def _trace_plane(origins, dirs, z, heading, t_min):
     """Crossing of the horizontal plane at depth z by the rays travelling
     toward it from the water: heading +1 (down) for the bottom, -1 (up) for
     the surface. The normal faces the water."""
-    t = np.full(origins.shape[0], np.inf)
+    t = np.full(dirs.shape[0], np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         cand = (z - origins[:, 2]) / dirs[:, 2]
     ok = (heading * dirs[:, 2] > 0.0) & (cand > t_min) & np.isfinite(cand)
@@ -188,25 +194,36 @@ def _trace_plane(origins, dirs, z, heading, t_min):
     return t, (0.0, 0.0, -heading)
 
 
+def _dot(a, b):
+    """Dot product of 3-vectors given as their components, added as
+    np.einsum adds on numpy 2.4 (a tier-1 test checks that they agree)."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def _cross(a, b):
+    """Cross product of 3-vectors given as their components, as np.cross."""
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
 def _trace_mesh(mesh: TriangleMesh, origins, dirs, t_min):
     """Nearest face hit by Moller-Trumbore (JGT 1997) over every face, run in
-    chunks of rays on only the rays that meet the mesh's bounding box: a
-    Kay-Kajiya slab test (SIGGRAPH 1986) culls the rest."""
-    n = origins.shape[0]
+    blocks of ray-face pairs on only the rays that meet the mesh's bounding
+    box: a Kay-Kajiya slab test (SIGGRAPH 1986) culls the rest."""
+    n = dirs.shape[0]
     t_best = np.full(n, np.inf)
-    normals = np.zeros((n, 3))
+    best_face = np.zeros(n, dtype=np.intp)
     # Rounding can put a Moller-Trumbore hit a little outside its face, by an
     # amount that grows with the coordinates, so the box is padded to match:
     # for each ray by its own origin, so no other ray of the batch moves it.
     ao = np.abs(origins)
     pad = 1e-6 * (1.0 + np.abs(mesh.vertices).max()
                   + np.maximum(np.maximum(ao[:, 0], ao[:, 1]), ao[:, 2]))
-    # One slab per axis, in a loop over the three columns, which numpy runs
-    # several times faster than a reduction over each row's three values. A
-    # direction component of 0 gives a slab an infinite entry and exit of
-    # the right signs, or nan for an origin on the padded plane, which no
-    # face reaches: np.maximum and np.minimum carry the nan, and every
-    # comparison below rejects it.
+    # One slab per axis, on columns. A direction component of 0 gives a slab
+    # an infinite entry and exit of the right signs, or nan for an origin on
+    # the padded plane, which no face reaches: np.maximum and np.minimum
+    # carry the nan, and every comparison below rejects it.
     t_near = np.full(n, -np.inf)
     t_far = np.full(n, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -218,49 +235,53 @@ def _trace_mesh(mesh: TriangleMesh, origins, dirs, t_min):
             t_far = np.minimum(t_far, np.maximum(a, b))
         rays = np.nonzero((t_near <= t_far) & (t_far >= t_min))[0]
 
+    # A face term is a (faces, 1) column and a ray term a 1-D array over the
+    # block's rays, so numpy's inner loops run along the rays.
     v0 = mesh.vertices[mesh.faces[:, 0]]
     e1 = mesh.vertices[mesh.faces[:, 1]] - v0
     e2 = mesh.vertices[mesh.faces[:, 2]] - v0
     face_n = np.cross(e1, e2)
-    for start in range(0, rays.size, MESH_CHUNK_RAYS):
-        ri = rays[start:start + MESH_CHUNK_RAYS]
-        o = origins[ri][:, None, :]
-        dr = dirs[ri][:, None, :]
-        pvec = np.cross(dr, e2[None, :, :])
-        det = np.einsum("rfc,fc->rf", pvec, e1)
-        tvec = o - v0[None, :, :]
-        qvec = np.cross(tvec, e1[None, :, :])
+    num_faces = face_n.shape[0]
+    v0, e1, e2 = (x.T[:, :, None] for x in (v0, e1, e2))
+    step = max(1, MESH_BLOCK_PAIRS // num_faces)
+    for start in range(0, rays.size, step):
+        ri = rays[start:start + step]
+        dr = [c[ri] for c in dirs.T]
+        o = origins.T if origins.shape[0] == 1 else [c[ri] for c in origins.T]
+        pvec = _cross(dr, e2)
+        det = _dot(pvec, e1)
+        tvec = [c - c0 for c, c0 in zip(o, v0)]
+        qvec = _cross(tvec, e1)
         # det = 0, a ray parallel to the face, gives inf or nan, rejected below.
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_det = 1.0 / det
-            u = np.einsum("rfc,rfc->rf", tvec, pvec) * inv_det
-            v = np.einsum("rfc,rfc->rf", qvec, dr) * inv_det
-            t = np.einsum("rfc,fc->rf", qvec, e2) * inv_det
-            ok = (
-                (np.abs(det) > 1e-300)
-                & (u >= 0.0)
-                & (v >= 0.0)
-                & (u + v <= 1.0)
-                & (t > t_min)
-            )
-        t = np.where(ok, t, np.inf)
-        best = t.argmin(axis=1)
-        tb = t[np.arange(t.shape[0]), best]
-        hit = np.isfinite(tb)
-        gi = ri[hit]
-        t_best[gi] = tb[hit]
-        fn = face_n[best[hit]]
-        # Orient each face normal against the incoming ray.
-        sign = -np.sign(np.einsum("rc,rc->r", fn, dirs[gi]))
-        sign = np.where(sign == 0.0, 1.0, sign)
-        normals[gi] = fn * sign[:, None] / np.linalg.norm(fn, axis=-1, keepdims=True)
+            u = _dot(tvec, pvec) * inv_det
+            v = _dot(qvec, dr) * inv_det
+            t = _dot(qvec, e2) * inv_det
+            t = np.where((np.abs(det) > 1e-300) & (u >= 0.0) & (v >= 0.0)
+                         & (u + v <= 1.0) & (t > t_min), t, np.inf)
+        # The nearest hit, and the first face that gives it.
+        t_best[ri] = t_ray = np.minimum.reduce(t, axis=0)
+        best_face[ri] = np.minimum.reduce(
+            np.where(t == t_ray, np.arange(num_faces)[:, None], num_faces), axis=0)
+
+    # Orient each hit face's normal against the incoming ray.
+    hit = np.nonzero(np.isfinite(t_best))[0]
+    fn = [c[best_face[hit]] for c in face_n.T]
+    sign = -np.sign(_dot(fn, [c[hit] for c in dirs.T]))
+    sign = np.where(sign == 0.0, 1.0, sign)
+    length = np.linalg.norm(face_n, axis=1)[best_face[hit]]
+    normals = np.zeros((n, 3))
+    for axis, c in enumerate(fn):
+        normals[hit, axis] = c * sign / length
     return t_best, normals
 
 
 def _trace_batch(scene: Scene, origins, dirs, t_min, t_max):
     """Nearest hit per ray. Returns (kind, t, points, normals, grazing,
-    roughness) with kind = -1 and t = inf where the ray escapes."""
-    n = origins.shape[0]
+    roughness) with kind = -1 and t = inf where the ray escapes. origins is
+    (n, 3), one per ray, or (1, 3), one shared by every ray."""
+    n = dirs.shape[0]
     t_best = np.full(n, np.inf)
     kind = np.full(n, -1, dtype=np.int8)
     normals = np.zeros((n, 3))
@@ -480,8 +501,7 @@ def ping(
     num_bins = layout.num_bins
 
     dirs = sample_ray_directions(n_rays, rng)
-    origin = np.zeros(3)
-    origin[2] = pose.depth_m
+    origin = np.array([[0.0, 0.0, pose.depth_m]])
     rx, tx = beam_orientations(pose, beam, transmit_beam)
 
     bottom, surface, object_, multipath = (np.zeros(num_bins) for _ in range(4))
@@ -497,7 +517,7 @@ def ping(
         w = bp_t * bp_r
 
         kind, t, points, normals, grazing, roughness = _trace_batch(
-            scene, np.broadcast_to(origin, d.shape), d, 0.0, t_max
+            scene, origin, d, 0.0, t_max
         )
         hit = kind >= 0
         kinds_h = kind[hit]
@@ -522,7 +542,7 @@ def ping(
         )
         hit2 = kind2 >= 0
         gi = idx[live][hit2]
-        to_sonar = points2[hit2] - origin[None, :]
+        to_sonar = points2[hit2] - origin
         to_sonar /= np.linalg.norm(to_sonar, axis=1, keepdims=True)
         bp_r2 = _beam_weights(to_sonar, rx, sonar, c)
         bins2, value2 = _echo(t[gi] + t2[hit2], kind2[hit2], grazing2[hit2],

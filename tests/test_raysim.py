@@ -1,7 +1,9 @@
 import math
 import re
+import runpy
 import tracemalloc
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,7 @@ from flsim.raysim import (
 from flsim.scatter import ObjectMaterial, bottom_coeff, surface_coeff
 from flsim.scenario import _bottom
 
+ROOT = Path(__file__).resolve().parent.parent
 POSE = SonarPose(altitude_m=5.0, depth_m=7.0)
 FORWARD = BeamOrientation(name="forward")
 COMPONENTS = ("bottom", "surface", "object_", "volume", "multipath")
@@ -449,20 +452,127 @@ def probe_rays(rng, mesh):
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("t_min", [0.0, BOUNCE_MIN_T])
 def test_mesh_kernel_reproduces_brute_force(scenario1, monkeypatch, seed, t_min):
+    """The kernel must find brute_force_mesh's hits exactly, in blocks of its
+    own size and, on every fourth ray, in blocks of 8 ray-face pairs: fewer
+    than a box's 12 faces, so that such a block holds one ray."""
     rng = np.random.default_rng(seed)
     scene = flat_scene(scenario1.env,
                        objects=(random_mesh(rng), random_mesh(rng)))
+    assert max(mesh.faces.shape[0] for mesh in scene.objects) > 8
     for mesh in scene.objects:
         origins, dirs = probe_rays(rng, mesh)
-        kind, t, _, normals, _, _ = _trace_batch(scene, origins, dirs, t_min, 40.0)
         with monkeypatch.context() as patch:
             patch.setattr(raysim, "_trace_mesh", brute_force_mesh)
             kind_b, t_b, _, normals_b, _, _ = _trace_batch(
                 scene, origins, dirs, t_min, 40.0)
         assert np.any(kind_b == KIND_OBJECT)
-        np.testing.assert_array_equal(kind, kind_b)
-        np.testing.assert_array_equal(t, t_b)
-        np.testing.assert_array_equal(normals, normals_b)
+        for budget, rows in ((raysim.MESH_BLOCK_PAIRS, slice(None)),
+                             (8, slice(None, None, 4))):
+            with monkeypatch.context() as patch:
+                patch.setattr(raysim, "MESH_BLOCK_PAIRS", budget)
+                kind, t, _, normals, _, _ = _trace_batch(
+                    scene, origins[rows], dirs[rows], t_min, 40.0)
+            np.testing.assert_array_equal(kind, kind_b[rows])
+            np.testing.assert_array_equal(t, t_b[rows])
+            np.testing.assert_array_equal(normals, normals_b[rows])
+
+
+def same_bits(x, y):
+    """Equal bit for bit, but for the payload of a nan."""
+    nan = np.isnan(x)
+    return (np.array_equal(nan, np.isnan(y))
+            and np.array_equal(x[~nan].view(np.uint64), y[~nan].view(np.uint64)))
+
+
+def test_the_mesh_kernel_adds_as_einsum_and_np_cross_do():
+    """Tripwire for the summation order. The mesh kernel adds a 3-term dot
+    product as (a0*b0 + a2*b2) + a1*b1, which is what np.einsum's SIMD loops
+    do on numpy 2.4; another numpy or CPU may add otherwise. brute_force_mesh
+    and the outputs behind tests/golden/ were made with einsum. The data,
+    with magnitudes from 1e-8 to 1e8 and rows of inf and nan, tell that
+    order from the others."""
+    rng = np.random.default_rng(18)
+    a, b = (rng.standard_normal((4096, 3)) * 10.0 ** rng.uniform(-8, 8, (4096, 3))
+            for _ in range(2))
+    a[:4] = [[np.inf, 1.0, -np.inf], [np.nan, 0.0, 1.0], [1.0, np.inf, 2.0],
+             [-np.inf, 0.0, 0.0]]
+    b[:4] = [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]]
+    moved = ("a numpy or CPU change moved np.einsum's summation order: the mesh "
+             "kernel (raysim._dot) no longer adds as einsum does, so "
+             "brute_force_mesh and tests/golden/ will disagree with the kernel "
+             "in the last bits; check numpy.show_runtime()'s SIMD dispatch")
+    # brute_force_mesh's forms too: pairs, and one face term against rays
+    pairs_a, pairs_b = a.reshape(64, 64, 3), b.reshape(64, 64, 3)
+    with np.errstate(invalid="ignore"):
+        assert same_bits(raysim._dot(a.T, b.T), np.einsum("rc,rc->r", a, b)), moved
+        assert same_bits(raysim._dot(pairs_a.transpose(2, 0, 1),
+                                     pairs_b.transpose(2, 0, 1)),
+                         np.einsum("rfc,rfc->rf", pairs_a, pairs_b)), moved
+        assert same_bits(raysim._dot(pairs_a.transpose(2, 0, 1), b[:64].T),
+                         np.einsum("rfc,fc->rf", pairs_a, b[:64])), moved
+        in_order = (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + a[:, 2] * b[:, 2]
+        assert not same_bits(in_order, np.einsum("rc,rc->r", a, b))
+        assert same_bits(np.stack(raysim._cross(a.T, b.T), axis=1),
+                         np.cross(a, b)), "np.cross changed its operations"
+
+
+def mesh_sim_icosphere():
+    """The mesh_sim benchmark workload's obstacle at its seed 1: the
+    320-face icosphere of 1 m radius about 15 m ahead at 10 m depth."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    verts, faces = workloads["icosphere"](workloads["MESH_SUBDIVISIONS"])
+    center = workloads["mesh_center"](1)
+    return TriangleMesh(vertices=center + workloads["MESH_RADIUS_M"] * verts,
+                        faces=faces)
+
+
+@pytest.mark.parametrize("case", ["flat", "step", "box", "icosphere"])
+def test_a_shared_origin_traces_as_its_rows_do(scenario1, scenario2, case):
+    """A ping passes its one origin as a (1, 3) array. Every array that
+    _trace_batch returns must equal the trace from that origin repeated on
+    every row, also for an empty batch."""
+    sc = scenario2 if case == "step" else scenario1
+    scene = build_scene(sc)
+    if case == "box":
+        scene = replace(scene, objects=(box_mesh((15.0, 0.0, 10.0), (2.0, 2.0, 2.0)),))
+    if case == "icosphere":
+        scene = replace(scene, objects=(mesh_sim_icosphere(),))
+    origin = np.array([[0.0, 0.0, sc.pose.depth_m]])
+    dirs = sample_ray_directions(20000, np.random.default_rng(4))
+    shared = _trace_batch(scene, origin, dirs, 0.0, 40.25)
+    rows = _trace_batch(scene, np.broadcast_to(origin, dirs.shape), dirs, 0.0, 40.25)
+    for a, b in zip(shared, rows):
+        np.testing.assert_array_equal(a, b, strict=True)
+    expected = KIND_BOTTOM if case in ("flat", "step") else KIND_OBJECT
+    assert np.count_nonzero(shared[0] == expected) > 10
+    empty = _trace_batch(scene, origin, np.zeros((0, 3)), 0.0, 40.25)
+    assert [column.shape[0] for column in empty] == [0] * 6
+
+
+@pytest.mark.parametrize("case", ["step", "icosphere"])
+@pytest.mark.parametrize("budget", [1, 2**20])
+def test_the_block_size_does_not_change_the_hits(scenario2, monkeypatch, case,
+                                                 budget):
+    """_trace_mesh in blocks of one ray (a budget of 1 ray-face pair) and
+    all rays in one block must return what it returns in blocks of
+    MESH_BLOCK_PAIRS, from a shared origin and from one origin per ray."""
+    mesh = (build_scene(scenario2).bottom if case == "step"
+            else mesh_sim_icosphere())
+    assert isinstance(mesh, TriangleMesh)
+    rng = np.random.default_rng(7)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    sonar = np.array([[0.0, 0.0, scenario2.pose.depth_m]])
+    origins = sonar + rng.uniform(-1.0, 1.0, (1500, 3))
+    dirs = rng.uniform(lo - 1.0, hi + 1.0, (1500, 3)) - origins
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for o in (sonar, origins):
+        whole = raysim._trace_mesh(mesh, o, dirs, 0.0)
+        monkeypatch.setattr(raysim, "MESH_BLOCK_PAIRS", budget)
+        blocked = raysim._trace_mesh(mesh, o, dirs, 0.0)
+        monkeypatch.undo()
+        assert np.count_nonzero(np.isfinite(whole[0])) > 100
+        for a, b in zip(blocked, whole):
+            np.testing.assert_array_equal(a, b, strict=True)
 
 
 # --- the step mesh against the plain lockstep walk of its grid ------------------
