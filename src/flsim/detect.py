@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .db import is_response
+from .db import is_response, to_db
 from .raysim import PingReturn
 from .nullmodel import NullModelReturn
 
@@ -143,7 +143,7 @@ def detect_ping(
         sigma_db=sigma_db,
         alt_offset_db=alt_offset_db,
     )
-    z = ping_return.total_db
+    z = to_db(ping_return.total)
     lambdas = likelihood_ratios(z, model)
     decisions = decide(lambdas, gamma)
     pd, pfa = pd_pfa(gamma, model)

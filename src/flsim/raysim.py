@@ -31,20 +31,19 @@ the impact. A bounce differs from a direct hit only in its path length,
 t1 + t2 instead of t, and its receive weight, the gain of the direct line
 from the second impact to the sonar instead of the launch direction.
 
-ping draws all its ray directions up front, from one generator call, and
-then runs its whole body (beam weights, trace, echoes, bounce) over chunks
-of PING_CHUNK_RAYS rays, adding each chunk into the per-bin accumulators.
-Every per-ray array but the directions (24 bytes a ray) lives for one
-chunk, so beyond its directions a ping's memory does not grow with
-num_rays. The rays are independent and np.add.at adds in ray order, so
-every bin sums the same terms in the same order however the rays are split:
-the outputs do not depend on the chunk size. A ping of at most one chunk,
-every 20k-ray ping, calls _trace_batch exactly twice.
+ping runs its whole body (direction draw, beam weights, trace, echoes,
+bounce) over chunks of PING_CHUNK_RAYS rays, adding each chunk into the
+per-bin accumulators. Nothing per ray outlives a chunk, so a ping's memory
+does not grow with num_rays. The generator fills its normals in sequence,
+so the chunks' draws are one draw of num_rays rows; the rays are
+independent and np.add.at adds in ray order, so every bin sums the same
+terms in the same order however the rays are split: the outputs do not
+depend on the chunk size. A ping of at most one chunk, every 20k-ray ping,
+calls _trace_batch exactly twice.
 
-All per-bin accumulators are linear intensities; dB views are provided on
-the result object. Ambient noise is added separately by add_noise so a
-simulated ping can be compared against the analytic expectation with the
-noise term switched off.
+All per-bin accumulators are linear intensities. Ambient noise is added
+separately by add_noise so a simulated ping can be compared against the
+analytic expectation with the noise term switched off.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from .acoustics import (
     noise_level_band,
     transmission_loss,
 )
-from .db import to_db, to_linear
+from .db import to_linear
 from .geometry import (
     BinLayout,
     SonarPose,
@@ -86,8 +85,7 @@ BOUNCE_MIN_T = 1e-6
 # Ray-face pairs per Moller-Trumbore block of _trace_mesh: a block's
 # (faces, rays) arrays then stay in cache. A block holds at least one ray.
 MESH_BLOCK_PAIRS = 32768
-# Rays per pass of ping's body: the bound on every per-ray array of a ping
-# but its directions.
+# Rays per pass of ping's body: the bound on every per-ray array of a ping.
 PING_CHUNK_RAYS = 65536
 
 KIND_BOTTOM = 0
@@ -279,8 +277,9 @@ def _trace_mesh(mesh: TriangleMesh, origins, dirs, t_min):
 
 def _trace_batch(scene: Scene, origins, dirs, t_min, t_max):
     """Nearest hit per ray. Returns (kind, t, points, normals, grazing,
-    roughness) with kind = -1 and t = inf where the ray escapes. origins is
-    (n, 3), one per ray, or (1, 3), one shared by every ray."""
+    roughness) with kind = -1, t = inf and grazing 0 where the ray misses:
+    it escapes, hits beyond t_max or grazes below MIN_GRAZING_RAD. origins
+    is (n, 3), one per ray, or (1, 3), one shared by every ray."""
     n = dirs.shape[0]
     t_best = np.full(n, np.inf)
     kind = np.full(n, -1, dtype=np.int8)
@@ -305,18 +304,13 @@ def _trace_batch(scene: Scene, origins, dirs, t_min, t_max):
         better = nearer(KIND_OBJECT, *_trace_mesh(obj, origins, dirs, t_min))
         roughness[better] = obj.material.rms_roughness
 
-    beyond = t_best > np.broadcast_to(np.asarray(t_max, dtype=float), (n,))
-    t_best = np.where(beyond, np.inf, t_best)
-    kind[beyond] = -1
-
-    grazing = np.zeros(n)
-    hit = kind >= 0
-    if np.any(hit):
-        cosines = np.abs(np.einsum("rc,rc->r", dirs[hit], normals[hit]))
-        grazing[hit] = np.arcsin(np.clip(cosines, 0.0, 1.0))
-        tangent = hit & (grazing < MIN_GRAZING_RAD)
-        kind[tangent] = -1
-        t_best[tangent] = np.inf
+    # A ray that hit nothing keeps a zero normal, so its grazing angle is 0.
+    cosines = np.abs(np.einsum("rc,rc->r", dirs, normals))
+    grazing = np.arcsin(np.clip(cosines, 0.0, 1.0))
+    miss = (t_best > t_max) | (grazing < MIN_GRAZING_RAD)
+    kind[miss] = -1
+    t_best[miss] = np.inf
+    grazing[miss] = 0.0
 
     t_safe = np.where(np.isfinite(t_best), t_best, 0.0)
     points = origins + t_safe[:, None] * dirs
@@ -414,30 +408,6 @@ class PingReturn:
         )
 
     @property
-    def total_db(self) -> np.ndarray:
-        return to_db(self.total)
-
-    @property
-    def bottom_db(self) -> np.ndarray:
-        return to_db(self.bottom)
-
-    @property
-    def surface_db(self) -> np.ndarray:
-        return to_db(self.surface)
-
-    @property
-    def object_db(self) -> np.ndarray:
-        return to_db(self.object_)
-
-    @property
-    def volume_db(self) -> np.ndarray:
-        return to_db(self.volume)
-
-    @property
-    def multipath_db(self) -> np.ndarray:
-        return to_db(self.multipath)
-
-    @property
     def bin_centers(self) -> np.ndarray:
         return self.layout.centers
 
@@ -500,7 +470,6 @@ def ping(
     n_rays = sonar.num_rays
     num_bins = layout.num_bins
 
-    dirs = sample_ray_directions(n_rays, rng)
     origin = np.array([[0.0, 0.0, pose.depth_m]])
     rx, tx = beam_orientations(pose, beam, transmit_beam)
 
@@ -509,7 +478,7 @@ def ping(
     # shell, numbered from 1 (num_bins for a ray that escapes).
     per_last = np.zeros(num_bins + 1)
     for start in range(0, n_rays, PING_CHUNK_RAYS):
-        d = dirs[start:start + PING_CHUNK_RAYS]
+        d = sample_ray_directions(min(PING_CHUNK_RAYS, n_rays - start), rng)
         bp_t = _beam_weights(d, tx, sonar, c)
         # The gain depends on the orientation only, so a receive beam that
         # points where the transmitter does reuses the transmit weights.

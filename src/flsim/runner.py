@@ -196,12 +196,12 @@ def run_sim(scenario: Scenario, out_dir: str) -> dict:
             _write_bins(
                 out_dir, f"sim_{slug}_ping{ping_idx + 1}.csv", p.bin_centers,
                 {
-                    "intensity_db": map(_fmt_db, p.total_db),
-                    "bottom_db": map(_fmt_db, p.bottom_db),
-                    "surface_db": map(_fmt_db, p.surface_db),
-                    "object_db": map(_fmt_db, p.object_db),
-                    "volume_db": map(_fmt_db, p.volume_db),
-                    "multipath_db": map(_fmt_db, p.multipath_db),
+                    "intensity_db": map(_fmt_db, to_db(p.total)),
+                    "bottom_db": map(_fmt_db, to_db(p.bottom)),
+                    "surface_db": map(_fmt_db, to_db(p.surface)),
+                    "object_db": map(_fmt_db, to_db(p.object_)),
+                    "volume_db": map(_fmt_db, to_db(p.volume)),
+                    "multipath_db": map(_fmt_db, to_db(p.multipath)),
                 },
             )
         mean_db = to_db(beam_result["mean_linear"])

@@ -38,6 +38,7 @@ from flsim.raysim import (
     KIND_BOTTOM,
     KIND_OBJECT,
     KIND_SURFACE,
+    MIN_GRAZING_RAD,
     _bounce,
     _trace_batch,
 )
@@ -282,6 +283,29 @@ def test_trace_batch_takes_an_empty_batch(scenario1, bottom, objects):
     scene = Scene(env=scenario1.env, bottom=bottom, objects=objects)
     trace = _trace_batch(scene, np.zeros((0, 3)), np.zeros((0, 3)), 0.0, 40.0)
     assert [len(column) for column in trace] == [0] * 6
+
+
+def test_every_miss_is_decided_by_one_rule(scenario1):
+    """One batch on a flat scene holds a tangent hit (1e-12 m above the
+    floor, 1e-11 rad from level), a hit beyond its own t_max, a level ray
+    that escapes, a hit at exactly its t_max and ordinary hits. A miss has
+    kind -1, t inf and grazing 0; a hit grazes at MIN_GRAZING_RAD or more
+    and lies within its t_max."""
+    scene = flat_scene(scenario1.env)
+    tilt = 1e-11
+    origins = np.array([[0.0, 0.0, 12.0 - 1e-12]] + [[0.0, 0.0, 7.0]] * 7)
+    dirs = np.array([[math.cos(tilt), 0.0, math.sin(tilt)], [0.0, 0.0, 1.0],
+                     [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8],
+                     [0.0, -0.6, -0.8], [0.48, 0.64, 0.6], [-0.8, 0.0, -0.6]])
+    t_max = np.array([40.0, 4.0, 40.0, 5.0, 40.0, 40.0, 40.0, 40.0])
+    kind, t, _, _, grazing, _ = _trace_batch(scene, origins, dirs, 0.0, t_max)
+    missed = kind < 0
+    assert missed.tolist() == [True, True, True] + [False] * 5
+    assert np.array_equal(missed, np.isinf(t))
+    assert np.all(grazing[missed] == 0.0)
+    assert np.all(grazing[~missed] >= MIN_GRAZING_RAD)
+    assert np.all(t[~missed] <= t_max[~missed])
+    assert t[3] == 5.0
 
 
 def test_a_ray_leaving_a_box_from_inside_hits_its_exit_face(scenario1):
@@ -928,7 +952,9 @@ def test_a_ping_does_not_depend_on_how_its_rays_are_chunked(
     """A 20k-ray ping is one chunk. In chunks of 4999 rays, which do not
     divide the ray count, every component must come out bit for bit the
     same: on a flat bottom, on the step with a pitched receive beam (its
-    receive and transmit weights differ) and with a mesh obstacle."""
+    receive and transmit weights differ) and with a mesh obstacle. Each
+    chunk draws its own directions, so this also covers the per-chunk draw:
+    the chunks' draws must be the one draw of a single chunk."""
     sc, beam = scenario1, FORWARD
     if case == "step_pitched":
         sc, beam = scenario2, scenario2.sonar.beams[1]
@@ -949,13 +975,30 @@ def test_a_ping_does_not_depend_on_how_its_rays_are_chunked(
     assert np.any(whole.object_ > 0.0) == (case == "mesh")
 
 
+@pytest.mark.parametrize("a, b", [(1, 2), (4999, 15001), (65536, 7)])
+def test_consecutive_normal_draws_are_one_draw(a, b):
+    """ping draws each chunk's directions as it comes to it. That matches a
+    single draw of every ray only while numpy's Generator fills a
+    standard_normal array in sequence, leaving the generator where one draw
+    of a + b rows would."""
+    split, whole = np.random.default_rng(8), np.random.default_rng(8)
+    first, second = split.standard_normal((a, 3)), split.standard_normal((b, 3))
+    same = (np.array_equal(np.vstack([first, second]),
+                           whole.standard_normal((a + b, 3)))
+            and split.standard_normal(4).tolist()
+            == whole.standard_normal(4).tolist())
+    assert same, ("a numpy change moved the Generator's fill order: pings of "
+                  "more than one chunk (raysim.PING_CHUNK_RAYS) will no "
+                  "longer match the same pings run as one chunk")
+
+
 def test_ping_memory_does_not_grow_with_the_ray_count(scenario1):
-    """Only the directions, drawn up front, scale with num_rays: 24 bytes a
-    ray held, 32 while sample_ray_directions draws them. Every other per-ray
-    array lives for one chunk of raysim.PING_CHUNK_RAYS rays. numpy reports
-    its buffers to tracemalloc, so the traced peak of a ping may grow by at
-    most 64 bytes per extra ray; a ping that held all its per-ray arrays at
-    once grows by hundreds."""
+    """Every per-ray array of a ping, its directions included, is drawn or
+    made per chunk of raysim.PING_CHUNK_RAYS rays and lives for that chunk
+    only. numpy reports its buffers to tracemalloc, so the traced peak of a
+    ping may grow by at most 4 bytes per extra ray. Drawing every direction
+    up front grows it by about 15, and holding every per-ray array at once
+    by hundreds."""
     scene = build_scene(scenario1)
 
     def peak_bytes(n_rays):
@@ -970,7 +1013,7 @@ def test_ping_memory_does_not_grow_with_the_ray_count(scenario1):
             tracemalloc.stop()
 
     small, large = peak_bytes(200_000), peak_bytes(400_000)
-    assert (large - small) / 200_000 <= 64.0
+    assert (large - small) / 200_000 <= 4.0
 
 
 @pytest.mark.parametrize("yaw_deg", [10.0, 37.0])
@@ -1024,6 +1067,29 @@ def test_a_mirrored_ping_is_bit_identical(scenario2, monkeypatch):
     assert np.count_nonzero(port.bottom) > 50
 
 
+def test_a_source_level_shift_moves_every_bin_by_as_many_db(scenario1,
+                                                           scenario2):
+    """Metamorphic check: every term of a ping scales with the source level.
+    Raising it by 17.5 dB keeps each component's zero bins and moves every
+    other bin by 17.5 dB, on scenario1 and on each of scenario2's beams."""
+    shift_db = 17.5
+    for tag, sc in (("scenario1", scenario1), ("scenario2", scenario2)):
+        scene = build_scene(sc)
+        for beam in sc.sonar.beams:
+            lo, hi = (
+                ping(scene, replace(sc.sonar, source_level_db=level), sc.pose,
+                     beam, transmit_beam=sc.transmitter, seed=5)
+                for level in (0.0, shift_db))
+            for name in COMPONENTS:
+                a, b = getattr(lo, name), getattr(hi, name)
+                where = f"{tag} {beam.name} {name}"
+                assert np.array_equal(a > 0.0, b > 0.0), where
+                np.testing.assert_allclose(to_db(b[a > 0.0]) - to_db(a[a > 0.0]),
+                                           shift_db, rtol=0.0, atol=1e-9,
+                                           err_msg=where)
+            assert np.count_nonzero(lo.bottom) > 50
+
+
 def test_ping_components_and_layout(scenario1, s1_layout):
     scene = flat_scene(scenario1.env)
     sonar = replace(scenario1.sonar, num_rays=4000)
@@ -1041,7 +1107,7 @@ def test_ping_components_and_layout(scenario1, s1_layout):
     # no object in the scene, no object energy; noise was not added
     assert np.all(pr.object_ == 0.0)
     assert np.all(pr.noise == 0.0)
-    assert np.all(pr.object_db == NO_RESPONSE)
+    assert np.all(to_db(pr.object_) == NO_RESPONSE)
     np.testing.assert_allclose(pr.bin_centers, s1_layout.centers)
 
 
