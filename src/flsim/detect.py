@@ -101,12 +101,10 @@ def pd_pfa(gamma: float, model: HypothesisModel) -> tuple:
         return hit, hit
     # Threshold on z implied by lambda >= gamma.
     offset_from_null = delta / 2.0 + sigma**2 * math.log(gamma) / delta
-    if delta > 0.0:
-        pfa = _q_function(offset_from_null / sigma)
-        pd = _q_function((offset_from_null - delta) / sigma)
-    else:
-        pfa = _q_function(-offset_from_null / sigma)
-        pd = _q_function(-(offset_from_null - delta) / sigma)
+    # A negative offset flips the test's side: lambda grows as z falls.
+    s = math.copysign(1.0, delta)
+    pfa = _q_function(s * offset_from_null / sigma)
+    pd = _q_function(s * (offset_from_null - delta) / sigma)
     return pd, pfa
 
 

@@ -290,7 +290,7 @@ def _trace_batch(scene: Scene, origins, dirs, t_min, t_max):
         better = t_o < t_best
         t_best[better] = t_o[better]
         kind[better] = code
-        normals[better] = normal if np.ndim(normal) == 1 else normal[better]
+        np.copyto(normals, normal, where=better[:, None])
         return better
 
     if scene.surface_enabled:

@@ -84,6 +84,16 @@ def _positive(value, path: str) -> float:
     return number
 
 
+def _within(low: float, high: float):
+    def coerce(value, path: str) -> float:
+        number = _as_float(value, path)
+        if not low <= number <= high:
+            raise ValueError(f"{path}: must be in [{low}, {high}], got {number}")
+        return number
+
+    return coerce
+
+
 def _int_at_least(low: int):
     def coerce(value, path: str) -> int:
         number = _as_int(value, path)
@@ -166,7 +176,6 @@ REQUIRED = object()
 _ENVIRONMENT = (
     ("temperature_c", _as_float, REQUIRED),
     ("salinity_ppt", _as_float, REQUIRED),
-    ("depth_m", _as_float, REQUIRED),
     ("max_depth_m", _as_float, REQUIRED),
     ("ph", _as_float, 8.0),
     ("wind_knots", _as_float, 0.0),
@@ -192,7 +201,8 @@ _SONAR = (
 )
 _POSE = (
     ("altitude_m", _as_float, REQUIRED),
-    ("depth_m", _as_float, REQUIRED),
+    # sound speed is taken at this depth, and its formula holds to 1000 m
+    ("depth_m", _within(0.0, 1000.0), REQUIRED),
     ("pitch_deg", _as_float, 0.0),
 )
 _TRANSMITTER = (
@@ -205,8 +215,6 @@ _BOTTOM = _variant("bottom", "flat", {
     "step": (
         ("distance_m", _as_float, REQUIRED),
         ("rise_m", _as_float, REQUIRED),
-        ("spacing_m", _positive, 0.5),
-        ("extent_m", _positive, 42.0),
     ),
 })
 _OBJECT = _variant("object", REQUIRED, {
@@ -355,9 +363,10 @@ def _sonar(node: dict) -> SonarConfig:
 def _build(normalized: dict) -> Scenario:
     """The typed components of a normalized document. The bin layout and
     the scene are built too, so that every error shows at load."""
-    env = _at("scenario.environment", EnvironmentParams, **normalized["environment"])
-    sonar = _at("scenario.sonar", _sonar, normalized["sonar"])
     pose_node = normalized["pose"]
+    env = _at("scenario.environment", EnvironmentParams,
+              depth_m=pose_node["depth_m"], **normalized["environment"])
+    sonar = _at("scenario.sonar", _sonar, normalized["sonar"])
     pose = _at(
         "scenario.pose", SonarPose,
         altitude_m=pose_node["altitude_m"],
@@ -404,31 +413,17 @@ def serialize(scenario: Scenario) -> str:
     return yaml.safe_dump(scenario.raw, sort_keys=False)
 
 
-def _step_nodes(distance: float, spacing: float, extent: float):
-    """The step's grid has nodes x_k = -extent + spacing * k, k = 0 .. num - 1.
-    Returns (deep, num): the first deep nodes, those with x_k <= distance +
-    1e-9, lie on the deep side. deep is a floor corrected against that exact
-    test, so no grid is built. Past 2**52 cells, nodes would share floats."""
-    cells = 2.0 * extent / spacing
-    if not cells < 2.0**52:
-        raise ValueError(f"extent_m {extent} spans more than 2**52 cells of "
-                         f"spacing_m {spacing}")
-    num = int(round(cells)) + 1
-    limit = distance + 1e-9
-    deep = math.floor(min(max((limit + extent) / spacing + 1.0, 0.0), num))
-    while deep < num and -extent + spacing * deep <= limit:
-        deep += 1
-    while deep > 0 and -extent + spacing * (deep - 1) > limit:
-        deep -= 1
-    return deep, num
+# Width along x of a step's ramp: the spacing of the grid that step bottoms
+# were once built on, kept so that scenario2's rise stays where it was.
+STEP_RAMP_M = 0.5
 
 
 def _bottom(spec: dict, base_depth: float, end_m: float):
-    """The scene's bottom. A step is deep up to x_a, the last grid node at or
-    before distance_m, rises linearly to base - rise_m at the next node x_b,
-    and stays there: three planar quads that reach 1 m further than end_m
-    from the sonar (at x = y = 0) and from the ramp, past any point that a
-    ray or its bounce reaches. With every node on one side the step is flat.
+    """The scene's bottom. A step is deep up to x_a = distance_m, rises
+    linearly to base - rise_m at x_b = x_a + STEP_RAMP_M, and stays there:
+    three planar quads that reach 1 m further than end_m from the sonar (at
+    x = y = 0) and from the ramp, past any point that a ray or its bounce
+    reaches. A distance_m beyond that reach puts the ramp at its edge.
 
     Each quad is two opposed wedges: a triangle with one side along y, from
     -2 reach to 2 reach, at one end of the quad and its apex at y = 0 on the
@@ -446,15 +441,11 @@ def _bottom(spec: dict, base_depth: float, end_m: float):
         raise ValueError(
             f"rise_m {rise} reaches the surface (sea floor at {base_depth} m)"
         )
-    spacing, extent = spec["spacing_m"], spec["extent_m"]
-    deep, num = _step_nodes(spec["distance_m"], spacing, extent)
-    if deep == 0:
-        return FlatBottom(depth_m=shallow)
-    if deep == num:
-        return FlatBottom(depth_m=base_depth)
-    x_a = -extent + spacing * (deep - 1)
-    x_b = -extent + spacing * deep
     reach = end_m + 1.0
+    # No ray tells a ramp beyond the reach from one at its edge, and there
+    # the vertices stay small enough for Moller-Trumbore not to overflow.
+    x_a = min(max(spec["distance_m"], -reach - STEP_RAMP_M), reach)
+    x_b = x_a + STEP_RAMP_M
     xs = (min(x_a, 0.0) - reach, x_a, x_b, max(x_b, 0.0) + reach)
     zs = (base_depth, base_depth, shallow, shallow)
     # vertex 3i + k lies at xs[i], y = (k - 1) * 2 reach

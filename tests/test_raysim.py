@@ -43,7 +43,7 @@ from flsim.raysim import (
     _trace_batch,
 )
 from flsim.scatter import ObjectMaterial, bottom_coeff, surface_coeff
-from flsim.scenario import _bottom
+from flsim.scenario import STEP_RAMP_M, _bottom
 
 ROOT = Path(__file__).resolve().parent.parent
 POSE = SonarPose(altitude_m=5.0, depth_m=7.0)
@@ -55,11 +55,10 @@ def flat_scene(env, **kw):
     return Scene(env=env, bottom=FlatBottom(depth_m=12.0), **kw)
 
 
-def step_bottom(distance, rise, spacing, extent, base=12.0, end_m=40.25):
+def step_bottom(distance, rise, base=12.0, end_m=40.25):
     """The bottom a scenario builds for a step of these parameters over a
     base depth, for rays that travel at most end_m from x = y = 0."""
-    spec = {"type": "step", "distance_m": distance, "rise_m": rise,
-            "spacing_m": spacing, "extent_m": extent}
+    spec = {"type": "step", "distance_m": distance, "rise_m": rise}
     return _bottom(spec, base, end_m)
 
 
@@ -152,7 +151,7 @@ def bounce_one(scene, hit, direction, max_range):
 
 def test_flat_heightfield_matches_plane(scenario1):
     # a step that does not rise is a flat 6-face mesh
-    hf = step_bottom(5.0, 0.0, 25.0, 50.0)
+    hf = step_bottom(5.0, 0.0)
     assert isinstance(hf, TriangleMesh) and np.all(hf.vertices[:, 2] == 12.0)
     plane = flat_scene(scenario1.env)
     bumpy = Scene(env=scenario1.env, bottom=hf)
@@ -168,9 +167,9 @@ def test_flat_heightfield_matches_plane(scenario1):
 
 
 def test_heightfield_extends_beyond_grid(scenario1):
-    # a step grid of five nodes, -2 .. 2 m, rising 2 m between 0 and 1 m,
-    # still defines the floor far beyond its ends, on either side
-    scene = Scene(env=scenario1.env, bottom=step_bottom(0.5, 2.0, 1.0, 2.0))
+    # a step rising 2 m between 0.5 and 1 m defines the floor far from its
+    # ramp, on either side
+    scene = Scene(env=scenario1.env, bottom=step_bottom(0.5, 2.0))
     for heading, depth in ((-1.0, 12.0), (1.0, 10.0)):
         d = (heading * math.cos(0.5), 0.0, math.sin(0.5))
         kind, t, point, normal, _, _ = trace_one(scene, (0.0, 0.0, 7.0), d, 100.0)
@@ -181,10 +180,10 @@ def test_heightfield_extends_beyond_grid(scenario1):
 
 
 def test_heightfield_ray_crossing_many_cells_is_not_dropped(scenario1):
-    # About 270 x walls and 220 y walls of the default step's 0.1 m cells lie
-    # between the sonar and the deep-side impact at 35 m. The mesh has six
-    # faces however fine the grid, so none of them can drop the ray.
-    hf = step_bottom(36.0, 2.0, 0.1, 42.0)
+    # A long oblique ray lands on the deep side at 35 m, 1 m short of the
+    # rise: the step is six faces, not cells to walk, so nothing on the way
+    # can drop it.
+    hf = step_bottom(36.0, 2.0)
     assert hf.faces.shape == (6, 3)
     dz = 5.0 / 35.0
     horizontal = np.array([1.0, 0.8]) / math.hypot(1.0, 0.8)
@@ -276,7 +275,7 @@ def test_trace_batch_accounts_for_every_ray(scenario1):
 @pytest.mark.parametrize("bottom, objects", [
     pytest.param(FlatBottom(depth_m=12.0),
                  (box_mesh((15.0, 0.0, 10.0), (2.0, 2.0, 2.0)),), id="box"),
-    pytest.param(step_bottom(35.0, 2.0, 0.5, 42.0), (), id="step"),
+    pytest.param(step_bottom(35.0, 2.0), (), id="step"),
 ])
 def test_trace_batch_takes_an_empty_batch(scenario1, bottom, objects):
     """A bounce retraces its live rays even when there are none."""
@@ -599,6 +598,90 @@ def test_the_block_size_does_not_change_the_hits(scenario2, monkeypatch, case,
             np.testing.assert_array_equal(a, b, strict=True)
 
 
+def rays_at(mesh, rng, n=2000):
+    """Rays from about the sonar of scenario1 aimed at random points of the
+    mesh's bounding box, padded by 0.2 m: from the sonar itself only about
+    one ray in a thousand meets the icosphere."""
+    lo, hi = mesh.vertices.min(axis=0) - 0.2, mesh.vertices.max(axis=0) + 0.2
+    origins = np.array([0.0, 0.0, 7.0]) + rng.uniform(-1.0, 1.0, (n, 3))
+    dirs = rng.uniform(lo, hi, (n, 3)) - origins
+    return origins, dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+def test_the_face_order_does_not_change_the_hits():
+    """Each ray's nearest hit is a minimum over faces, so permuting the faces
+    leaves t and the normals bit-identical."""
+    mesh = mesh_sim_icosphere()
+    rng = np.random.default_rng(7)
+    shuffled = TriangleMesh(vertices=mesh.vertices,
+                            faces=mesh.faces[rng.permutation(len(mesh.faces))])
+    origins, dirs = rays_at(mesh, rng)
+    for o in (origins[:1], origins):
+        t, normals = raysim._trace_mesh(mesh, o, dirs, 0.0)
+        t_s, normals_s = raysim._trace_mesh(shuffled, o, dirs, 0.0)
+        assert np.count_nonzero(np.isfinite(t)) > 400
+        np.testing.assert_array_equal(t_s, t, strict=True)
+        np.testing.assert_array_equal(normals_s, normals, strict=True)
+
+
+def test_the_vertex_winding_does_not_change_the_hits():
+    """Reversing every face's winding turns its normal over; the kernel
+    turns each hit's normal against its ray, so the normals are identical,
+    the same rays hit and t agrees up to the rounding of the other edge
+    order."""
+    mesh = mesh_sim_icosphere()
+    rng = np.random.default_rng(7)
+    reversed_ = TriangleMesh(vertices=mesh.vertices, faces=mesh.faces[:, [0, 2, 1]])
+    origins, dirs = rays_at(mesh, rng)
+    for o in (origins[:1], origins):
+        t, normals = raysim._trace_mesh(mesh, o, dirs, 0.0)
+        t_r, normals_r = raysim._trace_mesh(reversed_, o, dirs, 0.0)
+        hit = np.isfinite(t)
+        assert np.count_nonzero(hit) > 400
+        np.testing.assert_array_equal(np.isfinite(t_r), hit)
+        np.testing.assert_allclose(t_r[hit], t[hit], rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(normals_r, normals, strict=True)
+
+
+def test_a_mirrored_mesh_scene_pings_bit_identically(scenario1, monkeypatch):
+    """Metamorphic check: scenario1 with the mesh_sim icosphere, which sits
+    off the x axis, against its mirror image in y -> -y. A beam pitched 10
+    deg and yawed +20 deg over the mirrored scene, with every ray direction
+    mirrored, must give the ping of the beam yawed -20 deg over the original
+    scene bit for bit. Most rays are bent toward the icosphere."""
+    monkeypatch.setattr(raysim, "PING_CHUNK_RAYS", 4999)
+    mesh = mesh_sim_icosphere()
+    mirror = np.array([1.0, -1.0, 1.0])
+    scene = replace(build_scene(scenario1), objects=(mesh,))
+    mirrored = replace(scene, objects=(
+        TriangleMesh(vertices=mesh.vertices * mirror, faces=mesh.faces),))
+    sonar = replace(scenario1.sonar, num_rays=20000)
+    ahead = mesh.vertices.mean(axis=0) - np.array([0.0, 0.0, 7.0])
+    ahead /= np.linalg.norm(ahead)
+    draw = raysim.sample_ray_directions
+
+    def aimed(n, rng):
+        dirs = ahead + 0.1 * draw(n, rng)
+        return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+    def beam(yaw_deg):
+        return BeamOrientation(pitch_rad=math.radians(10.0),
+                               yaw_rad=math.radians(yaw_deg), name="b")
+
+    monkeypatch.setattr(raysim, "sample_ray_directions", aimed)
+    port = ping(scene, sonar, scenario1.pose, beam(-20.0),
+                transmit_beam=beam(-20.0), seed=12)
+    monkeypatch.setattr(raysim, "sample_ray_directions",
+                        lambda n, rng: aimed(n, rng) * mirror)
+    starboard = ping(mirrored, sonar, scenario1.pose, beam(20.0),
+                     transmit_beam=beam(20.0), seed=12)
+    for name in COMPONENTS:
+        np.testing.assert_array_equal(getattr(starboard, name),
+                                      getattr(port, name), err_msg=name)
+    assert np.count_nonzero(port.object_) >= 3
+    assert np.count_nonzero(port.bottom) > 10
+
+
 # --- the step mesh against the plain lockstep walk of its grid ------------------
 
 
@@ -775,36 +858,27 @@ def lockstep_heightfield(hf, origins, dirs, t_min, t_max):
     return t_hit, normals
 
 
-def random_step(rng, flat):
+def random_step(rng):
     """A step bottom's parameters at random, as a scenario's bottom spec and
-    a base depth: spacing 0.1-5 m, extent 1-20 m more than one spacing, base
-    4-14 m, a rise of either sign, and a distance on a node or between
-    nodes. A flat step has every node on one side of distance, the deep side
-    or the shallow one."""
-    spacing = 10.0 ** rng.uniform(-1.0, 0.7)
-    extent = spacing + rng.uniform(1.0, 20.0)
+    a base depth: base 4-14 m, a rise of either sign, and a distance within
+    20 m of the sonar, a multiple of STEP_RAMP_M in a third of the cases."""
     base = rng.uniform(4.0, 14.0)
     rise = rng.uniform(-4.0, base - 1.0)
-    num = int(round(2.0 * extent / spacing)) + 1
-    if flat:
-        distance = (extent + spacing) * (1.0 if rng.random() < 0.5 else -1.0)
-    elif rng.random() < 0.3:
-        distance = -extent + spacing * int(rng.integers(0, num - 1))
-    else:
-        distance = rng.uniform(-extent, extent - spacing)
-    spec = {"type": "step", "distance_m": distance, "rise_m": rise,
-            "spacing_m": spacing, "extent_m": extent}
-    return spec, base
+    distance = rng.uniform(-20.0, 20.0)
+    if rng.random() < 0.3:
+        distance = STEP_RAMP_M * round(distance / STEP_RAMP_M)
+    return {"type": "step", "distance_m": distance, "rise_m": rise}, base
 
 
-def step_grid(spec, base):
-    """The grid that the scenario loader built for a step: two columns of
-    num nodes along x, deep up to distance_m + 1e-9."""
-    extent, spacing = spec["extent_m"], spec["spacing_m"]
-    num = int(round(2.0 * extent / spacing)) + 1
-    xs = -extent + spacing * np.arange(num)
-    depths = np.where(xs <= spec["distance_m"] + 1e-9, base, base - spec["rise_m"])
-    return Grid(x0=-extent, y0=-extent, spacing_m=spacing,
+def step_grid(rng, spec, base):
+    """A grid of spacing STEP_RAMP_M along which the step's floor is linear:
+    two columns of nodes, 1-40 of them deep up to a node at distance_m, the
+    next 1-40 shallow."""
+    deep = int(rng.integers(1, 41))
+    num = deep + int(rng.integers(1, 41))
+    x0 = spec["distance_m"] - STEP_RAMP_M * (deep - 1)
+    depths = np.where(np.arange(num) < deep, base, base - spec["rise_m"])
+    return Grid(x0=x0, y0=0.0, spacing_m=STEP_RAMP_M,
                 depths=np.tile(depths[:, None], (1, 2)))
 
 
@@ -851,28 +925,25 @@ def step_probe_rays(rng, grid):
 @pytest.mark.parametrize("t_min", [0.0, BOUNCE_MIN_T])
 def test_heightfield_kernel_reproduces_lockstep_walk(scenario1, monkeypatch,
                                                      seed, t_min):
-    """The step heightfield is traced as its 6-face mesh (or a plane when it
-    is flat). On random steps, _trace_batch must find the hits the lockstep
-    walk finds on the step's grid: the same kind, and t and normals to
-    rtol 1e-12 on the hits."""
+    """The step is traced as its 6-face mesh. On random steps, _trace_batch
+    must find the hits the lockstep walk finds on a grid that holds the same
+    floor: the same kind, and t and normals to rtol 1e-12 on the hits."""
     rng = np.random.default_rng(seed)
-    for flat in (False, False, True):
-        spec, base = random_step(rng, flat)
-        grid = step_grid(spec, base)
+    for _ in range(2):
+        spec, base = random_step(rng)
+        grid = step_grid(rng, spec, base)
         origins, dirs = step_probe_rays(rng, grid)
         # per-ray range, a few of them shorter than t_min
         t_max = rng.uniform(0.0, 60.0, origins.shape[0])
         # the mesh reaches 1 m past end_m from x = y = 0, past every ray's end
         end_m = float(np.max(np.abs(origins[:, :2]).max(axis=1) + t_max))
         bottom = _bottom(spec, base, end_m)
-        assert isinstance(bottom, FlatBottom if flat else TriangleMesh)
         scene = Scene(env=scenario1.env, bottom=bottom, surface_enabled=False)
         kind, t, _, normals, _, _ = _trace_batch(scene, origins, dirs, t_min, t_max)
         with monkeypatch.context() as patch:
             reference = (lambda *args: lockstep_heightfield(grid, origins, dirs,
                                                             t_min, t_max))
-            patch.setattr(raysim, "_trace_mesh" if not flat else "_trace_plane",
-                          reference)
+            patch.setattr(raysim, "_trace_mesh", reference)
             kind_r, t_r, _, normals_r, _, _ = _trace_batch(
                 scene, origins, dirs, t_min, t_max)
         assert np.count_nonzero(kind_r == KIND_BOTTOM) > 20

@@ -236,11 +236,12 @@ def test_cli_rejects_scene_errors_at_load(tmp_path, capsys, scenario1):
     assert not (tmp_path / "n").exists()
 
     step = _document_with_scene(tmp_path, scenario1, {"bottom": {
-        "type": "step", "distance_m": 35.0, "rise_m": 2.0, "spacing_m": 0}})
+        "type": "step", "distance_m": 35.0, "rise_m": 12.0}})
     assert main(["sim", "--scenario", step, "--out", str(tmp_path / "s"),
                  "--rays", "200", "--pings", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: scenario.scene.bottom.spacing_m: must be > 0")
+    assert err.startswith("error: scenario.scene.bottom: rise_m 12.0 reaches "
+                          "the surface")
     assert "Traceback" not in err
 
 

@@ -1,6 +1,5 @@
 import math
 import re
-import time
 
 import numpy as np
 import pytest
@@ -16,14 +15,13 @@ from flsim import (
     serialize,
 )
 from flsim.raysim import KIND_BOTTOM, _trace_batch
-from flsim.scenario import _step_nodes
+from flsim.scenario import STEP_RAMP_M
 from flsim.runner import with_overrides
 
 MINIMAL = """
 environment:
   temperature_c: 10.0
   salinity_ppt: 35.0
-  depth_m: 7.0
   max_depth_m: 12.0
 sonar:
   frequency_khz: 450.0
@@ -94,53 +92,52 @@ def test_bundled_step_scenario(scenario2):
                                rtol=1e-12)
 
 
-def test_step_nodes_match_the_grid():
-    """_step_nodes finds the deep side's nodes in closed form; they must be
-    the nodes the grid -extent + spacing * k finds, both flat cases (every
-    node on one side) and distances on a node included."""
+def test_the_step_ramp_spans_distance_to_a_fixed_width():
+    """A step is deep up to distance_m and shallow from distance_m +
+    STEP_RAMP_M on, for a distance and a rise of either sign, as long as the
+    ramp lies within the rays' reach."""
+    assert STEP_RAMP_M == 0.5
+    minimal = loads(MINIMAL)
+    end_m = layout_for(minimal.env, minimal.sonar).end_m
     rng = np.random.default_rng(17)
-    sides = set()
-    for _ in range(400):
-        spacing = 10.0 ** rng.uniform(-1.5, 1.0)
-        extent = rng.uniform(0.01, 30.0)
-        num = int(round(2.0 * extent / spacing)) + 1
-        xs = -extent + spacing * np.arange(num)
-        pick = rng.random()
-        if pick < 0.3:
-            distance = float(xs[rng.integers(0, num)])
-        elif pick < 0.4:
-            distance = float(xs[rng.integers(0, num)]) + rng.choice([-1e-9, 1e-9])
-        else:
-            distance = rng.uniform(-extent - 2.0 * spacing, extent + 2.0 * spacing)
-        deep = np.count_nonzero(xs <= distance + 1e-9)
-        assert _step_nodes(distance, spacing, extent) == (deep, num)
-        sides.add(min(deep, 1) + (deep == num))
+    for _ in range(200):
+        distance = rng.uniform(-end_m, end_m - STEP_RAMP_M)
+        rise = rng.uniform(-4.0, 11.0)
         # YAML reads a float exactly from 17 digits with a signed exponent
         bottom = build_scene(loads(MINIMAL + (
-            "\nscene:\n  bottom: {type: step, distance_m: %.16e, rise_m: 1.5, "
-            "spacing_m: %.16e, extent_m: %.16e}\n" % (distance, spacing, extent)
-        ))).bottom
-        if 0 < deep < num:
-            x_a, x_b = np.unique(bottom.vertices[:, 0])[1:3]
-            assert (x_a, x_b) == (xs[deep - 1], xs[deep])
-        else:
-            assert bottom == FlatBottom(depth_m=12.0 if deep else 10.5)
-    assert sides == {0, 1, 2}
+            "\nscene:\n  bottom: {type: step, distance_m: %.16e, "
+            "rise_m: %.16e}\n" % (distance, rise)))).bottom
+        assert isinstance(bottom, TriangleMesh) and bottom.faces.shape == (6, 3)
+        x_a, x_b = np.unique(bottom.vertices[:, 0])[1:3]
+        assert (x_a, x_b) == (distance, distance + STEP_RAMP_M)
+        deep = bottom.vertices[:, 0] <= x_a
+        assert np.all(bottom.vertices[deep, 2] == 12.0)
+        assert np.all(bottom.vertices[~deep, 2] == 12.0 - rise)
 
 
-def test_a_fine_step_grid_is_never_built():
-    """A step of 2 * 10^9 grid cells loads as quickly as any other: its
-    bottom is 6 faces whatever the spacing."""
-    doc = MINIMAL + ("\nscene:\n  bottom: {type: step, distance_m: 10.0, "
-                     "rise_m: 2.0, spacing_m: 1.0e-3, extent_m: 1.0e+6}\n")
-    start = time.perf_counter()
-    bottom = build_scene(loads(doc)).bottom
-    assert time.perf_counter() - start < 0.5
-    assert bottom.faces.shape == (6, 3)
-    # past 2**52 cells neighbouring nodes could not be told apart
-    with pytest.raises(ValueError, match=re.escape(
-            "scenario.scene.bottom: extent_m 1e+300 spans more than 2**52 cells")):
-        loads(doc.replace("extent_m: 1.0e+6", "extent_m: 1.0e+300"))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("distance, depth", [(1e200, 12.0), (1e6, 12.0),
+                                             (-1e6, 10.0), (-1e300, 10.0)])
+def test_a_step_out_of_reach_is_a_plane_to_every_ray(distance, depth):
+    """A ramp beyond the rays' reach sits at the reach's edge: every ray
+    meets the plateau under it, as on a plane, and no vertex is so large
+    that the mesh kernel overflows."""
+    sc = loads(MINIMAL + "\nscene:\n  bottom: {type: step, distance_m: %.16e, "
+               "rise_m: 2.0}\n" % distance)
+    bottom = build_scene(sc).bottom
+    end_m = layout_for(sc.env, sc.sonar).end_m
+    assert np.abs(bottom.vertices[:, 0]).max() < 3.0 * end_m
+    dirs = -np.random.default_rng(3).standard_normal((2000, 3))
+    dirs[:, 2] = np.abs(dirs[:, 2]) + 0.3
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    origin = np.array([[0.0, 0.0, 7.0]])
+    floor = Scene(env=sc.env, bottom=bottom, surface_enabled=False)
+    plane = Scene(env=sc.env, bottom=FlatBottom(depth), surface_enabled=False)
+    kind, t, *_ = _trace_batch(floor, origin, dirs, 0.0, end_m)
+    kind_p, t_p, *_ = _trace_batch(plane, origin, dirs, 0.0, end_m)
+    assert np.count_nonzero(kind == KIND_BOTTOM) > 1000
+    np.testing.assert_array_equal(kind, kind_p)
+    np.testing.assert_allclose(t, t_p, rtol=1e-12, atol=0.0)
 
 
 # --- parsing and validation --------------------------------------------------------
@@ -169,6 +166,29 @@ def test_unknown_keys_are_rejected_with_their_path():
         loads(MINIMAL + "\nextras: {}\n")
     with pytest.raises(ValueError, match="scenario.run: unknown key 1"):
         loads(MINIMAL + "\nrun: {1: a, zz: b}\n")
+    # each quantity is stated once: the step has no grid to space or
+    # extend, and the sonar's depth is the pose's
+    step = MINIMAL + ("\nscene:\n  bottom: {type: step, distance_m: 10.0, "
+                      "rise_m: 2.0, %s}\n")
+    for key in ("spacing_m", "extent_m"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"scenario.scene.bottom: unknown key '{key}'")):
+            loads(step % f"{key}: 0.5")
+    with pytest.raises(ValueError, match=re.escape(
+            "scenario.environment: unknown key 'depth_m'")):
+        loads(MINIMAL.replace("  max_depth_m:", "  depth_m: 7.0\n  max_depth_m:"))
+
+
+def test_sound_speed_is_taken_at_the_pose_depth():
+    """The environment takes the pose's depth. Sound speed holds from 0 to
+    1000 m, and an error about a deeper pose names the pose's key."""
+    sc = loads(MINIMAL.replace("  depth_m: 7.0", "  depth_m: 8.5"))
+    assert sc.env.depth_m == sc.pose.depth_m == 8.5
+    with pytest.raises(ValueError, match=re.escape(
+            "scenario.pose.depth_m: must be in [0.0, 1000.0], got 1500.0")):
+        loads(MINIMAL.replace("  depth_m: 7.0", "  depth_m: 1500.0"))
+    assert loads(MINIMAL.replace("  depth_m: 7.0", "  depth_m: 1000.0")
+                 ).env.sound_speed() > 0.0
 
 
 def test_missing_required_section_is_rejected():
@@ -241,14 +261,6 @@ def test_numbers_must_be_finite():
                                   f"bin_length_m: 0.25\n  source_level_db: {bad}"))
     with pytest.raises(ValueError, match="scenario.detect.gamma: expected a finite"):
         loads(MINIMAL + "\ndetect: {gamma: .nan}\n")
-
-
-def test_step_spacing_and_extent_must_be_positive():
-    step = "\nscene:\n  bottom: {type: step, distance_m: 10.0, rise_m: 2.0, %s}\n"
-    for field, value in (("spacing_m", 0), ("spacing_m", -0.5), ("extent_m", 0)):
-        with pytest.raises(ValueError, match=rf"scenario.scene.bottom.{field}: "
-                                             rf"must be > 0, got {float(value)}"):
-            loads(MINIMAL + step % f"{field}: {value}")
 
 
 def test_source_level_must_have_a_finite_linear_intensity():
