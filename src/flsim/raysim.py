@@ -39,7 +39,19 @@ so the chunks' draws are one draw of num_rays rows; the rays are
 independent and np.add.at adds in ray order, so every bin sums the same
 terms in the same order however the rays are split: the outputs do not
 depend on the chunk size. A ping of at most one chunk, every 20k-ray ping,
-calls _trace_batch exactly twice.
+calls _trace_batch exactly twice, also when no ray of the chunk is lit: the
+trace and the bounce then run on 0 rays.
+
+ping traces only the rays the transmitter lights, bp_t > 0; about half the
+rays of a level transmitter are unlit. That is exact. beam_gain is exactly
+0 outside the open front hemisphere and at the sinc nulls, and an unlit
+ray's direct echo and volume shells are weighed by bp_t * bp_r, its bounce
+echo by bp_t * bp_r2. It would add +0.0 to accumulators that start at +0.0
+and only get non-negative terms, which changes no bit. The cut is on bp_t,
+not on bp_t * bp_r: a ray that the transmitter lights outside the receive
+beam still feeds multipath, whose receive gain is taken along another
+line. Every direction is still drawn, so the random streams do not move,
+and each ray's patch and volume share still divide by num_rays.
 
 All per-bin accumulators are linear intensities. Ambient noise is added
 separately by add_noise so a simulated ping can be compared against the
@@ -458,7 +470,8 @@ def ping(
     transmit_beam: BeamOrientation | None = None,
     seed: int | np.random.Generator | None = None,
 ) -> PingReturn:
-    """Simulate one ping: trace sonar.num_rays rays over the full sphere,
+    """Simulate one ping: draw sonar.num_rays rays over the full sphere,
+    trace the ones the transmitter lights (the others add nothing), and
     accumulate boundary, object, volume and first-order multipath intensity
     per range bin. seed goes to np.random.default_rng, so it may be an
     integer, a SeedSequence or a Generator, which is used as it is."""
@@ -480,6 +493,9 @@ def ping(
     for start in range(0, n_rays, PING_CHUNK_RAYS):
         d = sample_ray_directions(min(PING_CHUNK_RAYS, n_rays - start), rng)
         bp_t = _beam_weights(d, tx, sonar, c)
+        # An unlit ray adds exactly +0.0 to every bin, so only lit rays go on.
+        lit = np.nonzero(bp_t > 0.0)[0]
+        d, bp_t = d[lit], bp_t[lit]
         # The gain depends on the orientation only, so a receive beam that
         # points where the transmitter does reuses the transmit weights.
         bp_r = bp_t if rx == tx else _beam_weights(d, rx, sonar, c)

@@ -997,6 +997,20 @@ def test_ping_is_deterministic_for_a_seed(scenario1):
     assert not np.array_equal(a.total, c.total)
 
 
+def record_traces(monkeypatch):
+    """Swap raysim._trace_batch for a wrapper that records the directions
+    each call receives; returns the list they go to."""
+    calls = []
+    trace = raysim._trace_batch
+
+    def recorded(*args):
+        calls.append(np.array(args[2]))
+        return trace(*args)
+
+    monkeypatch.setattr(raysim, "_trace_batch", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("empty", [False, True], ids=["scenario1", "empty"])
 def test_a_ping_traces_exactly_twice(scenario1, monkeypatch, empty):
     """A ping of at most one chunk (raysim.PING_CHUNK_RAYS) makes one trace
@@ -1005,16 +1019,60 @@ def test_a_ping_traces_exactly_twice(scenario1, monkeypatch, empty):
     spans by these two calls. Every 20k-ray workload is one chunk."""
     scene = (Scene(env=scenario1.env, bottom=None, surface_enabled=False)
              if empty else build_scene(scenario1))
-    calls = []
-    trace = raysim._trace_batch
-
-    def counted(*args):
-        calls.append(len(args[1]))
-        return trace(*args)
-
-    monkeypatch.setattr(raysim, "_trace_batch", counted)
+    calls = record_traces(monkeypatch)
     ping(scene, scenario1.sonar, scenario1.pose, FORWARD, seed=1)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n_rays", [1, 20000])
+def test_a_ping_traces_no_unlit_ray(scenario1, monkeypatch, n_rays):
+    """Every ray here points into the level transmitter's rear hemisphere
+    (x <= 0), where its gain is exactly 0. Such a ping is all zeros, and
+    both of its traces still run, on 0 rays: one ray or a whole chunk."""
+    calls = record_traces(monkeypatch)
+    draw = raysim.sample_ray_directions
+
+    def rear(n, rng):
+        d = draw(n, rng)
+        d[:, 0] = -np.abs(d[:, 0])
+        return d
+
+    monkeypatch.setattr(raysim, "sample_ray_directions", rear)
+    sonar = replace(scenario1.sonar, num_rays=n_rays)
+    pr = ping(build_scene(scenario1), sonar, POSE, FORWARD,
+              transmit_beam=FORWARD, seed=4)
+    for name in COMPONENTS:
+        assert not np.any(getattr(pr, name)), name
+    assert [len(d) for d in calls] == [0, 0]
+
+
+def test_a_ping_traces_exactly_its_lit_rays(scenario2, monkeypatch):
+    """scenario2's down20 beam with a transmitter pitched -30 deg and yawed
+    15 deg: its receive and transmit weights differ, and the lit set is not
+    a half-space of the world. The first trace gets the redrawn directions
+    whose transmit gain is > 0, in draw order, and no other."""
+    calls = record_traces(monkeypatch)
+    pose, beam = scenario2.pose, scenario2.sonar.beams[1]
+    assert beam.name == "down20"
+    tx = BeamOrientation(pitch_rad=math.radians(-30.0),
+                         yaw_rad=math.radians(15.0), name="tx")
+    sonar = replace(scenario2.sonar, num_rays=20000)
+    seed = 31
+    ping(build_scene(scenario2), sonar, pose, beam, transmit_beam=tx, seed=seed)
+
+    c = scenario2.env.sound_speed()
+    d = sample_ray_directions(sonar.num_rays, np.random.default_rng(seed))
+
+    def bp_t(v):
+        vb = rotate_to_sonar_frame(v, pose.pitch_rad + tx.pitch_rad, tx.yaw_rad)
+        return beam_gain(*beam_angles_surface(vb), sonar, c)
+
+    lit = bp_t(d) > 0.0
+    assert 0 < lit.sum() < sonar.num_rays
+    traced = calls[0]
+    assert len(traced) == lit.sum()
+    assert np.all(bp_t(traced) > 0.0)
+    np.testing.assert_array_equal(traced, d[lit])
 
 
 @pytest.mark.parametrize("case", ["flat", "step_pitched", "mesh"])
