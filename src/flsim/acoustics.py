@@ -10,6 +10,7 @@ is involved.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -133,6 +134,9 @@ class SonarConfig:
         _check_positive("horizontal_len_m", self.horizontal_len_m)
         _check_positive("vertical_len_m", self.vertical_len_m)
         _check_positive("bin_length_m", self.bin_length_m)
+        if isinstance(self.num_rays, bool) or not isinstance(
+                self.num_rays, numbers.Integral):
+            raise ValueError(f"num_rays must be an integer, got {self.num_rays!r}")
         if self.num_rays < 1:
             raise ValueError(f"num_rays must be >= 1, got {self.num_rays}")
         try:
@@ -253,18 +257,19 @@ def beam_gain(theta, psi, sonar: SonarConfig, c: float):
 
     The pattern is the product of two sinc factors in amplitude; the gain
     returned here is that product squared. Directions outside the open front
-    hemisphere (|theta| >= pi/2 or |psi| >= pi/2) have zero gain.
-    Accepts scalars or arrays.
+    hemisphere (|theta| >= pi/2 or |psi| >= pi/2) have zero gain, and the
+    sincs are evaluated only inside it. Accepts scalars or arrays.
     """
     lam = wavelength(c, sonar.frequency_khz)
-    theta = np.asarray(theta, dtype=float)
-    psi = np.asarray(psi, dtype=float)
+    theta, psi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(psi, dtype=float))
+    inside = (np.abs(theta) < np.pi / 2) & (np.abs(psi) < np.pi / 2)
+    theta, psi = theta[inside], psi[inside]
     alpha = sinc(np.sin(theta) * np.cos(psi) * sonar.horizontal_len_m / lam)
     beta = sinc(np.sin(psi) * sonar.vertical_len_m / lam)
     amp = alpha * beta
-    gain = amp * amp
-    inside = (np.abs(theta) < np.pi / 2) & (np.abs(psi) < np.pi / 2)
-    gain = np.where(inside, gain, 0.0)
+    gain = np.zeros(inside.shape)
+    gain[inside] = amp * amp
     if gain.ndim == 0:
         return float(gain)
     return gain

@@ -1,9 +1,13 @@
 """Analytic expected per-bin return with no obstacle present.
 
 For every range bin the expected bottom, surface and volume reverberation
-levels are assembled from the propagation model, the bin geometry and the
+is assembled from the propagation model, the bin geometry and the
 backscatter coefficients, with the beam pattern averaged over the ensonified
 ring (bottom, surface) or gated shell (volume) by numerical quadrature.
+Every quantity stays in linear intensity from the quadrature to the per-bin
+sum: each cell is one scatter.echo_intensity, the term the ping evaluates,
+with the beam-pattern average as its gain. dB appears only in the returned
+record, NullModelReturn, whose components are the per-bin sums in dB.
 
 The average is coupled: the transmit and receive patterns are averaged as
 one product in linear intensity, normalized by the full integration
@@ -13,16 +17,16 @@ to, so simulated and expected curves are directly comparable.
 Each component takes one path. _cells lays every bin's resolution cells
 out once; the bottom and the surface (one plane pipeline, _ring_return_bins,
 given the plane's signed offset and backscatter function) and the volume
-compute a measure and a coefficient per cell, and _cell_sum power-sums the
-cells into bins, with the beam-pattern averages of all wet cells taken in
-one batch by _ring_averages or _shell_averages. Quadrature is one batched
-kernel, _nested_trapezoid, for the 1-D ring and 2-D shell integrals alike:
-every row (an interval of a ring's gated arc, or a shell) starts at 16
-trapezoid panels, each doubling evaluates only the new nested nodes of the
-rows still active, CHUNK_NODES at a time, and a row leaves once a doubling
-changes it by at most 0.01 dB, else QuadratureError names the beam,
-component, bin and cell. A node evaluates the gain once per distinct (pitch, yaw)
-orientation. Integration domains are restricted to the closed-form gate
+compute a measure and a coefficient per cell, and _cell_sum sums the
+cells' intensities into bins, with the beam-pattern averages of all wet
+cells taken in one batch by _ring_averages or _shell_averages. Quadrature
+is one batched kernel, _nested_trapezoid, for the 1-D ring and 2-D shell
+integrals alike: every row (an interval of a ring's gated arc, or a shell)
+starts at 16 trapezoid panels, each doubling evaluates only the new nested
+nodes of the rows still active, CHUNK_NODES at a time, and a row leaves
+once a doubling changes it by at most 0.01 dB, else QuadratureError names
+the beam, component, bin and cell. A node evaluates the gain once per
+distinct (pitch, yaw) orientation. Integration domains are restricted to the closed-form gate
 intervals, so integrands stay smooth; beams with nonzero yaw fall back to
 pointwise gating of the shell integral.
 """
@@ -42,7 +46,6 @@ from .acoustics import (
     absorption_coeff,
     beam_gain,
     range_resolution,
-    transmission_loss,
 )
 from .db import NO_RESPONSE, to_db, to_linear
 from .geometry import (
@@ -57,7 +60,7 @@ from .geometry import (
     ring_radius,
     rotate_to_sonar_frame,
 )
-from .scatter import bottom_coeff, reverb_level, surface_coeff, volume_coeff
+from .scatter import bottom_coeff, echo_intensity, surface_coeff, volume_coeff
 
 TOLERANCE_DB = 0.01
 MAX_PANELS = 2**18
@@ -191,18 +194,14 @@ def _double(f, lo, hi, active, estimate, panels, dims, n, stop):
 
 
 def _row_averages(f, lo, hi, owner, count, dims, divisor) -> np.ndarray:
-    """Sum of the integrals of each owner's rows over divisor, in dB, for
-    owners 0..count-1; NO_RESPONSE for an owner without rows. A
+    """Sum of the integrals of each owner's rows over divisor, in linear
+    intensity, for owners 0..count-1; 0 for an owner without rows. A
     QuadratureError carries the failing row's owner."""
     try:
         integral, _ = _nested_trapezoid(f, lo, hi, dims)
     except QuadratureError as err:
         raise QuadratureError(str(err), int(owner[err.row])) from err
-    average = np.bincount(owner, weights=integral, minlength=count) / divisor
-    has_rows = np.bincount(owner, minlength=count) > 0
-    out = np.full(count, NO_RESPONSE)
-    out[has_rows] = to_db(average[has_rows])
-    return out
+    return np.bincount(owner, weights=integral, minlength=count) / divisor
 
 
 def _gain_product(v, orientations, angles, sonar, c, gate=None) -> np.ndarray:
@@ -276,9 +275,9 @@ def _ring_front_arc(rho: float, z: float, pitch: float, yaw: float) -> list:
 
 def _ring_averages(rho, z: float, orientations: list, sonar: SonarConfig,
                    c: float) -> np.ndarray:
-    """Beam-pattern averages (dB) around the rings of radii rho at vertical
-    offset z, in one batch with a row per interval of a ring's gated arc;
-    NO_RESPONSE for a ring wholly outside the gate."""
+    """Beam-pattern averages (linear) around the rings of radii rho at
+    vertical offset z, in one batch with a row per interval of a ring's gated
+    arc; 0 for a ring wholly outside the gate."""
     arcs = np.array([
         (k, lo, hi) for k, r in enumerate(rho) for lo, hi in functools.reduce(
             _intersect_intervals,
@@ -303,9 +302,9 @@ def _ring_averages(rho, z: float, orientations: list, sonar: SonarConfig,
 
 def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
                     c: float) -> np.ndarray:
-    """Beam-pattern averages (dB) over the shells gated by the bottom and
+    """Beam-pattern averages (linear) over the shells gated by the bottom and
     surface cutoffs theta_ha, theta_hd, in one batch with a 2-D row per
-    shell; NO_RESPONSE where the gate is empty.
+    shell; 0 where the gate is empty.
 
     Unless a beam is yawed (or pitched to the vertical), each orientation
     admits a psi band, the cutoff band shifted with its pitch and clipped to
@@ -382,9 +381,9 @@ def _cell_sum(component, env, sonar, cells, coeff, measure, averages):
     cells is _cells' result; coeff (dB) and measure give each cell's
     backscatter coefficient and ensonified area or volume, a measure of 0
     marking a cell that returns nothing. averages(wet) gives the ring or
-    shell beam-pattern averages (dB) of the wet cells, the indices of the
-    cells with a positive measure. The coupled average enters reverb_level
-    as BP_T, with BP_R at 0 dB.
+    shell beam-pattern averages (linear) of the wet cells, the indices of
+    the cells with a positive measure. The coupled average is the one gain
+    of echo_intensity, and the per-bin sums are the one conversion to dB.
     """
     a, b, _, m, cell_len = cells
     alpha_w = absorption_coeff(sonar.frequency_khz, env)
@@ -396,11 +395,9 @@ def _cell_sum(component, env, sonar, cells, coeff, measure, averages):
         cell = wet[err.row]
         raise QuadratureError(f"{component} bin {cell // m + 1}, cell "
                               f"({a[cell]:.4f}, {b[cell]:.4f}] m: {err}") from err
-    rl = reverb_level(
-        sonar.source_level_db, transmission_loss(b - cell_len / 2.0, alpha_w),
-        bp, 0.0, coeff, measure,
-    )
-    return to_db(to_linear(rl).reshape(-1, m).sum(axis=1))
+    intensity = echo_intensity(sonar.source_level_db, b - cell_len / 2.0,
+                               alpha_w, to_linear(coeff), measure, bp)
+    return to_db(intensity.reshape(-1, m).sum(axis=1))
 
 
 def bottom_return_bins(

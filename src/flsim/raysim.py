@@ -24,12 +24,14 @@ Every bounce goes through one batch path, _bounce: reflect the ray about the
 hit normal, offset the new origin along the reflection, and retrace with the
 range left. ping calls it on all its impacts.
 
-Every impact, direct or bounced, becomes an echo through one sonar-equation
-term, _echo: source level, two-way loss and ensonified patch at the path
-length, the transmit and receive gains, and the backscatter coefficient of
-the impact. A bounce differs from a direct hit only in its path length,
-t1 + t2 instead of t, and its receive weight, the gain of the direct line
-from the second impact to the sonar instead of the launch direction.
+Every impact, direct or bounced, becomes an echo through _echo: source
+level, two-way loss and ensonified patch at the path length, the transmit
+and receive gains, and the backscatter coefficient of the impact. A bounce
+differs from a direct hit only in its path length, t1 + t2 instead of t,
+and its receive weight, the gain of the direct line from the second impact
+to the sonar instead of the launch direction. _echo and the volume term
+share the one sonar-equation term of the null model too,
+scatter.echo_intensity.
 
 ping runs its whole body (direction draw, beam weights, trace, echoes,
 bounce) over chunks of PING_CHUNK_RAYS rays, adding each chunk into the
@@ -72,7 +74,6 @@ from .acoustics import (
     absorption_coeff,
     beam_gain,
     noise_level_band,
-    transmission_loss,
 )
 from .db import to_linear
 from .geometry import (
@@ -84,7 +85,8 @@ from .geometry import (
     layout_for,
     rotate_to_sonar_frame,
 )
-from .scatter import ObjectMaterial, bottom_coeff, surface_coeff, volume_coeff
+from .scatter import (ObjectMaterial, bottom_coeff, echo_intensity,
+                      surface_coeff, volume_coeff)
 
 # Hits more tangent than this are treated as misses; the scatter model is
 # undefined at zero grazing.
@@ -452,12 +454,10 @@ def _echo(distance, kind, grazing, roughness, gains, env, sonar, layout):
     the two-way loss, the beam gains (multiplied in the order given), the
     backscatter coefficient and the ray's ensonified patch."""
     f = sonar.frequency_khz
-    value = to_linear(sonar.source_level_db) * to_linear(
-        -transmission_loss(distance, absorption_coeff(f, env)))
-    for gain in gains:
-        value = value * gain
-    value = (value * _boundary_coeff_linear(kind, grazing, roughness, env, f)
-             * ray_patch_area(distance, grazing, sonar.num_rays))
+    value = echo_intensity(
+        sonar.source_level_db, distance, absorption_coeff(f, env),
+        _boundary_coeff_linear(kind, grazing, roughness, env, f),
+        ray_patch_area(distance, grazing, sonar.num_rays), *gains)
     return bin_index(distance, layout) - 1, value
 
 
@@ -539,12 +539,10 @@ def ping(
     if scene.volume_enabled:
         reach = np.cumsum(per_last[1:][::-1])[::-1]
         f = sonar.frequency_khz
-        sv_fac = to_linear(volume_coeff(env.particle_density_db, f))
-        tl_lin_c = to_linear(
-            -transmission_loss(layout.centers, absorption_coeff(f, env)))
-        shares = ray_bin_volume(np.arange(1, num_bins + 1), layout, n_rays)
-        volume = (to_linear(sonar.source_level_db) * sv_fac * tl_lin_c
-                  * shares * reach)
+        volume = echo_intensity(
+            sonar.source_level_db, layout.centers, absorption_coeff(f, env),
+            to_linear(volume_coeff(env.particle_density_db, f)),
+            ray_bin_volume(np.arange(1, num_bins + 1), layout, n_rays), reach)
 
     return PingReturn(
         layout=layout,

@@ -1,9 +1,12 @@
-"""Backscatter coefficients and the sonar-equation level assemblies.
+"""Backscatter coefficients and the one sonar-equation term.
 
-Empirical bottom/surface/volume scattering strengths and the composition of
-source level, transmission loss, beam pattern terms and scattering strength
-into reverberation levels. All coefficient functions accept scalars or numpy
-arrays for the grazing angle.
+Empirical bottom/surface/volume scattering strengths (dB), which accept
+scalars or numpy arrays for the grazing angle, and echo_intensity, the sonar
+equation in linear intensity: source level, two-way transmission loss, beam
+gains, backscatter coefficient and ensonified measure (Urick, Principles of
+Underwater Sound, ch. 8). The null model's cells and the ping's impacts and
+volume shells all go through it, so the expected and the simulated return
+evaluate the same physics.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .db import NO_RESPONSE
+from .acoustics import transmission_loss
+from .db import to_linear
 
 # The surface coefficient grows like tan(grazing)^beta with beta > 2 near
 # normal incidence, which is not integrable over an ensonified patch. Grazing
@@ -104,33 +108,16 @@ def volume_coeff(sp_db: float, f_khz: float) -> float:
     return sp_db + 7.0 * math.log10(f_khz)
 
 
-def reverb_level(
-    source_level_db: float,
-    transmission_loss_db,
-    bp_t_db,
-    bp_r_db,
-    coeff_db,
-    measure,
-):
-    """Reverberation level RL = SL - TL + BP_T + BP_R + S + 10*log10(measure).
-
-    measure is the ensonified area (m^2) or volume (m^3). A zero measure or
-    any NO_RESPONSE operand yields NO_RESPONSE. Accepts scalars or arrays.
-    """
-    measure = np.asarray(measure, dtype=float)
-    if np.any(measure < 0):
-        raise ValueError(f"measure must be >= 0, got {measure}")
-    wet = measure > 0
-    level = (
-        source_level_db
-        - transmission_loss_db
-        + bp_t_db
-        + bp_r_db
-        + coeff_db
-        + 10.0 * np.log10(np.where(wet, measure, 1.0))
-    )
-    out = np.where(wet, level, NO_RESPONSE)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
+def echo_intensity(source_level_db: float, distance_m, alpha_w_db_km: float,
+                   coeff, measure, *gains):
+    """Sonar-equation echo in linear intensity: the source level times the
+    two-way loss at distance_m, times the gains in the order given, times
+    the backscatter coefficient coeff (linear, per m^2 or m^3) and the
+    ensonified area or volume measure. In dB it is SL - TL + sum(gains) +
+    S + 10*log10(measure); a zero measure or gain gives 0, which to_db maps
+    to NO_RESPONSE. Accepts scalars or arrays."""
+    value = to_linear(source_level_db) * to_linear(
+        -transmission_loss(distance_m, alpha_w_db_km))
+    for gain in gains:
+        value = value * gain
+    return value * coeff * measure

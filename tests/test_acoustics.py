@@ -279,6 +279,27 @@ def test_sonar_config_rejects_bad_values():
             SonarConfig(**{**good, key: math.inf})
 
 
+SONAR_FIELDS = dict(frequency_khz=450.0, bandwidth_hz=20000.0,
+                   source_level_db=0.0, ping_rate_hz=18.5,
+                   horizontal_len_m=0.005, vertical_len_m=0.010,
+                   bin_length_m=0.25)
+
+
+def test_sonar_config_rejects_a_fractional_ray_count():
+    with pytest.raises(ValueError, match="num_rays must be an integer"):
+        SonarConfig(**SONAR_FIELDS, num_rays=2.5)
+
+
+def test_sonar_config_rejects_a_boolean_ray_count():
+    # True is an int to Python, but no ray count
+    with pytest.raises(ValueError, match="num_rays must be an integer"):
+        SonarConfig(**SONAR_FIELDS, num_rays=True)
+
+
+def test_sonar_config_accepts_a_numpy_integer_ray_count():
+    assert SonarConfig(**SONAR_FIELDS, num_rays=np.int64(7)).num_rays == 7
+
+
 def test_environment_rejects_bad_values():
     with pytest.raises(ValueError):
         EnvironmentParams(

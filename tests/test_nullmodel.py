@@ -24,7 +24,7 @@ from flsim.acoustics import absorption_coeff, range_resolution
 from flsim.db import to_db, to_linear
 from flsim.geometry import beam_orientations, grazing_between, ring_radius
 from flsim.nullmodel import _nested_trapezoid, _ring_averages, _shell_averages
-from flsim.scatter import bottom_coeff, reverb_level, surface_coeff
+from flsim.scatter import bottom_coeff, surface_coeff
 
 POSE = SonarPose(altitude_m=5.0, depth_m=7.0)
 FORWARD = BeamOrientation(name="forward")
@@ -100,7 +100,7 @@ def test_ring_directly_below_is_no_response(scenario1):
     of a level beam."""
     c = scenario1.env.sound_speed()
     (got,) = _ring_averages([0.0], POSE.altitude_m, LEVEL, scenario1.sonar, c)
-    assert got == NO_RESPONSE
+    assert to_db(got) == NO_RESPONSE
 
 
 def test_ring_average_omni_limit(scenario1):
@@ -109,7 +109,7 @@ def test_ring_average_omni_limit(scenario1):
     c = scenario1.env.sound_speed()
     sonar = omni_sonar(c)
     (got,) = _ring_averages([10.0], 5.0, LEVEL, sonar, c)
-    assert got == pytest.approx(10.0 * math.log10(0.5), abs=0.02)
+    assert to_db(got) == pytest.approx(10.0 * math.log10(0.5), abs=0.02)
 
 
 def test_ring_average_reference_quadrature(scenario1, s1_layout):
@@ -131,7 +131,7 @@ def test_ring_average_reference_quadrature(scenario1, s1_layout):
     ref = to_db(float(np.trapezoid(gain * gain, theta)) / (2.0 * math.pi))
 
     (got,) = _ring_averages([rho], h, LEVEL, sonar, c)
-    assert got == pytest.approx(ref, abs=0.05)
+    assert to_db(got) == pytest.approx(ref, abs=0.05)
 
 
 def test_ring_average_transmit_receive_coupling(scenario1, s1_layout):
@@ -162,7 +162,7 @@ def test_sphere_average_empty_gate(scenario1):
     """Explicit zero cutoffs leave no admitted band."""
     c = scenario1.env.sound_speed()
     (got,) = _shell_averages(np.zeros(1), np.zeros(1), LEVEL, scenario1.sonar, c)
-    assert got == NO_RESPONSE
+    assert to_db(got) == NO_RESPONSE
 
 
 def _sphere_reference(sonar, c, theta_ha, theta_hd, n_h=4096, n_v=8192):
@@ -205,7 +205,7 @@ def test_sphere_average_reference_quadrature(scenario1, s1_layout):
     ref = _sphere_reference(sonar, c, theta_ha, theta_hd)
     (got,) = _shell_averages(np.array([theta_ha]), np.array([theta_hd]), LEVEL,
                              sonar, c)
-    assert got == pytest.approx(ref, abs=0.05)
+    assert to_db(got) == pytest.approx(ref, abs=0.05)
 
 
 def test_sphere_average_open_water_reference(scenario1):
@@ -216,7 +216,7 @@ def test_sphere_average_open_water_reference(scenario1):
                             n_h=2048, n_v=4096)
     open_gate = np.array([math.pi / 2])
     (got,) = _shell_averages(open_gate, open_gate, LEVEL, sonar, c)
-    assert got == pytest.approx(ref, abs=0.05)
+    assert to_db(got) == pytest.approx(ref, abs=0.05)
 
 
 def test_sphere_average_yawed_fallback_matches_fast_path(scenario1, s1_layout):
@@ -230,7 +230,7 @@ def test_sphere_average_yawed_fallback_matches_fast_path(scenario1, s1_layout):
     (fast,) = _shell_averages(theta_ha, theta_hd, LEVEL, sonar, c)
     yawed = beam_orientations(POSE, BeamOrientation(yaw_rad=1e-12), FORWARD)
     (nudged,) = _shell_averages(theta_ha, theta_hd, yawed, sonar, c)
-    assert nudged == pytest.approx(fast, abs=0.1)
+    assert to_db(nudged) == pytest.approx(to_db(fast), abs=0.1)
 
 
 # --- per-bin pipelines ----------------------------------------------------------------
@@ -300,13 +300,12 @@ def test_single_cell_pipeline_reduces_to_per_bin_formula(scenario1):
         r_a, r_b = ring_radius(a, 5.0), ring_radius(b, 5.0)
         area = math.pi * (r_b**2 - r_a**2)
         (avg,) = _ring_averages([(r_a + r_b) / 2.0], 5.0, LEVEL, sonar, c)
-        want = reverb_level(
-            0.0,
-            transmission_loss(b - layout.bin_length_m / 2.0, alpha),
-            avg, 0.0,
-            bottom_coeff(env.bottom_type, grazing_between(a, b, 5.0), 450.0),
-            area,
-        )
+        # SL - TL + BP + S + 10 log10(area), in dB
+        want = (0.0 - transmission_loss(b - layout.bin_length_m / 2.0, alpha)
+                + to_db(avg)
+                + bottom_coeff(env.bottom_type, grazing_between(a, b, 5.0),
+                               450.0)
+                + 10.0 * math.log10(area))
         assert bottom[n - 1] == pytest.approx(want, abs=1e-9)
 
 

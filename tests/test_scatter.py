@@ -7,10 +7,11 @@ from flsim import (
     NO_RESPONSE,
     ObjectMaterial,
     bottom_coeff,
-    reverb_level,
     ray_patch_area,
     surface_coeff,
+    to_db,
     to_linear,
+    transmission_loss,
     volume_coeff,
 )
 from flsim.raysim import (
@@ -19,7 +20,7 @@ from flsim.raysim import (
     KIND_SURFACE,
     _boundary_coeff_linear,
 )
-from flsim.scatter import SURFACE_GRAZING_CAP_RAD
+from flsim.scatter import SURFACE_GRAZING_CAP_RAD, echo_intensity
 
 
 # --- bottom backscatter -------------------------------------------------------
@@ -101,28 +102,62 @@ def test_volume_coeff_shifts_with_particle_density():
     assert volume_coeff(-70.0, 450.0) == pytest.approx(base + 20.0, abs=1e-12)
 
 
-# --- reverberation composition ---------------------------------------------------
+# --- the sonar-equation term ------------------------------------------------------
 
 
-def test_reverb_level_composition():
-    # SL - TL + BP_T + BP_R + S + 10 log10(measure)
-    got = reverb_level(10.0, 60.0, -3.0, -4.0, -20.0, 100.0)
-    assert got == pytest.approx(10.0 - 60.0 - 3.0 - 4.0 - 20.0 + 20.0,
-                                abs=1e-12)
+def test_echo_intensity_composition():
+    # in dB: SL - TL + sum of the gains + S + 10 log10(measure)
+    alpha = 120.0
+    distance = np.array([0.5, 3.0, 17.0, 40.0])
+    got = echo_intensity(10.0, distance, alpha, to_linear(-20.0), 100.0,
+                         to_linear(-3.0), to_linear(-4.0))
+    want = (10.0 - transmission_loss(distance, alpha) - 3.0 - 4.0 - 20.0
+            + 20.0)
+    np.testing.assert_allclose(to_db(got), want, rtol=0.0, atol=1e-12)
 
 
-def test_reverb_level_zero_measure_is_no_response():
-    assert reverb_level(0.0, 60.0, 0.0, 0.0, -20.0, 0.0) == NO_RESPONSE
+def test_echo_intensity_zero_measure_is_no_response():
+    got = echo_intensity(0.0, 7.0, 120.0, to_linear(-20.0), 0.0, 1.0)
+    assert got == 0.0
+    assert to_db(got) == NO_RESPONSE
+    # per element too: only the cells without a measure vanish
+    got = echo_intensity(0.0, 7.0, 120.0, to_linear(-20.0),
+                         np.array([0.0, 5.0]), 1.0)
+    assert to_db(got)[0] == NO_RESPONSE and np.isfinite(to_db(got)[1])
 
 
-def test_reverb_level_negative_measure_rejected():
+def test_echo_intensity_zero_gain_is_no_response():
+    # a NO_RESPONSE gain or coefficient is a linear 0
+    s = to_linear(-20.0)
+    zero_gain = echo_intensity(0.0, 7.0, 120.0, s, 5.0, 0.5,
+                               to_linear(NO_RESPONSE))
+    zero_coeff = echo_intensity(0.0, 7.0, 120.0, to_linear(NO_RESPONSE), 5.0)
+    assert zero_gain == zero_coeff == 0.0
+    assert to_db(zero_gain) == to_db(zero_coeff) == NO_RESPONSE
+    got = echo_intensity(0.0, 7.0, 120.0, s, 5.0, np.array([0.0, 1.0]))
+    assert to_db(got)[0] == NO_RESPONSE and np.isfinite(to_db(got)[1])
+
+
+def test_echo_intensity_negative_measure_has_no_level():
+    got = echo_intensity(0.0, 7.0, 120.0, to_linear(-20.0), -1.0, 1.0)
+    assert got < 0.0
     with pytest.raises(ValueError):
-        reverb_level(0.0, 60.0, 0.0, 0.0, -20.0, -1.0)
+        to_db(got)
 
 
-def test_reverb_level_propagates_no_response():
-    assert reverb_level(0.0, 60.0, NO_RESPONSE, 0.0, -20.0, 5.0) == NO_RESPONSE
-    assert reverb_level(0.0, 60.0, 0.0, 0.0, NO_RESPONSE, 5.0) == NO_RESPONSE
+def test_echo_intensity_multiplies_gains_in_the_order_given():
+    rng = np.random.default_rng(3)
+    distance = rng.uniform(0.1, 40.0, 1000)
+    g1, g2, coeff, measure = rng.uniform(1e-6, 1.0, (4, 1000))
+    source = to_linear(13.0) * to_linear(-transmission_loss(distance, 120.0))
+    for gains in ((g1, g2), (g2, g1)):
+        want = source
+        for gain in gains:
+            want = want * gain
+        want = want * coeff * measure
+        # bit for bit: the ping's echoes rely on this order
+        assert np.array_equal(
+            echo_intensity(13.0, distance, 120.0, coeff, measure, *gains), want)
 
 
 # --- object echoes ----------------------------------------------------------------
