@@ -29,6 +29,19 @@ the beam, component, bin and cell. A node evaluates the gain once per
 distinct (pitch, yaw) orientation. Integration domains are restricted to the closed-form gate
 intervals, so integrands stay smooth; beams with nonzero yaw fall back to
 pointwise gating of the shell integral.
+
+Unyawed beams (every orientation at yaw 0 and |pitch| < pi/2) integrate
+only the mirror half of each row. Their ring arcs are symmetric about
+theta_r = 0 and their shell rows about theta_h = 0, and the integrand is
+even there: negating theta_r or theta_h flips only the sign of the beam-frame
+theta, and the gain is even in theta. So the kernel keeps the nodes at or
+right of the midpoint, on the coordinates the full grid gives them, and
+counts those right of it twice; the panel counts are those of the full grid.
+A shell node on a psi band edge that is also an orientation's hemisphere
+edge (band_lo = pitch - pi/2 at u = 0, band_hi = pitch + pi/2 at u = 1) gets
+gain 0, its exact value: the beam-frame x component is 0 there, outside the
+open front hemisphere, where rounding would leave 0 or a sidelobe depending
+on one ulp of the band edge.
 """
 
 from __future__ import annotations
@@ -105,7 +118,8 @@ class NullModelReturn:
 # Batched nested trapezoid integration
 
 # Integrand nodes evaluated per block, at most: about one 129 x 129 shell
-# grid, the largest the bundled scenarios converge on.
+# grid, the largest the bundled scenarios converge on (folded, a 128-panel
+# shell grid is 65 x 129).
 CHUNK_NODES = 2**14
 
 
@@ -133,9 +147,11 @@ def _new_nodes(n: int, dims: int) -> list:
     return [(odd, every), ((every[0][::2], every[1][::2]), odd)]
 
 
-def _nested_trapezoid(f, lo, hi, dims: int):
+def _nested_trapezoid(f, lo, hi, dims: int, even: bool = False):
     """Integrate every row r of f over [lo[r], hi[r]] (times [0, 1] in u
-    when dims is 2) by panel doubling on nested nodes.
+    when dims is 2) by panel doubling on nested nodes. When even, every row
+    of f is even in x about its midpoint, and only the nodes at or right of
+    it are evaluated.
 
     f(rows, x, u) returns the integrand of rows at nodes x of shape
     (len(rows), nx, 1) and u of shape (nu,) (None in 1-D), shaped
@@ -154,24 +170,29 @@ def _nested_trapezoid(f, lo, hi, dims: int):
     while batched < max_panels and 3 ** (dims - 1) * batched**dims <= CHUNK_NODES:
         batched *= 2
     rows = np.flatnonzero(hi - lo > 0.0)
-    for row in _double(f, lo, hi, rows, estimate, panels, dims, 16, batched):
-        if _double(f, lo, hi, np.array([row]), estimate, panels, dims,
+    for row in _double(f, lo, hi, rows, estimate, panels, dims, even, 16,
+                       batched):
+        if _double(f, lo, hi, np.array([row]), estimate, panels, dims, even,
                    2 * batched, max_panels).size:
             raise QuadratureError(f"quadrature did not converge to {TOLERANCE_DB} "
                                   f"dB within {MAX_PANELS} panels", int(row))
     return estimate, panels
 
 
-def _double(f, lo, hi, active, estimate, panels, dims, n, stop):
+def _double(f, lo, hi, active, estimate, panels, dims, even, n, stop):
     """Take rows at n/2 panels (none when n is 16) through the levels n,
     2n, ... up to stop, each evaluating only its new nodes and forming
     T(2n) = T(n) / 2**dims + h * (weighted sum over them); a row leaves once
-    _converged accepts a doubling. Updates estimate and panels in place and
-    returns the rows still active."""
+    _converged accepts a doubling. When even, a new node left of the
+    midpoint counts as its mirror partner. Updates estimate and panels in
+    place and returns the rows still active."""
     while active.size and n <= stop:
         step = (hi[active] - lo[active]) / n
         total = np.zeros(active.size)
         for (ix, wx), (iu, wu) in _new_nodes(n, dims):
+            if even:
+                keep = ix >= n // 2
+                ix, wx = ix[keep], np.where(ix[keep] > n // 2, 2.0, 1.0) * wx[keep]
             u = None if dims == 1 else np.where(iu == n, 1.0, iu * (1.0 / n))
             cols = min(ix.size, max(1, CHUNK_NODES // iu.size))
             per_chunk = max(1, CHUNK_NODES // (cols * iu.size))
@@ -193,15 +214,22 @@ def _double(f, lo, hi, active, estimate, panels, dims, n, stop):
     return active
 
 
-def _row_averages(f, lo, hi, owner, count, dims, divisor) -> np.ndarray:
+def _row_averages(f, lo, hi, owner, count, dims, divisor, even) -> np.ndarray:
     """Sum of the integrals of each owner's rows over divisor, in linear
     intensity, for owners 0..count-1; 0 for an owner without rows. A
     QuadratureError carries the failing row's owner."""
     try:
-        integral, _ = _nested_trapezoid(f, lo, hi, dims)
+        integral, _ = _nested_trapezoid(f, lo, hi, dims, even)
     except QuadratureError as err:
         raise QuadratureError(str(err), int(owner[err.row])) from err
     return np.bincount(owner, weights=integral, minlength=count) / divisor
+
+
+def _unyawed(orientations: list) -> bool:
+    """Whether every (pitch, yaw) orientation has yaw 0 and |pitch| < pi/2,
+    which makes every ring and shell row even about its midpoint."""
+    return all(yaw == 0.0 and abs(pitch) < math.pi / 2.0
+               for pitch, yaw in orientations)
 
 
 def _gain_product(v, orientations, angles, sonar, c, gate=None) -> np.ndarray:
@@ -293,7 +321,7 @@ def _ring_averages(rho, z: float, orientations: list, sonar: SonarConfig,
         return _gain_product(v, orientations, beam_angles_surface, sonar, c)
 
     return _row_averages(integrand, arcs[:, 1], arcs[:, 2], owner, len(rho), 1,
-                         2.0 * math.pi)
+                         2.0 * math.pi, _unyawed(orientations))
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +339,11 @@ def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
     its front hemisphere, and each theta_h column integrates theta_v over
     the intersection of the bands, mapped onto u in [0, 1]. A yawed beam is
     gated pointwise over the whole strip. The strip covers half of the
-    parameter square, hence the factor 2.
+    parameter square, hence the factor 2. Where a band edge is also an
+    orientation's hemisphere edge, its nodes (u = 0 or 1) get gain 0.
     """
     gated = (theta_ha > 0.0) | (theta_hd > 0.0)
-    yawed = any(yaw != 0.0 or abs(pitch) >= math.pi / 2.0
-                for pitch, yaw in orientations)
+    yawed = not _unyawed(orientations)
     if yawed:
         owner = np.flatnonzero(gated)
     else:
@@ -324,8 +352,12 @@ def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
                           for p in pitches], axis=0)
         band_hi = np.min([np.minimum(theta_hd + 2.0 * p, p + math.pi / 2.0)
                           for p in pitches], axis=0)
+        on_edge_lo = np.any([band_lo == p - math.pi / 2.0 for p in pitches], axis=0)
+        on_edge_hi = np.any([band_hi == p + math.pi / 2.0 for p in pitches], axis=0)
         owner = np.flatnonzero(gated & (band_hi > band_lo))
-        psi_lo, psi_hi = (t[owner][:, None, None] for t in (band_lo, band_hi))
+        psi_lo, psi_hi, edge_lo, edge_hi = (
+            t[owner][:, None, None]
+            for t in (band_lo, band_hi, on_edge_lo, on_edge_hi))
     ha, hd = (t[owner][:, None, None] for t in (theta_ha, theta_hd))
 
     def integrand(rows, theta_h, u):
@@ -345,12 +377,14 @@ def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
         v = np.stack(np.broadcast_arrays(
             np.cos(theta_h) * np.cos(theta_v), np.sin(theta_h), np.sin(theta_v)),
             axis=-1)
-        return _gain_product(v, orientations, beam_angles_volume, sonar, c,
-                             gate) * width
+        gain = _gain_product(v, orientations, beam_angles_volume, sonar, c, gate)
+        if not yawed:
+            gain *= ~(((u == 0.0) & edge_lo[rows]) | ((u == 1.0) & edge_hi[rows]))
+        return gain * width
 
     lo = np.full(owner.size, -math.pi / 2.0)
     return _row_averages(integrand, lo, -lo, owner, theta_ha.size, 2,
-                         2.0 * math.pi**2)
+                         2.0 * math.pi**2, not yawed)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +504,6 @@ def volume_return_bins(
     are accounted for by the gated beam-pattern average."""
     a, b, _, _, _ = cells = _cells(env, sonar, layout)
     volume = 4.0 / 3.0 * math.pi * (b**3 - a**3)
-    # Scalar cutoffs: a gate edge can fall on a node at the hemisphere
-    # edge, where one ulp of the angle moves the average by 1e-8 dB.
     # cutoff_angle's 0 means a plane that cannot clip the shell, not an
     # empty gate, so that bound is dropped and only the hemisphere clamp acts.
     theta_ha, theta_hd = (

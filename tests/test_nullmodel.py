@@ -233,6 +233,21 @@ def test_sphere_average_yawed_fallback_matches_fast_path(scenario1, s1_layout):
     assert to_db(nudged) == pytest.approx(to_db(fast), abs=0.1)
 
 
+def test_shell_average_at_a_hemisphere_edge_is_decided_exactly(scenario2):
+    """up20's psi band ends on its hemisphere edge, where the nodes get gain
+    0 whatever the rounding: one ulp of the other cutoff moves the average
+    by rounding only (it moved it by 3.7e-9 relative before)."""
+    up20 = next(b for b in scenario2.sonar.beams if b.name == "up20")
+    orientations = beam_orientations(scenario2.pose, up20, scenario2.transmitter)
+    c = scenario2.env.sound_speed()
+    cutoff = 0.8175662098101093
+    at, below = (
+        _shell_averages(np.array([ha]), np.array([math.inf]), orientations,
+                        scenario2.sonar, c)[0]
+        for ha in (cutoff, np.nextafter(cutoff, 0.0)))
+    assert below == pytest.approx(at, rel=1e-14)
+
+
 # --- per-bin pipelines ----------------------------------------------------------------
 
 

@@ -4,7 +4,8 @@ The oracle is the null model's quadrature as it was before batching: each
 row on its own, every estimate a fresh trapezoid sum over np.linspace nodes,
 the panel count doubling from 16 until two estimates agree to TOLERANCE_DB.
 The kernel must return the same estimate, up to rounding, at the same panel
-count, for every row of a batch.
+count, for every row of a batch. The oracle ignores the kernel's mirror-half
+fold (even), so a folded row is checked against its full grid.
 """
 
 import math
@@ -75,8 +76,9 @@ def oracle_row(f, row, a, b, dims):
     return None, n
 
 
-def oracle_kernel(f, lo, hi, dims):
-    """Drop-in for nullmodel._nested_trapezoid that integrates row by row."""
+def oracle_kernel(f, lo, hi, dims, even=False):
+    """Drop-in for nullmodel._nested_trapezoid that integrates row by row,
+    every row unfolded: it ignores even."""
     estimates, panels = np.zeros(len(lo)), np.zeros(len(lo), dtype=int)
     for r, (a, b) in enumerate(zip(lo, hi)):
         if b - a <= 0.0:
@@ -97,9 +99,9 @@ def _record_kernel(average, *args):
     the QuadratureError it raised."""
     calls = []
 
-    def recording(f, lo, hi, dims):
+    def recording(f, lo, hi, dims, even=False):
         try:
-            result = KERNEL(f, lo, hi, dims)
+            result = KERNEL(f, lo, hi, dims, even)
         except QuadratureError as err:
             result = err
         calls.append((f, np.asarray(lo), np.asarray(hi), dims, result))
@@ -179,6 +181,61 @@ def test_shell_rows_match_oracle(scenario1, gates, yawed, data, chunk):
             nullmodel._shell_averages, theta_ha, theta_hd, orientations,
             scenario1.sonar, c)
     _assert_matches_oracle(calls)
+
+
+# --- the mirror-half fold ------------------------------------------------------------
+
+
+even_rows = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(0.1, 3.0)),  # half-width
+              st.floats(0.1, 2.0),   # Gaussian width over the half-width
+              st.floats(0.0, 0.9),   # cosine amplitude
+              st.floats(0.0, 20.0),  # cosine cycles over the half-width
+              st.floats(-0.9, 0.9)),  # slope in u, not even
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rows=even_rows, dims=st.sampled_from((1, 2)),
+       chunk=st.sampled_from((7, 100, nullmodel.CHUNK_NODES)))
+def test_folded_rows_match_unfolded(rows, dims, chunk):
+    """On integrands even in x over symmetric intervals, the folded kernel
+    gives the unfolded estimates at the same panel counts."""
+    half, width, amp, cycles, slope = (np.array(t)[:, None, None]
+                                       for t in zip(*rows))
+
+    def f(r, x, u):
+        x2 = x * x / (half[r] * half[r])
+        even = np.exp(-x2 / width[r] ** 2) * (
+            1.0 + amp[r] * np.cos(cycles[r] * np.sqrt(x2)))
+        if u is None:
+            return even
+        return even * (1.0 + slope[r] * u + u * u * x2)
+
+    lo = -half[:, 0, 0]
+    with mock.patch.object(nullmodel, "CHUNK_NODES", chunk):
+        folded, folded_panels = KERNEL(f, lo, -lo, dims, True)
+        full, full_panels = KERNEL(f, lo, -lo, dims, False)
+    np.testing.assert_array_equal(folded_panels, full_panels)
+    np.testing.assert_allclose(folded, full, rtol=1e-12, atol=0.0)
+
+
+def test_scenario2_null_gain_evaluations(scenario2):
+    """Work tripwire, independent of host speed: compute_null(scenario2)
+    evaluates 3 294 964 gains (nodes times distinct orientations); without
+    the mirror-half fold it evaluated 6 464 212."""
+    evaluations = 0
+    gain_product = nullmodel._gain_product
+
+    def counting(v, orientations, *args):
+        nonlocal evaluations
+        evaluations += v.size // 3 * len(dict.fromkeys(orientations))
+        return gain_product(v, orientations, *args)
+
+    with mock.patch.object(nullmodel, "_gain_product", counting):
+        compute_null(scenario2)
+    assert evaluations <= 3_400_000
+    print(f"compute_null(scenario2) evaluated {evaluations} gains")
 
 
 # --- whole curves -----------------------------------------------------------------------
