@@ -31,16 +31,17 @@ def to_linear(value_db):
 def to_db(linear):
     """Convert linear intensity to dB. Zero maps to NO_RESPONSE.
 
-    Raises ValueError for negative intensities; they have no dB value.
+    Raises ValueError for negative or NaN intensities; they have no dB
+    value.
     """
     if np.isscalar(linear):
-        if linear < 0.0:
+        if not linear >= 0.0:
             raise ValueError(f"linear intensity must be >= 0, got {linear}")
         if linear == 0.0:
             return NO_RESPONSE
         return 10.0 * math.log10(linear)
     arr = np.asarray(linear, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise ValueError("linear intensity must be >= 0")
     out = np.full(arr.shape, NO_RESPONSE)
     pos = arr > 0.0

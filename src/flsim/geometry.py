@@ -1,9 +1,10 @@
 """Range-bin geometry for the analytic reverberation model.
 
 Ensonified ring radii, areas and grazing angles for a locally flat bottom
-(mirrored for the surface), hollow-shell volumes with the bottom and surface
-cuts removed, cutoff angles, and the frame rotation and beam-angle
-conventions shared with the expected-return integrals.
+(mirrored for the surface; the grazing angle is also the volume gate's
+cutoff), hollow-shell volumes with the bottom and surface cuts removed, and
+the frame rotation and beam-angle conventions shared with the
+expected-return integrals.
 
 Coordinate convention: x forward along the vehicle, y to starboard, z down.
 A vector from the sonar to a point on the bottom therefore has positive z.
@@ -209,16 +210,6 @@ def shell_volume_between(d_inner: float, d_outer: float, h: float, h_d: float) -
             d_inner, offset
         )
     return full - cut
-
-
-def cutoff_angle(d_inner: float, d_outer: float, plane_distance: float) -> float:
-    """Vertical angle beyond which rays in the shell between d_inner and
-    d_outer strike the plane at plane_distance: asin(2p / (d_inner + d_outer))
-    when the plane is closer than the ring midpoint, else 0."""
-    midpoint = (d_inner + d_outer) / 2.0
-    if plane_distance >= midpoint:
-        return 0.0
-    return math.asin(min(2.0 * plane_distance / (d_inner + d_outer), 1.0))
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,24 @@ starts at 16 trapezoid panels, each doubling evaluates only the new nested
 nodes of the rows still active, CHUNK_NODES at a time, and a row leaves
 once a doubling changes it by at most 0.01 dB, else QuadratureError names
 the beam, component, bin and cell. A node evaluates the gain once per
-distinct (pitch, yaw) orientation. Integration domains are restricted to the closed-form gate
-intervals, so integrands stay smooth; beams with nonzero yaw fall back to
-pointwise gating of the shell integral.
+distinct (pitch, yaw) orientation.
+
+Integration domains are the closed-form gate intervals, built for all rows
+of a component in one array expression, so integrands stay smooth. A ring's
+gated arc (_ring_arcs) is where the ring point lies in both orientations'
+front hemispheres, with azimuth measured from the centre of the receive
+arc, which then never wraps; a shell's is the psi band of each theta_h
+column, or, for a yawed beam, pointwise gating over the whole strip. The
+volume cutoffs are the planes' grazing angles where a plane lies short of
+the cell midpoint, and inf (no cut) elsewhere.
+
+One edge rule holds for rings and shells: a node on a row end that is also
+an orientation's hemisphere edge gets gain 0, its exact value, since the
+beam-frame x component is 0 there, outside the open front hemisphere, where
+rounding would leave 0 or a sidelobe depending on one ulp of the edge. For
+a ring that is every row end strictly inside (-pi, pi); for a shell, a psi
+band edge with band_lo = pitch - pi/2 (at u = 0) or band_hi = pitch + pi/2
+(at u = 1). So no curve depends on the last bit of an arc cosine.
 
 Unyawed beams (every orientation at yaw 0 and |pitch| < pi/2) integrate
 only the mirror half of each row. Their ring arcs are symmetric about
@@ -37,16 +52,10 @@ even there: negating theta_r or theta_h flips only the sign of the beam-frame
 theta, and the gain is even in theta. So the kernel keeps the nodes at or
 right of the midpoint, on the coordinates the full grid gives them, and
 counts those right of it twice; the panel counts are those of the full grid.
-A shell node on a psi band edge that is also an orientation's hemisphere
-edge (band_lo = pitch - pi/2 at u = 0, band_hi = pitch + pi/2 at u = 1) gets
-gain 0, its exact value: the beam-frame x component is 0 there, outside the
-open front hemisphere, where rounding would leave 0 or a sidelobe depending
-on one ulp of the band edge.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -67,7 +76,6 @@ from .geometry import (
     beam_angles_surface,
     beam_angles_volume,
     beam_orientations,
-    cutoff_angle,
     grazing_between,
     layout_for,
     ring_radius,
@@ -253,48 +261,36 @@ def _gain_product(v, orientations, angles, sonar, c, gate=None) -> np.ndarray:
 # Closed-form gate intervals
 
 
-def _arc_where_positive(a: float, b: float, c: float) -> list:
-    """Intervals of theta in [-pi, pi] where a*cos + b*sin + c > 0."""
-    r = math.hypot(a, b)
-    if r < 1e-300:
-        return [(-math.pi, math.pi)] if c > 0 else []
-    t = -c / r
-    if t <= -1.0:
-        return [(-math.pi, math.pi)]
-    if t >= 1.0:
-        return []
-    half_width = math.acos(t)
-    phase = math.atan2(b, a)
-    lo, hi = phase - half_width, phase + half_width
-    intervals = []
-    if lo < -math.pi:
-        intervals.append((lo + 2.0 * math.pi, math.pi))
-        lo = -math.pi
-    if hi > math.pi:
-        intervals.append((-math.pi, hi - 2.0 * math.pi))
-        hi = math.pi
-    intervals.append((lo, hi))
-    return intervals
+def _ring_arcs(rho, z: float, orientations: list):
+    """Rows (owner, lo, hi), in ring order, of the azimuth intervals where
+    the point of ring owner (radius rho[owner], vertical offset z) lies in
+    the front hemisphere of both the receive and the transmit orientation,
+    and the receive arc's centre per ring.
 
-
-def _intersect_intervals(first: list, second: list) -> list:
-    out = []
-    for lo1, hi1 in first:
-        for lo2, hi2 in second:
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if hi > lo + 1e-15:
-                out.append((lo, hi))
-    return sorted(out)
-
-
-def _ring_front_arc(rho: float, z: float, pitch: float, yaw: float) -> list:
-    """theta_r intervals where the ring point lies in the beam's front
-    hemisphere. The beam-frame x component of the ring vector is affine in
-    (cos theta_r, sin theta_r), so the arc is closed-form."""
-    a = rho * math.cos(pitch) * math.cos(yaw)
-    b = rho * math.cos(pitch) * math.sin(yaw)
-    c = z * math.sin(pitch)
-    return _arc_where_positive(a, b, c)
+    The beam-frame x component of the ring point at world azimuth theta is
+    a*cos(theta) + b*sin(theta) + c, so each arc is closed-form: centre
+    atan2(b, a), half-width acos(-c / hypot(a, b)), pi for a full ring (a
+    ring of radius 0 is full, empty or, at c = 0, nan, which no row keeps).
+    Azimuth is measured from the receive arc's centre, where that arc is
+    [-hw, hw] and never wraps, so only the transmit arc and its copies 2 pi
+    apart are intersected with it. A full transmit arc is centred there too.
+    """
+    rho = np.asarray(rho, dtype=float)
+    centre, half = [], []
+    for pitch, yaw in orientations:
+        a = rho * math.cos(pitch) * math.cos(yaw)
+        b = rho * math.cos(pitch) * math.sin(yaw)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -(z * math.sin(pitch)) / np.hypot(a, b)
+        half.append(np.arccos(np.clip(t, -1.0, 1.0)))
+        centre.append(np.arctan2(b, a))
+    (receive, transmit), (hw_rx, hw_tx) = centre, half
+    mid = np.where(hw_tx < math.pi, transmit - receive, 0.0)
+    copies = mid + 2.0 * math.pi * np.array([-1.0, 0.0, 1.0])[:, None]
+    lo = np.maximum(-hw_rx, copies - hw_tx).T.ravel()
+    hi = np.minimum(hw_rx, copies + hw_tx).T.ravel()
+    keep = np.flatnonzero(hi > lo)
+    return keep // 3, lo[keep], hi[keep], receive
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +301,24 @@ def _ring_averages(rho, z: float, orientations: list, sonar: SonarConfig,
                    c: float) -> np.ndarray:
     """Beam-pattern averages (linear) around the rings of radii rho at
     vertical offset z, in one batch with a row per interval of a ring's gated
-    arc; 0 for a ring wholly outside the gate."""
-    arcs = np.array([
-        (k, lo, hi) for k, r in enumerate(rho) for lo, hi in functools.reduce(
-            _intersect_intervals,
-            [_ring_front_arc(r, z, pitch, yaw) for pitch, yaw in orientations])
-    ]).reshape(-1, 3)
-    owner = arcs[:, 0].astype(int)
-    radius = np.asarray(rho, dtype=float)[owner][:, None, None]
+    arc; 0 for a ring wholly outside the gate. A row end strictly inside
+    (-pi, pi) is an orientation's hemisphere edge, and its node gets gain 0."""
+    owner, lo, hi, centre = _ring_arcs(rho, z, orientations)
+    radius, start, end, phase = (
+        t[:, None, None] for t in (np.asarray(rho, dtype=float)[owner], lo, hi,
+                                    centre[owner]))
 
     def integrand(rows, theta_r, u):
-        r = radius[rows]
+        r, theta = radius[rows], theta_r + phase[rows]
         v = np.stack(np.broadcast_arrays(
-            r * np.cos(theta_r), r * np.sin(theta_r), z), axis=-1)
-        return _gain_product(v, orientations, beam_angles_surface, sonar, c)
+            r * np.cos(theta), r * np.sin(theta), z), axis=-1)
+        gain = _gain_product(v, orientations, beam_angles_surface, sonar, c)
+        gain *= ~(((theta_r == start[rows]) | (theta_r == end[rows]))
+                  & (np.abs(theta_r) < math.pi))
+        return gain
 
-    return _row_averages(integrand, arcs[:, 1], arcs[:, 2], owner, len(rho), 1,
-                         2.0 * math.pi, _unyawed(orientations))
+    return _row_averages(integrand, lo, hi, owner, len(rho), 1, 2.0 * math.pi,
+                         _unyawed(orientations))
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +501,10 @@ def volume_return_bins(
     are accounted for by the gated beam-pattern average."""
     a, b, _, _, _ = cells = _cells(env, sonar, layout)
     volume = 4.0 / 3.0 * math.pi * (b**3 - a**3)
-    # cutoff_angle's 0 means a plane that cannot clip the shell, not an
-    # empty gate, so that bound is dropped and only the hemisphere clamp acts.
+    # A plane at or beyond a cell's midpoint cannot clip its shell: that
+    # bound is dropped and only the hemisphere clamp acts.
     theta_ha, theta_hd = (
-        np.array([cutoff_angle(x, y, plane) or math.inf for x, y in zip(a, b)])
+        np.where(plane < (a + b) / 2.0, grazing_between(a, b, plane), math.inf)
         for plane in (pose.altitude_m, pose.depth_m)
     )
     orientations = beam_orientations(pose, beam, transmit_beam)

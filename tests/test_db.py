@@ -29,6 +29,15 @@ def test_to_db_rejects_negative():
         to_db(np.array([1.0, -0.5]))
 
 
+def test_to_db_rejects_nan():
+    """NaN is no intensity: neither form may turn it into a dB value or
+    into NO_RESPONSE."""
+    with pytest.raises(ValueError):
+        to_db(float("nan"))
+    with pytest.raises(ValueError):
+        to_db(np.array([1.0, np.nan]))
+
+
 def test_to_db_array_masks_zeros():
     out = to_db(np.array([1.0, 0.0, 100.0]))
     assert out[0] == 0.0

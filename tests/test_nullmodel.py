@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,12 @@ from flsim import (
 )
 from flsim.acoustics import absorption_coeff, range_resolution
 from flsim.db import to_db, to_linear
-from flsim.geometry import beam_orientations, grazing_between, ring_radius
+from flsim.geometry import (
+    beam_orientations,
+    grazing_between,
+    layout_for,
+    ring_radius,
+)
 from flsim.nullmodel import _nested_trapezoid, _ring_averages, _shell_averages
 from flsim.scatter import bottom_coeff, surface_coeff
 
@@ -153,6 +159,46 @@ def test_ring_average_transmit_receive_coupling(scenario1, s1_layout):
     down = average(BeamOrientation(pitch_rad=math.radians(20.0)), FORWARD)
     up = average(BeamOrientation(pitch_rad=math.radians(-20.0)), FORWARD)
     assert up < same < down
+
+
+def test_ring_average_at_a_hemisphere_edge_is_decided_exactly(scenario2):
+    """up20's bottom arcs end on hemisphere edges, where the nodes get gain
+    0 whatever the rounding: one ulp of the radius moves the average by
+    rounding only (it moved it by 2.5e-3 relative before)."""
+    up20 = next(b for b in scenario2.sonar.beams if b.name == "up20")
+    orientations = beam_orientations(scenario2.pose, up20, scenario2.transmitter)
+    c = scenario2.env.sound_speed()
+    rho = 2.2403359783572636
+    at, below, above = _ring_averages(
+        [rho, np.nextafter(rho, 0.0), np.nextafter(rho, math.inf)], 5.0,
+        orientations, scenario2.sonar, c)
+    assert below == pytest.approx(at, rel=1e-11)
+    assert above == pytest.approx(at, rel=1e-11)
+
+
+@pytest.mark.parametrize("name,beam_name", [("scenario1", "forward"),
+                                            ("scenario2", "up20")])
+def test_ring_bins_are_invariant_under_a_common_yaw(request, name, beam_name):
+    """Yawing the receive and the transmit beam alike turns the rings'
+    gated arcs with them, so the bottom and surface curves stay the level
+    beam's. (The volume's in-plane angle convention is not yaw-invariant.)"""
+    scenario = request.getfixturevalue(name)
+    beam = next(b for b in scenario.sonar.beams if b.name == beam_name)
+    layout = layout_for(scenario.env, scenario.sonar)
+    for component in (bottom_return_bins, surface_return_bins):
+        def curve(yaw):
+            return component(
+                scenario.env, scenario.sonar, scenario.pose,
+                replace(beam, yaw_rad=yaw), layout,
+                transmit_beam=replace(scenario.transmitter, yaw_rad=yaw))
+
+        level = curve(0.0)
+        live = level != NO_RESPONSE
+        for degrees in (10.0, 37.0, -120.0):
+            turned = curve(math.radians(degrees))
+            np.testing.assert_array_equal(turned == NO_RESPONSE, ~live)
+            np.testing.assert_allclose(turned[live], level[live], rtol=0.0,
+                                       atol=1e-9)
 
 
 # --- shell averages -----------------------------------------------------------------
@@ -362,6 +408,32 @@ def test_bottom_curve_against_straight_line_reference(scenario1, s1_layout):
                   + s_b + 10.0 * math.log10(area))
             acc += to_linear(rl)
         assert bottom[n - 1] == pytest.approx(to_db(acc), abs=0.1)
+
+
+def test_volume_gate_cutoffs(scenario1, monkeypatch):
+    """Each plane's cutoff is the grazing angle of the cell where the plane
+    lies short of the cell midpoint, and inf (no cut) where it lies at or
+    beyond it, which cannot clip the shell. One cell per bin here, and the
+    bottom at 5.125 m is exactly bin 21's midpoint."""
+    seen = []
+    shell_averages = _shell_averages
+
+    def recording(theta_ha, theta_hd, *args):
+        seen.append((theta_ha, theta_hd))
+        return shell_averages(theta_ha, theta_hd, *args)
+
+    monkeypatch.setattr("flsim.nullmodel._shell_averages", recording)
+    layout = BinLayout(bin_length_m=0.25, num_bins=40)
+    pose = SonarPose(altitude_m=5.125, depth_m=7.0)
+    volume_return_bins(scenario1.env, make_sonar(bandwidth_hz=1000.0), pose,
+                       FORWARD, layout)
+    ((theta_ha, theta_hd),) = seen
+    assert np.all(theta_ha[:21] == math.inf)
+    assert theta_ha[21] == pytest.approx(math.asin(10.25 / 10.75), abs=1e-12)
+    assert np.all(theta_hd[:28] == math.inf)
+    assert theta_hd[28] == pytest.approx(math.asin(14.0 / 14.25), abs=1e-12)
+    a, b = layout.edges[21:-1], layout.edges[22:]
+    np.testing.assert_array_equal(theta_ha[21:], grazing_between(a, b, 5.125))
 
 
 def test_volume_first_bin_has_small_finite_value(scenario1, s1_layout):

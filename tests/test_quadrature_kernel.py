@@ -20,6 +20,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import flsim.nullmodel as nullmodel
 from flsim import NO_RESPONSE, QuadratureError, expected_null
+from flsim.geometry import rotate_to_sonar_frame
 from flsim.runner import compute_null
 
 # database=None stores no examples, but Hypothesis caches the constants it
@@ -138,11 +139,11 @@ yaws = st.one_of(st.just(0.0), st.floats(-0.6, 0.6))
 
 
 @st.composite
-def orientation_lists(draw, yaw):
+def orientation_lists(draw, yaw, pitch=angles):
     """The orientation list one average integrates: receive and transmit
     (sometimes the same)."""
-    rx = (draw(angles), draw(yaw))
-    tx = draw(st.one_of(st.just(rx), st.tuples(angles, yaw)))
+    rx = (draw(pitch), draw(yaw))
+    tx = draw(st.one_of(st.just(rx), st.tuples(pitch, yaw)))
     return [rx, tx]
 
 
@@ -159,6 +160,47 @@ def test_ring_rows_match_oracle(scenario1, rho, z, orientations, chunk):
         calls = _record_kernel(
             nullmodel._ring_averages, rho, z, orientations, scenario1.sonar, c)
     _assert_matches_oracle(calls)
+
+
+turns = st.floats(-math.pi, math.pi, exclude_min=True)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    rho=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 60.0)), min_size=1,
+                 max_size=4),
+    z=st.one_of(st.floats(0.5, 15.0), st.floats(-15.0, -0.5)),
+    orientations=orientation_lists(turns, turns),
+)
+def test_ring_arcs_match_front_hemisphere(rho, z, orientations):
+    """A point of a ring lies in a returned row exactly when it has
+    beam-frame x > 0 for every orientation, on 20 001 azimuths measured
+    from the receive arc's centre, away from the row ends; and a row end
+    strictly inside (-pi, pi) lies on a hemisphere edge (x = 0), the premise
+    of the edge rule."""
+    owner, lo, hi, centre = nullmodel._ring_arcs(rho, z, orientations)
+    assert np.all(np.diff(owner) >= 0)
+    assert np.all((-math.pi <= lo) & (lo < hi) & (hi <= math.pi))
+    theta = np.linspace(-math.pi, math.pi, 20_001)
+    for k, r in enumerate(rho):
+        world = theta + centre[k]
+        v = np.stack([r * np.cos(world), r * np.sin(world),
+                      np.full_like(world, z)], axis=-1)
+        front = np.all([rotate_to_sonar_frame(v, pitch, yaw)[:, 0] > 0.0
+                        for pitch, yaw in orientations], axis=0)
+        inside = np.zeros(theta.size, bool)
+        far = np.ones(theta.size, bool)
+        for a, b in zip(lo[owner == k], hi[owner == k]):
+            inside |= (theta >= a) & (theta <= b)
+            far &= (np.abs(theta - a) > 1e-9) & (np.abs(theta - b) > 1e-9)
+        np.testing.assert_array_equal(inside[far], front[far])
+        for end in np.concatenate([lo[owner == k], hi[owner == k]]):
+            if abs(end) < math.pi:
+                w = end + centre[k]
+                point = [r * math.cos(w), r * math.sin(w), z]
+                x = [rotate_to_sonar_frame(point, pitch, yaw)[0]
+                     for pitch, yaw in orientations]
+                assert min(map(abs, x)) <= 1e-9 * (r + abs(z))
 
 
 cutoffs = st.one_of(st.just(math.inf), st.floats(0.0, math.pi / 2.0))
