@@ -215,20 +215,22 @@ def test_shell_volume_layout_wrapper():
 # --- cutoff angles --------------------------------------------------------------------
 
 
-def test_grazing_between_is_the_shell_cutoff_angle():
+def test_cutoff_angle_cases():
     """The angle beyond which rays in a shell strike a plane at offset p,
     asin(2p / (a + b)), is the ring's grazing angle; 0 for a plane beyond
     the shell."""
-    assert grazing_between(19.5, 20.5, 25.0) == 0.0
+    assert grazing_between(19.5, 20.5, 25.0) == 0.0  # plane beyond the shell
     assert grazing_between(5.0, 6.0, 5.0) == pytest.approx(
         math.asin(10.0 / 11.0), abs=1e-12)
     assert grazing_between(0.0, 1.0, 0.3) == pytest.approx(math.asin(0.6))
+
+
+def test_cutoff_angles_pair():
     layout = BinLayout(bin_length_m=0.25, num_bins=161)
     a, b = layout.edge(80), layout.edge(81)
-    assert grazing_between(a, b, 5.0) == pytest.approx(
-        math.asin(10.0 / 40.25), abs=1e-12)
-    assert grazing_between(a, b, 7.0) == pytest.approx(
-        math.asin(14.0 / 40.25), abs=1e-12)
+    ha, hd = grazing_between(a, b, 5.0), grazing_between(a, b, 7.0)
+    assert ha == pytest.approx(math.asin(10.0 / 40.25), abs=1e-12)
+    assert hd == pytest.approx(math.asin(14.0 / 40.25), abs=1e-12)
 
 
 # --- pose ------------------------------------------------------------------------------
