@@ -252,24 +252,27 @@ def sinc(x):
     return out if out.ndim else float(out)
 
 
-def beam_gain(theta, psi, sonar: SonarConfig, c: float):
-    """Linear intensity gain of the two-way aperture pattern at (theta, psi).
-
-    The pattern is the product of two sinc factors in amplitude; the gain
-    returned here is that product squared. Directions outside the open front
-    hemisphere (|theta| >= pi/2 or |psi| >= pi/2) have zero gain, and the
-    sincs are evaluated only inside it. Accepts scalars or arrays.
-    """
+def beam_pattern(theta, psi, sonar: SonarConfig, c: float):
+    """Linear intensity of the two-way aperture pattern at (theta, psi) with
+    no hemisphere cut: the product of two sinc factors in amplitude, squared,
+    continuous across |theta| = pi/2 and |psi| = pi/2. Accepts scalars or
+    arrays."""
     lam = wavelength(c, sonar.frequency_khz)
-    theta, psi = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                     np.asarray(psi, dtype=float))
-    inside = (np.abs(theta) < np.pi / 2) & (np.abs(psi) < np.pi / 2)
-    theta, psi = theta[inside], psi[inside]
     alpha = sinc(np.sin(theta) * np.cos(psi) * sonar.horizontal_len_m / lam)
     beta = sinc(np.sin(psi) * sonar.vertical_len_m / lam)
     amp = alpha * beta
+    return amp * amp
+
+
+def beam_gain(theta, psi, sonar: SonarConfig, c: float):
+    """Linear intensity gain at (theta, psi): beam_pattern inside the open
+    front hemisphere (|theta| < pi/2 and |psi| < pi/2), evaluated only there,
+    and zero outside it. Accepts scalars or arrays."""
+    theta, psi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(psi, dtype=float))
+    inside = (np.abs(theta) < np.pi / 2) & (np.abs(psi) < np.pi / 2)
     gain = np.zeros(inside.shape)
-    gain[inside] = amp * amp
+    gain[inside] = beam_pattern(theta[inside], psi[inside], sonar, c)
     if gain.ndim == 0:
         return float(gain)
     return gain

@@ -84,7 +84,7 @@ def main(argv=None) -> int:
                 return 2
         else:
             run_detect(scenario, args.out)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except QuadratureError as err:

@@ -37,13 +37,13 @@ column, or, for a yawed beam, pointwise gating over the whole strip. The
 volume cutoffs are the planes' grazing angles where a plane lies short of
 the cell midpoint, and inf (no cut) elsewhere.
 
-One edge rule holds for rings and shells: a node on a row end that is also
-an orientation's hemisphere edge gets gain 0, its exact value, since the
-beam-frame x component is 0 there, outside the open front hemisphere, where
-rounding would leave 0 or a sidelobe depending on one ulp of the edge. For
-a ring that is every row end strictly inside (-pi, pi); for a shell, a psi
-band edge with band_lo = pitch - pi/2 (at u = 0) or band_hi = pitch + pi/2
-(at u = 1). So no curve depends on the last bit of an arc cosine.
+A closed-form row's domain is the hemisphere cut itself: a ring arc, or an
+unyawed shell's psi band, lies in every orientation's closed front
+hemisphere. So such a row evaluates the uncut beam_pattern, which is
+continuous at the row ends, where the beam-frame x component is 0: an end
+node takes the pattern's limit from inside the row, whichever way one ulp
+of an arc cosine rounds it, and the trapezoid keeps its O(h^2) end error.
+Only the pointwise-gated rows of a yawed shell apply the cut, beam_gain.
 
 Unyawed beams (every orientation at yaw 0 and |pitch| < pi/2) integrate
 only the mirror half of each row. Their ring arcs are symmetric about
@@ -67,6 +67,7 @@ from .acoustics import (
     SonarConfig,
     absorption_coeff,
     beam_gain,
+    beam_pattern,
     range_resolution,
 )
 from .db import NO_RESPONSE, to_db, to_linear
@@ -243,17 +244,18 @@ def _unyawed(orientations: list) -> bool:
 def _gain_product(v, orientations, angles, sonar, c, gate=None) -> np.ndarray:
     """Product over the (pitch, yaw) orientations of the beam gain at world
     vectors v (..., 3) under the angles convention, each distinct orientation
-    evaluated once (a repeated one enters as g*g); gate(psi, pitch), when
-    given, zeroes an orientation's gain outside its admitted band."""
+    evaluated once (a repeated one enters as g*g). Without gate, v lies on a
+    closed-form row, inside every front hemisphere, and the uncut
+    beam_pattern is evaluated; gate(psi, pitch), when given, zeroes an
+    orientation's beam_gain outside its admitted band."""
     flat = v.reshape(-1, 3)
     gains = {}
     for pitch, yaw in dict.fromkeys(orientations):
         vb = rotate_to_sonar_frame(flat, pitch, yaw).reshape(v.shape)
         theta, psi = angles(vb)
-        gain = beam_gain(theta, psi, sonar, c)
-        if gate is not None:
-            gain = np.where(gate(psi, pitch), gain, 0.0)
-        gains[pitch, yaw] = gain
+        gains[pitch, yaw] = (
+            beam_pattern(theta, psi, sonar, c) if gate is None else
+            np.where(gate(psi, pitch), beam_gain(theta, psi, sonar, c), 0.0))
     return math.prod(gains[o] for o in orientations)
 
 
@@ -302,20 +304,16 @@ def _ring_averages(rho, z: float, orientations: list, sonar: SonarConfig,
     """Beam-pattern averages (linear) around the rings of radii rho at
     vertical offset z, in one batch with a row per interval of a ring's gated
     arc; 0 for a ring wholly outside the gate. A row end strictly inside
-    (-pi, pi) is an orientation's hemisphere edge, and its node gets gain 0."""
+    (-pi, pi) is a hemisphere edge, where the uncut pattern is continuous."""
     owner, lo, hi, centre = _ring_arcs(rho, z, orientations)
-    radius, start, end, phase = (
-        t[:, None, None] for t in (np.asarray(rho, dtype=float)[owner], lo, hi,
-                                    centre[owner]))
+    radius, phase = (t[:, None, None] for t in (
+        np.asarray(rho, dtype=float)[owner], centre[owner]))
 
     def integrand(rows, theta_r, u):
         r, theta = radius[rows], theta_r + phase[rows]
         v = np.stack(np.broadcast_arrays(
             r * np.cos(theta), r * np.sin(theta), z), axis=-1)
-        gain = _gain_product(v, orientations, beam_angles_surface, sonar, c)
-        gain *= ~(((theta_r == start[rows]) | (theta_r == end[rows]))
-                  & (np.abs(theta_r) < math.pi))
-        return gain
+        return _gain_product(v, orientations, beam_angles_surface, sonar, c)
 
     return _row_averages(integrand, lo, hi, owner, len(rho), 1, 2.0 * math.pi,
                          _unyawed(orientations))
@@ -336,8 +334,8 @@ def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
     its front hemisphere, and each theta_h column integrates theta_v over
     the intersection of the bands, mapped onto u in [0, 1]. A yawed beam is
     gated pointwise over the whole strip. The strip covers half of the
-    parameter square, hence the factor 2. Where a band edge is also an
-    orientation's hemisphere edge, its nodes (u = 0 or 1) get gain 0.
+    parameter square, hence the factor 2. A band edge at pitch +- pi/2 is
+    an orientation's hemisphere edge, where the uncut pattern is continuous.
     """
     gated = (theta_ha > 0.0) | (theta_hd > 0.0)
     yawed = not _unyawed(orientations)
@@ -349,12 +347,8 @@ def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
                           for p in pitches], axis=0)
         band_hi = np.min([np.minimum(theta_hd + 2.0 * p, p + math.pi / 2.0)
                           for p in pitches], axis=0)
-        on_edge_lo = np.any([band_lo == p - math.pi / 2.0 for p in pitches], axis=0)
-        on_edge_hi = np.any([band_hi == p + math.pi / 2.0 for p in pitches], axis=0)
         owner = np.flatnonzero(gated & (band_hi > band_lo))
-        psi_lo, psi_hi, edge_lo, edge_hi = (
-            t[owner][:, None, None]
-            for t in (band_lo, band_hi, on_edge_lo, on_edge_hi))
+        psi_lo, psi_hi = (t[owner][:, None, None] for t in (band_lo, band_hi))
     ha, hd = (t[owner][:, None, None] for t in (theta_ha, theta_hd))
 
     def integrand(rows, theta_h, u):
@@ -374,10 +368,8 @@ def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
         v = np.stack(np.broadcast_arrays(
             np.cos(theta_h) * np.cos(theta_v), np.sin(theta_h), np.sin(theta_v)),
             axis=-1)
-        gain = _gain_product(v, orientations, beam_angles_volume, sonar, c, gate)
-        if not yawed:
-            gain *= ~(((u == 0.0) & edge_lo[rows]) | ((u == 1.0) & edge_hi[rows]))
-        return gain * width
+        return _gain_product(v, orientations, beam_angles_volume, sonar, c,
+                             gate) * width
 
     lo = np.full(owner.size, -math.pi / 2.0)
     return _row_averages(integrand, lo, -lo, owner, theta_ha.size, 2,

@@ -22,6 +22,7 @@ from flsim import (
     wavelength,
 )
 from flsim.acoustics import (
+    beam_pattern,
     noise_sea_state,
     noise_thermal,
     noise_traffic,
@@ -197,6 +198,35 @@ def test_beam_gain_symmetry_on_seeded_grid():
     g_mirror = beam_gain(-theta, -psi, SONAR, c)
     assert np.all(g >= 0.0) and np.all(g <= 1.0)
     np.testing.assert_allclose(g, g_mirror, rtol=0.0, atol=1e-12)
+
+
+def test_beam_pattern_is_the_uncut_beam_gain():
+    """beam_gain is beam_pattern, bit for bit, inside the open front
+    hemisphere and 0 outside it, where beam_pattern is not cut."""
+    c = ENV_SHALLOW.sound_speed()
+    rng = np.random.default_rng(12)
+    theta = rng.uniform(-math.pi / 2, math.pi / 2, size=200)
+    psi = rng.uniform(-math.pi / 2, math.pi / 2, size=200)
+    inside = (np.abs(theta) < math.pi / 2) & (np.abs(psi) < math.pi / 2)
+    np.testing.assert_array_equal(beam_gain(theta, psi, SONAR, c)[inside],
+                                  beam_pattern(theta, psi, SONAR, c)[inside])
+    behind = (theta + math.pi, psi)
+    assert np.all(beam_gain(*behind, SONAR, c) == 0.0)
+    assert np.any(beam_pattern(*behind, SONAR, c) > 0.0)
+
+
+def test_beam_pattern_is_continuous_at_the_hemisphere_edge():
+    """The null model's row-end nodes lie on |theta| = pi/2 up to rounding;
+    the pattern there must not depend on which side of the edge they fall."""
+    c = ENV_SHALLOW.sound_speed()
+    edge = math.pi / 2
+    for psi in (0.0, 0.05, -0.3, 0.7, 1.2):
+        at = beam_pattern(edge, psi, SONAR, c)
+        assert at > 0.0
+        for side in (-math.inf, math.inf):
+            for theta in (np.nextafter(edge, side), -np.nextafter(edge, side)):
+                assert beam_pattern(theta, psi, SONAR, c) == pytest.approx(
+                    at, rel=1e-12)
 
 
 def test_beam_pattern_loss_no_response_behind():

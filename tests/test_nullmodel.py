@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import flsim.nullmodel as nullmodel
 from flsim import (
     BeamOrientation,
     BinLayout,
@@ -24,12 +25,19 @@ from flsim import (
 from flsim.acoustics import absorption_coeff, range_resolution
 from flsim.db import to_db, to_linear
 from flsim.geometry import (
+    beam_angles_surface,
     beam_orientations,
     grazing_between,
     layout_for,
     ring_radius,
+    rotate_to_sonar_frame,
 )
-from flsim.nullmodel import _nested_trapezoid, _ring_averages, _shell_averages
+from flsim.nullmodel import (
+    TOLERANCE_DB,
+    _nested_trapezoid,
+    _ring_averages,
+    _shell_averages,
+)
 from flsim.scatter import bottom_coeff, surface_coeff
 
 POSE = SonarPose(altitude_m=5.0, depth_m=7.0)
@@ -162,9 +170,10 @@ def test_ring_average_transmit_receive_coupling(scenario1, s1_layout):
 
 
 def test_ring_average_at_a_hemisphere_edge_is_decided_exactly(scenario2):
-    """up20's bottom arcs end on hemisphere edges, where the nodes get gain
-    0 whatever the rounding: one ulp of the radius moves the average by
-    rounding only (it moved it by 2.5e-3 relative before)."""
+    """up20's bottom arcs end on hemisphere edges, where the uncut pattern
+    is continuous, so an end node's value does not hang on which side of
+    the edge it rounds to: one ulp of the radius moves the average by
+    rounding only (it moved it by 2.5e-3 relative with the cut gain)."""
     up20 = next(b for b in scenario2.sonar.beams if b.name == "up20")
     orientations = beam_orientations(scenario2.pose, up20, scenario2.transmitter)
     c = scenario2.env.sound_speed()
@@ -174,6 +183,64 @@ def test_ring_average_at_a_hemisphere_edge_is_decided_exactly(scenario2):
         orientations, scenario2.sonar, c)
     assert below == pytest.approx(at, rel=1e-11)
     assert above == pytest.approx(at, rel=1e-11)
+
+
+def _ring_midpoint_reference(rho, z, orientations, sonar, c, nodes=2**16):
+    """Ring average of the cut gain product by the midpoint rule over
+    (-pi, pi], every node evaluated pointwise; no node lies on an edge."""
+    theta = -math.pi + (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
+    v = np.stack(np.broadcast_arrays(
+        rho * np.cos(theta), rho * np.sin(theta), z), axis=-1)
+    gain = np.ones(nodes)
+    for pitch, yaw in orientations:
+        vb = rotate_to_sonar_frame(v, pitch, yaw)
+        gain *= beam_gain(*beam_angles_surface(vb), sonar, c)
+    return gain.mean()
+
+
+def test_ring_averages_match_a_fine_midpoint_grid(scenario2, monkeypatch):
+    """Every 25th wet ring of each scenario2 bottom and surface, and the
+    rings of up20's bottom bins 22 and 25, against a 2^16-node midpoint
+    reference. Once a row's ends are right the trapezoid converges as
+    O(h^2), so a doubling that changes it by at most TOLERANCE_DB leaves
+    about a third of that: each ring within TOLERANCE_DB / 2, and each
+    component's mean gap, a bias, within 0.001 dB."""
+    rings = []
+
+    def recording(rho, z, orientations, sonar, c):
+        averages = _ring_averages(rho, z, orientations, sonar, c)
+        rings.append((np.asarray(rho), z, orientations, averages))
+        return averages
+
+    monkeypatch.setattr(nullmodel, "_ring_averages", recording)
+    args = (scenario2.env, scenario2.sonar, scenario2.pose)
+    layout = layout_for(scenario2.env, scenario2.sonar)
+    c = scenario2.env.sound_speed()
+    h = scenario2.pose.altitude_m
+    for beam in scenario2.sonar.beams:
+        for component in (bottom_return_bins, surface_return_bins):
+            component(*args, beam, layout, transmit_beam=scenario2.transmitter)
+            rho, z, orientations, averages = rings[-1]
+            picked = np.arange(0, rho.size, 25)
+            if beam.name == "up20" and component is bottom_return_bins:
+                in_bins = np.zeros(rho.size, bool)
+                for n in (22, 25):
+                    in_bins |= ((rho > ring_radius(layout.edge(n - 1), h))
+                                & (rho < ring_radius(layout.edge(n), h)))
+                assert np.count_nonzero(in_bins) >= 2
+                picked = np.union1d(picked, np.flatnonzero(in_bins))
+            gaps = []
+            for i in picked:
+                ref = _ring_midpoint_reference(rho[i], z, orientations,
+                                               scenario2.sonar, c)
+                assert (averages[i] > 0.0) == (ref > 0.0)
+                if ref > 0.0:
+                    gaps.append(to_db(averages[i]) - to_db(ref))
+            gaps = np.array(gaps)
+            where = f"{beam.name} {component.__name__}"
+            assert gaps.size >= 20, where
+            assert np.max(np.abs(gaps)) <= TOLERANCE_DB / 2.0, where
+            assert abs(np.mean(gaps)) <= 0.001, where
 
 
 @pytest.mark.parametrize("name,beam_name", [("scenario1", "forward"),
@@ -280,9 +347,10 @@ def test_sphere_average_yawed_fallback_matches_fast_path(scenario1, s1_layout):
 
 
 def test_shell_average_at_a_hemisphere_edge_is_decided_exactly(scenario2):
-    """up20's psi band ends on its hemisphere edge, where the nodes get gain
-    0 whatever the rounding: one ulp of the other cutoff moves the average
-    by rounding only (it moved it by 3.7e-9 relative before)."""
+    """up20's psi band ends on its hemisphere edge, where the uncut pattern
+    is continuous, so an end node's value does not hang on which side of
+    the edge it rounds to: one ulp of the other cutoff moves the average by
+    rounding only (it moved it by 3.7e-9 relative with the cut gain)."""
     up20 = next(b for b in scenario2.sonar.beams if b.name == "up20")
     orientations = beam_orientations(scenario2.pose, up20, scenario2.transmitter)
     c = scenario2.env.sound_speed()

@@ -20,7 +20,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import flsim.nullmodel as nullmodel
 from flsim import NO_RESPONSE, QuadratureError, expected_null
-from flsim.geometry import rotate_to_sonar_frame
+from flsim.geometry import beam_angles_surface, rotate_to_sonar_frame
 from flsim.runner import compute_null
 
 # database=None stores no examples, but Hypothesis caches the constants it
@@ -176,8 +176,9 @@ def test_ring_arcs_match_front_hemisphere(rho, z, orientations):
     """A point of a ring lies in a returned row exactly when it has
     beam-frame x > 0 for every orientation, on 20 001 azimuths measured
     from the receive arc's centre, away from the row ends; and a row end
-    strictly inside (-pi, pi) lies on a hemisphere edge (x = 0), the premise
-    of the edge rule."""
+    strictly inside (-pi, pi) lies on a hemisphere edge (x = 0), so a row
+    lies in the closed front hemispheres, where the null evaluates the
+    uncut pattern."""
     owner, lo, hi, centre = nullmodel._ring_arcs(rho, z, orientations)
     assert np.all(np.diff(owner) >= 0)
     assert np.all((-math.pi <= lo) & (lo < hi) & (hi <= math.pi))
@@ -264,19 +265,22 @@ def test_folded_rows_match_unfolded(rows, dims, chunk):
 
 def test_scenario2_null_gain_evaluations(scenario2):
     """Work tripwire, independent of host speed: compute_null(scenario2)
-    evaluates 3 294 964 gains (nodes times distinct orientations); without
-    the mirror-half fold it evaluated 6 464 212."""
-    evaluations = 0
+    evaluates 144 662 ring gains and 3 177 620 in all (nodes times distinct
+    orientations). With a zero-gain node at every hemisphere-edge row end
+    it evaluated 263 958 and 3 296 916; without the mirror-half fold,
+    6 464 212 in all."""
+    evaluations = {"ring": 0, "shell": 0}
     gain_product = nullmodel._gain_product
 
-    def counting(v, orientations, *args):
-        nonlocal evaluations
-        evaluations += v.size // 3 * len(dict.fromkeys(orientations))
-        return gain_product(v, orientations, *args)
+    def counting(v, orientations, angles, *args):
+        kind = "ring" if angles is beam_angles_surface else "shell"
+        evaluations[kind] += v.size // 3 * len(dict.fromkeys(orientations))
+        return gain_product(v, orientations, angles, *args)
 
     with mock.patch.object(nullmodel, "_gain_product", counting):
         compute_null(scenario2)
-    assert evaluations <= 3_400_000
+    assert evaluations["ring"] <= 160_000
+    assert evaluations["ring"] + evaluations["shell"] <= 3_250_000
     print(f"compute_null(scenario2) evaluated {evaluations} gains")
 
 

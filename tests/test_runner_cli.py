@@ -209,6 +209,16 @@ def test_cli_scenario_names_a_file_or_a_bundled_scenario(tmp_path, monkeypatch,
     assert "neither a file nor one of the bundled scenarios" in err
 
 
+def test_cli_reports_an_unusable_out_directory_in_one_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for out in (taken, taken / "x"):
+        assert main(["null", "--scenario", "scenario1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(taken) in err
+
+
 def test_cli_reports_quadrature_diagnostics(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise QuadratureError("did not converge")
