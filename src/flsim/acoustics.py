@@ -115,7 +115,8 @@ class SonarConfig:
     bandwidth B (Hz), ping_rate_hz the ping rate f_p (Hz), and
     horizontal_len_m / vertical_len_m the aperture lengths L_H and L_V (m).
     Received energy is accumulated into range bins of bin_length_m. Every
-    receive beam listens to the one transmitter, level unless given.
+    receive beam, named uniquely, listens to the one transmitter, level
+    unless given.
     """
 
     frequency_khz: float
@@ -153,6 +154,12 @@ class SonarConfig:
             )
         if len(self.beams) < 1:
             raise ValueError("beams must contain at least one BeamOrientation")
+        for i, beam in enumerate(self.beams):
+            if not isinstance(beam, BeamOrientation):
+                raise ValueError(
+                    f"beams[{i}] must be a BeamOrientation, got {beam!r}")
+            if beam.name in (b.name for b in self.beams[:i]):
+                raise ValueError(f"beams[{i}] repeats the beam name {beam.name!r}")
         if not isinstance(self.transmitter, BeamOrientation):
             raise ValueError(
                 f"transmitter must be a BeamOrientation, got {self.transmitter!r}")

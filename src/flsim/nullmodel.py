@@ -467,7 +467,7 @@ def _ring_return_bins(component, z, coeff_of, env, sonar, pose, beam, layout):
     area = math.pi * (r_b * r_b - r_a * r_a)
     # A bin that ends short of the plane stays empty, whatever the rounding
     # of its last cell edge.
-    area[(offset >= bin_end) | (offset >= b) | (area <= 0.0)] = 0.0
+    area[(offset >= bin_end) | (area <= 0.0)] = 0.0
     wet = area > 0.0
     coeff = np.zeros(a.size)
     coeff[wet] = coeff_of(grazing_between(a[wet], b[wet], offset))

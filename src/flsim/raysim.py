@@ -21,8 +21,8 @@ so its hits are bit-identical to einsum's. A ping's rays share one (1, 3)
 origin, whose terms are (faces, 1) columns.
 
 Every bounce goes through one batch path, _bounce: reflect the ray about the
-hit normal, offset the new origin along the reflection, and retrace with the
-range left. ping calls it on all its impacts.
+hit normal and retrace from the impact point with the range left;
+BOUNCE_MIN_T keeps it off its own surface. ping calls it on all its impacts.
 
 Every impact, direct or bounced, becomes an echo through _echo: source
 level, two-way loss and ensonified patch at the path length, the transmit
@@ -92,10 +92,9 @@ from .scatter import (ObjectMaterial, bottom_coeff, echo_intensity,
 # Hits more tangent than this are treated as misses; the scatter model is
 # undefined at zero grazing.
 MIN_GRAZING_RAD = 1e-9
-# Offset applied along the reflected direction before retracing, and the
-# minimum parameter of a secondary trace, so a bounce does not re-hit its
-# own reflection point.
-BOUNCE_OFFSET_M = 1e-9
+# Minimum parameter of a bounce's retrace from its impact point, so it does
+# not re-hit the surface it leaves: its own hit there has t about 0. (A plane
+# it leaves is rejected anyway: the ray no longer heads toward it.)
 BOUNCE_MIN_T = 1e-6
 # Ray-face pairs per Moller-Trumbore block of _trace_mesh: a block's
 # (faces, rays) arrays then stay in cache. A block holds at least one ray.
@@ -202,7 +201,7 @@ def _trace_plane(origins, dirs, z, heading, t_min):
     t = np.full(dirs.shape[0], np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         cand = (z - origins[:, 2]) / dirs[:, 2]
-    ok = (heading * dirs[:, 2] > 0.0) & (cand > t_min) & np.isfinite(cand)
+    ok = (heading * dirs[:, 2] > 0.0) & (cand > t_min)
     t[ok] = cand[ok]
     return t, (0.0, 0.0, -heading)
 
@@ -333,18 +332,12 @@ def _trace_batch(scene: Scene, origins, dirs, t_min, t_max):
 
 
 def _bounce(scene: Scene, points, dirs, normals, remaining):
-    """Specular bounce of a batch of impacts: reflected directions, the mask
-    of rays with range left to retrace (remaining > BOUNCE_MIN_T), and the
-    _trace_batch result of those rays from origins offset along their
-    reflection."""
+    """Specular bounce of a batch of impacts: the reflected directions and
+    the _trace_batch result of each from its impact point, with the range
+    left (a miss where none is). dirs may be any nonzero vectors."""
     refl = dirs - 2.0 * np.einsum("rc,rc->r", dirs, normals)[:, None] * normals
     refl /= np.linalg.norm(refl, axis=1, keepdims=True)
-    origins = points + BOUNCE_OFFSET_M * refl
-    live = remaining > BOUNCE_MIN_T
-    trace = _trace_batch(
-        scene, origins[live], refl[live], BOUNCE_MIN_T, remaining[live]
-    )
-    return refl, live, trace
+    return refl, _trace_batch(scene, points, refl, BOUNCE_MIN_T, remaining)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +420,8 @@ class PingReturn:
 
 def _beam_weights(dirs, orientation, sonar, c):
     """Beam gain at world directions dirs of the beam pointed at the
-    (pitch, yaw) orientation of geometry.beam_orientations."""
+    (pitch, yaw) orientation of geometry.beam_orientations. A direction may
+    be any nonzero vector: the gain depends on its direction only."""
     theta, psi = beam_angles_surface(rotate_to_sonar_frame(dirs, *orientation))
     return beam_gain(theta, psi, sonar, c)
 
@@ -489,7 +483,8 @@ def ping(
     origin = np.array([[0.0, 0.0, pose.depth_m]])
     rx, tx = beam_orientations(pose, beam, sonar.transmitter)
 
-    bottom, surface, object_, multipath = (np.zeros(num_bins) for _ in range(4))
+    # Direct echoes, one row per impact kind KIND_*, and multipath.
+    tally, multipath = np.zeros((3, num_bins)), np.zeros(num_bins)
     # The volume term's beam weight summed by each ray's last ensonified
     # shell, numbered from 1 (num_bins for a ray that escapes).
     per_last = np.zeros(num_bins + 1)
@@ -511,10 +506,7 @@ def ping(
         kinds_h = kind[hit]
         bins, value = _echo(t[hit], kinds_h, grazing[hit], roughness[hit],
                             (w[hit],), env, sonar, layout)
-        for code, acc in ((KIND_BOTTOM, bottom), (KIND_SURFACE, surface),
-                          (KIND_OBJECT, object_)):
-            sel = kinds_h == code
-            np.add.at(acc, bins[sel], value[sel])
+        np.add.at(tally, (kinds_h, bins), value)
 
         # Volume reverberation: every ray ensonifies each shell it crosses,
         # up to and including the shell of its impact.
@@ -525,14 +517,12 @@ def ping(
         # First-order multipath: one specular bounce per impacted ray,
         # received along the direct line from its second impact.
         idx = np.nonzero(hit)[0]
-        _, live, (kind2, t2, points2, _, grazing2, roughness2) = _bounce(
+        _, (kind2, t2, points2, _, grazing2, roughness2) = _bounce(
             scene, points[idx], d[idx], normals[idx], t_max - t[idx]
         )
         hit2 = kind2 >= 0
-        gi = idx[live][hit2]
-        to_sonar = points2[hit2] - origin
-        to_sonar /= np.linalg.norm(to_sonar, axis=1, keepdims=True)
-        bp_r2 = _beam_weights(to_sonar, rx, sonar, c)
+        gi = idx[hit2]
+        bp_r2 = _beam_weights(points2[hit2] - origin, rx, sonar, c)
         bins2, value2 = _echo(t[gi] + t2[hit2], kind2[hit2], grazing2[hit2],
                               roughness2[hit2], (bp_t[gi], bp_r2), env, sonar,
                               layout)
@@ -549,9 +539,9 @@ def ping(
 
     return PingReturn(
         layout=layout,
-        bottom=bottom,
-        surface=surface,
-        object_=object_,
+        bottom=tally[KIND_BOTTOM],
+        surface=tally[KIND_SURFACE],
+        object_=tally[KIND_OBJECT],
         volume=volume,
         multipath=multipath,
         noise=np.zeros(num_bins),

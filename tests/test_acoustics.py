@@ -337,6 +337,25 @@ def test_sonar_config_has_one_level_transmitter():
         SonarConfig(**SONAR_FIELDS, transmitter=(0.0, 0.0))
 
 
+def test_sonar_config_rejects_a_beam_that_is_not_a_beam_orientation():
+    beams = (BeamOrientation(name="a"), "forward")
+    with pytest.raises(ValueError,
+                       match=r"beams\[1\] must be a BeamOrientation"):
+        SonarConfig(**SONAR_FIELDS, beams=beams)
+
+
+def test_sonar_config_rejects_a_repeated_beam_name():
+    # the null and the outputs are keyed by name, so a second "a" would be
+    # dropped from them
+    beams = (BeamOrientation(name="a"),
+             BeamOrientation(pitch_rad=0.3, name="b"),
+             BeamOrientation(pitch_rad=-0.3, name="a"))
+    with pytest.raises(ValueError, match=r"beams\[2\] repeats the beam name 'a'"):
+        SonarConfig(**SONAR_FIELDS, beams=beams)
+    names = [b.name for b in SonarConfig(**SONAR_FIELDS, beams=beams[:2]).beams]
+    assert names == ["a", "b"]
+
+
 def test_environment_rejects_bad_values():
     with pytest.raises(ValueError):
         EnvironmentParams(

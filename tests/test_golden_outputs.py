@@ -13,6 +13,9 @@ pings draw their random numbers (ROADMAP item 2) must regenerate them,
     PYTHONPATH=src python -m flsim.cli sim --scenario scenario1 \
         --rays 5000 --pings 2 --out tests/golden/sim_scenario1
 
+    PYTHONPATH=src python -m flsim.cli compare --scenario scenario1 \
+        --pings 4 --out tests/golden/compare_scenario1
+
 (and likewise for every case below), and say so in CHANGES.md.
 """
 
@@ -33,6 +36,7 @@ CASES = {
                       "--pings", "1"],
     "detect_scenario2": ["detect", "--scenario", "scenario2", "--rays", "2000",
                          "--pings", "1"],
+    "compare_scenario1": ["compare", "--scenario", "scenario1", "--pings", "4"],
 }
 
 

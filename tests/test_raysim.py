@@ -139,14 +139,12 @@ def trace_one(scene, origin, direction, max_range):
 
 def bounce_one(scene, hit, direction, max_range):
     """Specular bounce through _bounce of a hit that trace_one found within
-    max_range: the reflected direction, whether any range is left, and row
-    0 of the retrace (None when no range is left)."""
+    max_range: the reflected direction and row 0 of the retrace."""
     _, t, point, normal, _, _ = hit
-    refl, live, trace = _bounce(
+    refl, trace = _bounce(
         scene, np.array([point]), np.array([direction], dtype=float),
         np.array([normal]), np.array([max_range - t]))
-    second = tuple(column[0] for column in trace) if live[0] else None
-    return refl[0], bool(live[0]), second
+    return refl[0], tuple(column[0] for column in trace)
 
 
 def test_flat_heightfield_matches_plane(scenario1):
@@ -219,11 +217,10 @@ def test_specular_bounce_preserves_grazing(scenario1):
     assert kind == KIND_BOTTOM
     assert t == pytest.approx(5.0 / math.sin(a), rel=1e-12)
     assert grazing == pytest.approx(a, abs=1e-12)
-    refl, live, second = bounce_one(scene, hit, d, 40.0)
+    refl, second = bounce_one(scene, hit, d, 40.0)
     # the reflected direction mirrors the vertical component only
     assert refl[0] == pytest.approx(math.cos(a), abs=1e-12)
     assert refl[2] == pytest.approx(-math.sin(a), abs=1e-12)
-    assert live and second is not None
     kind2, t2, _, _, grazing2, _ = second
     assert kind2 == KIND_SURFACE
     assert grazing2 == pytest.approx(a, abs=1e-9)
@@ -238,8 +235,7 @@ def test_straight_down_bounce_lands_in_round_trip_bin(scenario1, s1_layout):
     assert kind == KIND_BOTTOM
     assert t == pytest.approx(5.0, abs=1e-12)
     assert grazing == pytest.approx(math.pi / 2)
-    _, live, second = bounce_one(scene, hit, d, 40.0)
-    assert live and second is not None
+    _, second = bounce_one(scene, hit, d, 40.0)
     kind2, t2, *_ = second
     assert kind2 == KIND_SURFACE
     assert t2 == pytest.approx(12.0, abs=1e-6)
@@ -251,9 +247,9 @@ def test_bounce_with_no_remaining_range(scenario1):
     d = (0.0, 0.0, 1.0)
     hit = trace_one(scene, (0.0, 0.0, 7.0), d, 5.0)
     assert hit[1] == 5.0  # the whole range is used up at the impact
-    _, live, second = bounce_one(scene, hit, d, 5.0)
-    assert not live
-    assert second is None
+    _, (kind2, t2, *_) = bounce_one(scene, hit, d, 5.0)
+    assert kind2 == -1  # the retrace misses
+    assert t2 == math.inf
 
 
 def test_trace_batch_accounts_for_every_ray(scenario1):
@@ -278,7 +274,7 @@ def test_trace_batch_accounts_for_every_ray(scenario1):
     pytest.param(step_bottom(35.0, 2.0), (), id="step"),
 ])
 def test_trace_batch_takes_an_empty_batch(scenario1, bottom, objects):
-    """A bounce retraces its live rays even when there are none."""
+    """A bounce retraces its impacts even when there are none."""
     scene = Scene(env=scenario1.env, bottom=bottom, objects=objects)
     trace = _trace_batch(scene, np.zeros((0, 3)), np.zeros((0, 3)), 0.0, 40.0)
     assert [len(column) for column in trace] == [0] * 6
