@@ -45,8 +45,10 @@ class HypothesisModel:
     alt_offset_db: float
 
     def __post_init__(self):
-        if not self.sigma_db > 0:
-            raise ValueError(f"sigma_db must be > 0, got {self.sigma_db}")
+        if not 0 < self.sigma_db < math.inf:
+            raise ValueError(f"sigma_db must be finite and > 0, got {self.sigma_db}")
+        if not math.isfinite(self.alt_offset_db):
+            raise ValueError(f"alt_offset_db must be finite, got {self.alt_offset_db}")
         mean = np.asarray(self.null_mean_db, dtype=float)
         object.__setattr__(self, "null_mean_db", mean)
 
@@ -91,7 +93,10 @@ def decide(lam, gamma: float):
 def pd_pfa(gamma: float, model: HypothesisModel) -> tuple:
     """Closed-form detection and false-alarm probabilities of the test
     lambda >= gamma under the two Gaussian hypotheses. Independent of the
-    bin because the expectation cancels in the ratio."""
+    bin because the expectation cancels in the ratio. A nan gamma raises
+    ValueError."""
+    if math.isnan(gamma):
+        raise ValueError("gamma must not be nan")
     if gamma <= 0.0:
         return 1.0, 1.0
     delta = model.alt_offset_db

@@ -9,9 +9,9 @@ sum: each cell is one scatter.echo_intensity, the term the ping evaluates,
 with the beam-pattern average as its gain. dB appears only in the returned
 record, NullModelReturn, whose components are the per-bin sums in dB.
 
-expected_null takes the ping's arguments, (scene, sonar, pose, beam), and
-is the ping's expectation with the scene's objects removed and its floor
-flat at pose.altitude_m: the same bins (layout_for), the same transmitter
+expected_null(scene, sonar, pose, beam) is the expectation of the ping's
+row for that beam with the scene's objects removed and its floor flat at
+pose.altitude_m: the same bins (layout_for), the same transmitter
 (sonar.transmitter) and the components the scene has.
 
 The average is coupled: the transmit and receive patterns are averaged as
@@ -511,13 +511,13 @@ def expected_null(
     pose: SonarPose,
     beam: BeamOrientation,
 ) -> NullModelReturn:
-    """Expected per-bin return of ping(scene, sonar, pose, beam) with the
-    scene's objects removed and its floor flat at pose.altitude_m below the
-    sonar: the power sum of the bottom, surface and volume reverberation,
-    each computed when the scene has it and NO_RESPONSE otherwise. The bins
-    are layout_for(scene.env, sonar), the ones ping fills. A flat bottom
-    elsewhere than at that floor raises ValueError; a mesh bottom is
-    flattened, as the null hypothesis has no obstacle."""
+    """Expected per-bin return of beam, its row of ping(scene, sonar, pose),
+    with the scene's objects removed and its floor flat at pose.altitude_m
+    below the sonar: the power sum of the bottom, surface and volume
+    reverberation, each computed when the scene has it and NO_RESPONSE
+    otherwise. The bins are layout_for(scene.env, sonar), the ones ping
+    fills. A flat bottom elsewhere than at that floor raises ValueError; a
+    mesh bottom is flattened, as the null hypothesis has no obstacle."""
     if isinstance(scene.bottom, FlatBottom):
         floor_m = pose.depth_m + pose.altitude_m
         if not math.isclose(scene.bottom.depth_m, floor_m, rel_tol=1e-9):

@@ -33,6 +33,13 @@ to the sonar instead of the launch direction. _echo and the volume term
 share the one sonar-equation term of the null model too,
 scatter.echo_intensity.
 
+One ping is one transmission that forms every receive beam: row k of each
+component belongs to sonar.beams[k] (PingReturn.row). Only the receive
+gains, bp_r and bp_r2, depend on the beam, so the draw, cull, trace, bounce
+and the rest of each echo are worked out once, and each beam adds its gains
+in a one-beam ping's order: every row is bit-identical to the ping of a
+sonar with that beam alone, from the same seed.
+
 ping runs its whole body (direction draw, beam weights, trace, echoes,
 bounce) over chunks of PING_CHUNK_RAYS rays, adding each chunk into the
 per-bin accumulators. Nothing per ray outlives a chunk, so a ping's memory
@@ -69,7 +76,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .acoustics import (
-    BeamOrientation,
     EnvironmentParams,
     SonarConfig,
     absorption_coeff,
@@ -392,7 +398,8 @@ def ray_bin_volume(n, layout: BinLayout, n_rays: int):
 
 @dataclass(frozen=True)
 class PingReturn:
-    """Per-bin linear intensities of one simulated ping, by component."""
+    """Per-bin linear intensities of one simulated ping, by component: a
+    (beams, bins) array from ping, a (bins,) array in a row."""
 
     layout: BinLayout
     bottom: np.ndarray
@@ -416,6 +423,11 @@ class PingReturn:
     @property
     def bin_centers(self) -> np.ndarray:
         return self.layout.centers
+
+    def row(self, k: int) -> PingReturn:
+        """Row k, one beam's ping, of a ping of several beams."""
+        return replace(self, **{name: getattr(self, name)[k] for name in (
+            "bottom", "surface", "object_", "volume", "multipath", "noise")})
 
 
 def _beam_weights(dirs, orientation, sonar, c):
@@ -441,33 +453,34 @@ def _boundary_coeff_linear(kind, grazing, roughness, env, f_khz):
     return out
 
 
-def _echo(distance, kind, grazing, roughness, gains, env, sonar, layout):
+def _echo(distance, kind, grazing, roughness, env, sonar, layout):
     """Sonar-equation echo of a batch of impacts at path length distance:
-    the 0-based bin of each and its linear intensity, the source level times
-    the two-way loss, the beam gains (multiplied in the order given), the
-    backscatter coefficient and the ray's ensonified patch."""
+    the 0-based bin of each, and a function of a beam's gains that gives
+    their linear intensities, the source level times the two-way loss, the
+    gains (multiplied in the order given), the backscatter coefficient and
+    the ray's ensonified patch."""
     f = sonar.frequency_khz
-    value = echo_intensity(
-        sonar.source_level_db, distance, absorption_coeff(f, env),
-        _boundary_coeff_linear(kind, grazing, roughness, env, f),
-        ray_patch_area(distance, grazing, sonar.num_rays), *gains)
-    return bin_index(distance, layout) - 1, value
+    terms = (sonar.source_level_db, distance, absorption_coeff(f, env),
+             _boundary_coeff_linear(kind, grazing, roughness, env, f),
+             ray_patch_area(distance, grazing, sonar.num_rays))
+    return bin_index(distance, layout) - 1, lambda *gains: echo_intensity(
+        *terms, *gains)
 
 
 def ping(
     scene: Scene,
     sonar: SonarConfig,
     pose: SonarPose,
-    beam: BeamOrientation,
     *,
     seed: int | np.random.Generator | None = None,
 ) -> PingReturn:
-    """Simulate one ping of the receive beam: draw sonar.num_rays rays over
+    """Simulate one ping of every receive beam: draw sonar.num_rays rays over
     the full sphere, trace the ones sonar.transmitter lights (the others add
     nothing), and accumulate boundary, object, volume and first-order
-    multipath intensity per range bin. seed goes to np.random.default_rng,
-    so it may be an integer, a SeedSequence or a Generator, which is used as
-    it is. A flat bottom at or above the sonar raises ValueError."""
+    multipath intensity per beam and range bin; row k is sonar.beams[k]'s.
+    seed goes to np.random.default_rng, so it may be an integer, a
+    SeedSequence or a Generator, which is used as it is. A flat bottom at or
+    above the sonar raises ValueError."""
     floor = scene.bottom
     if isinstance(floor, FlatBottom) and floor.depth_m <= pose.depth_m:
         raise ValueError(f"flat bottom at {floor.depth_m} m lies at or above "
@@ -481,38 +494,35 @@ def ping(
     num_bins = layout.num_bins
 
     origin = np.array([[0.0, 0.0, pose.depth_m]])
-    rx, tx = beam_orientations(pose, beam, sonar.transmitter)
+    pairs = [beam_orientations(pose, b, sonar.transmitter) for b in sonar.beams]
+    receivers, tx = [rx for rx, _ in pairs], pairs[0][1]
+    num_beams = len(receivers)
 
-    # Direct echoes, one row per impact kind KIND_*, and multipath.
-    tally, multipath = np.zeros((3, num_bins)), np.zeros(num_bins)
+    # Per beam: direct echoes, one row per impact kind KIND_*, and multipath.
+    tally = np.zeros((num_beams, 3, num_bins))
+    multipath = np.zeros((num_beams, num_bins))
     # The volume term's beam weight summed by each ray's last ensonified
     # shell, numbered from 1 (num_bins for a ray that escapes).
-    per_last = np.zeros(num_bins + 1)
-    for start in range(0, n_rays, PING_CHUNK_RAYS):
-        d = sample_ray_directions(min(PING_CHUNK_RAYS, n_rays - start), rng)
+    per_last = np.zeros((num_beams, num_bins + 1))
+
+    def add_chunk(d):
+        """Add the rays d to every beam; no per-ray array outlives it."""
         bp_t = _beam_weights(d, tx, sonar, c)
         # An unlit ray adds exactly +0.0 to every bin, so only lit rays go on.
         lit = np.nonzero(bp_t > 0.0)[0]
         d, bp_t = d[lit], bp_t[lit]
-        # The gain depends on the orientation only, so a receive beam that
-        # points where the transmitter does reuses the transmit weights.
-        bp_r = bp_t if rx == tx else _beam_weights(d, rx, sonar, c)
-        w = bp_t * bp_r
 
         kind, t, points, normals, grazing, roughness = _trace_batch(
             scene, origin, d, 0.0, t_max
         )
         hit = kind >= 0
         kinds_h = kind[hit]
-        bins, value = _echo(t[hit], kinds_h, grazing[hit], roughness[hit],
-                            (w[hit],), env, sonar, layout)
-        np.add.at(tally, (kinds_h, bins), value)
-
+        bins, echo = _echo(t[hit], kinds_h, grazing[hit], roughness[hit],
+                           env, sonar, layout)
         # Volume reverberation: every ray ensonifies each shell it crosses,
         # up to and including the shell of its impact.
         last_bin = np.full(d.shape[0], num_bins)
         last_bin[hit] = bins + 1
-        np.add.at(per_last, last_bin, w)
 
         # First-order multipath: one specular bounce per impacted ray,
         # received along the direct line from its second impact.
@@ -522,15 +532,27 @@ def ping(
         )
         hit2 = kind2 >= 0
         gi = idx[hit2]
-        bp_r2 = _beam_weights(points2[hit2] - origin, rx, sonar, c)
-        bins2, value2 = _echo(t[gi] + t2[hit2], kind2[hit2], grazing2[hit2],
-                              roughness2[hit2], (bp_t[gi], bp_r2), env, sonar,
-                              layout)
-        np.add.at(multipath, bins2, value2)
+        bins2, echo2 = _echo(t[gi] + t2[hit2], kind2[hit2], grazing2[hit2],
+                             roughness2[hit2], env, sonar, layout)
+        to_sonar = points2[hit2] - origin
 
-    volume = np.zeros(num_bins)
+        # The gain depends on the orientation only, so a receive beam that
+        # points where the transmitter does reuses the transmit weights.
+        for k, rx in enumerate(receivers):
+            bp_r = bp_t if rx == tx else _beam_weights(d, rx, sonar, c)
+            w = bp_t * bp_r
+            np.add.at(tally[k], (kinds_h, bins), echo(w[hit]))
+            np.add.at(per_last[k], last_bin, w)
+            bp_r2 = _beam_weights(to_sonar, rx, sonar, c)
+            np.add.at(multipath[k], bins2, echo2(bp_t[gi], bp_r2))
+
+    for start in range(0, n_rays, PING_CHUNK_RAYS):
+        add_chunk(sample_ray_directions(min(PING_CHUNK_RAYS, n_rays - start),
+                                        rng))
+
+    volume = np.zeros_like(multipath)
     if scene.volume_enabled:
-        reach = np.cumsum(per_last[1:][::-1])[::-1]
+        reach = np.cumsum(per_last[:, 1:][:, ::-1], axis=1)[:, ::-1]
         f = sonar.frequency_khz
         volume = echo_intensity(
             sonar.source_level_db, layout.centers, absorption_coeff(f, env),
@@ -539,12 +561,12 @@ def ping(
 
     return PingReturn(
         layout=layout,
-        bottom=tally[KIND_BOTTOM],
-        surface=tally[KIND_SURFACE],
-        object_=tally[KIND_OBJECT],
+        bottom=tally[:, KIND_BOTTOM],
+        surface=tally[:, KIND_SURFACE],
+        object_=tally[:, KIND_OBJECT],
         volume=volume,
         multipath=multipath,
-        noise=np.zeros(num_bins),
+        noise=np.zeros_like(multipath),
     )
 
 
@@ -557,12 +579,12 @@ def add_noise(
     enabled: bool = True,
 ) -> PingReturn:
     """Add exponentially distributed ambient-noise power per bin, with mean
-    set by the in-band ambient level, drawn from np.random.default_rng(seed).
-    Disabled returns the ping unchanged."""
+    set by the in-band ambient level, drawn from np.random.default_rng(seed)
+    in the shape of the ping's arrays. Disabled returns the ping unchanged."""
     if not enabled:
         return ping_return
     rng = np.random.default_rng(seed)
     level = noise_level_band(sonar.frequency_khz, env, sonar.bandwidth_hz)
     mean = to_linear(level)
-    noise = rng.exponential(mean, ping_return.layout.num_bins)
+    noise = rng.exponential(mean, ping_return.noise.shape)
     return replace(ping_return, noise=noise)

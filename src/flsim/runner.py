@@ -1,10 +1,12 @@
 """Scenario execution: expected returns, simulated pings, comparison and
 detection, with CSV and JSON outputs.
 
-Every output is deterministic for a given scenario: per-ping generators are
-spawned from the scenario seed keyed by (beam index, ping index), rows are
-written in a fixed order and metadata carries no timestamps, so rerunning a
-command reproduces its files byte for byte.
+Every output is deterministic for a given scenario: one generator per
+(beam, ping) is spawned from the scenario seed keyed by (beam index, ping
+index), rows are written in a fixed order and metadata carries no
+timestamps, so rerunning a command reproduces its files byte for byte. A
+ping traces one transmission for every beam and draws its rays from beam
+0's generator; beam k's noise comes from beam k's.
 """
 
 from __future__ import annotations
@@ -137,32 +139,21 @@ def run_null(scenario: Scenario, out_dir: str) -> dict:
 
 
 def simulate(scenario: Scenario) -> dict:
-    """Simulate every ping of every beam. Returns, per beam name, the list
-    of PingReturn objects and the linear mean over pings."""
+    """Simulate every ping of every beam: one ping call per transmission
+    forms all the beams. Returns, per beam name, the list of one-beam
+    PingReturn objects and the linear mean over pings."""
     scene = build_scene(scenario)
-    results = {}
-    for beam_idx, beam in enumerate(scenario.sonar.beams):
-        pings = []
-        for ping_idx in range(scenario.num_pings):
-            rng = _ping_rng(scenario.seed, beam_idx, ping_idx)
-            result = ping(
-                scene,
-                scenario.sonar,
-                scenario.pose,
-                beam,
-                seed=rng,
-            )
-            result = add_noise(
-                result,
-                scenario.sonar,
-                scenario.env,
-                seed=rng,
-                enabled=scenario.noise_enabled,
-            )
-            pings.append(result)
-        mean_linear = np.mean([p.total for p in pings], axis=0)
-        results[beam.name] = {"pings": pings, "mean_linear": mean_linear}
-    return results
+    beams = scenario.sonar.beams
+    pings = {beam.name: [] for beam in beams}
+    for ping_idx in range(scenario.num_pings):
+        rngs = [_ping_rng(scenario.seed, k, ping_idx) for k in range(len(beams))]
+        result = ping(scene, scenario.sonar, scenario.pose, seed=rngs[0])
+        for k, beam in enumerate(beams):
+            pings[beam.name].append(add_noise(
+                result.row(k), scenario.sonar, scenario.env, seed=rngs[k],
+                enabled=scenario.noise_enabled))
+    return {name: {"pings": p, "mean_linear": np.mean([x.total for x in p], axis=0)}
+            for name, p in pings.items()}
 
 
 def run_sim(scenario: Scenario, out_dir: str) -> dict:

@@ -140,6 +140,22 @@ def test_model_requires_positive_sigma():
                         alt_offset_db=6.0)
 
 
+@pytest.mark.parametrize("sigma_db, alt_offset_db", [
+    (math.inf, 3.0), (math.nan, 3.0), (3.0, math.nan), (3.0, math.inf),
+    (3.0, -math.inf)])
+def test_model_rejects_non_finite_parameters(sigma_db, alt_offset_db):
+    """A non-finite spread or offset would make pd_pfa return (nan, nan)."""
+    with pytest.raises(ValueError, match="must be finite"):
+        HypothesisModel(null_mean_db=np.zeros(3), sigma_db=sigma_db,
+                        alt_offset_db=alt_offset_db)
+
+
+def test_pd_pfa_rejects_nan_gamma():
+    with pytest.raises(ValueError, match="nan"):
+        pd_pfa(math.nan, MODEL)
+    assert pd_pfa(math.inf, MODEL) == (0.0, 0.0)
+
+
 # --- ambient noise -------------------------------------------------------------
 
 

@@ -18,7 +18,6 @@ from flsim import (
     bottom_return_bins,
     build_scene,
     expected_null,
-    ping,
     power_sum_db,
     surface_return_bins,
     transmission_loss,
@@ -42,6 +41,7 @@ from flsim.nullmodel import (
     _shell_averages,
 )
 from flsim.scatter import bottom_coeff, surface_coeff
+from one_beam import ping_beam
 
 POSE = SonarPose(altitude_m=5.0, depth_m=7.0)
 FORWARD = BeamOrientation(name="forward")
@@ -589,7 +589,7 @@ def test_null_and_ping_share_the_scenes_components(scenario1, change):
     scene = replace(build_scene(scenario1), **change)
     sonar = replace(scenario1.sonar, num_rays=2000)
     null = expected_null(scene, sonar, POSE, FORWARD)
-    pr = ping(scene, sonar, POSE, FORWARD, seed=1)
+    pr = ping_beam(scene, sonar, POSE, FORWARD, seed=1)
     for name in ("bottom", "surface", "volume"):
         empty = np.all(getattr(null, f"{name}_db") == NO_RESPONSE)
         assert empty == np.all(getattr(pr, name) == 0.0), name

@@ -44,6 +44,7 @@ from flsim.raysim import (
 )
 from flsim.scatter import ObjectMaterial, bottom_coeff, surface_coeff
 from flsim.scenario import STEP_RAMP_M, _bottom
+from one_beam import ping_beam
 
 ROOT = Path(__file__).resolve().parent.parent
 POSE = SonarPose(altitude_m=5.0, depth_m=7.0)
@@ -665,12 +666,12 @@ def test_a_mirrored_mesh_scene_pings_bit_identically(scenario1, monkeypatch):
                                yaw_rad=math.radians(yaw_deg), name="b")
 
     monkeypatch.setattr(raysim, "sample_ray_directions", aimed)
-    port = ping(scene, replace(sonar, transmitter=beam(-20.0)),
-                scenario1.pose, beam(-20.0), seed=12)
+    port = ping_beam(scene, replace(sonar, transmitter=beam(-20.0)),
+                     scenario1.pose, beam(-20.0), seed=12)
     monkeypatch.setattr(raysim, "sample_ray_directions",
                         lambda n, rng: aimed(n, rng) * mirror)
-    starboard = ping(mirrored, replace(sonar, transmitter=beam(20.0)),
-                     scenario1.pose, beam(20.0), seed=12)
+    starboard = ping_beam(mirrored, replace(sonar, transmitter=beam(20.0)),
+                          scenario1.pose, beam(20.0), seed=12)
     for name in COMPONENTS:
         np.testing.assert_array_equal(getattr(starboard, name),
                                       getattr(port, name), err_msg=name)
@@ -984,12 +985,12 @@ def test_ray_bin_volume_share(s1_layout):
 def test_ping_is_deterministic_for_a_seed(scenario1):
     scene = flat_scene(scenario1.env)
     sonar = replace(scenario1.sonar, num_rays=4000)
-    a = ping(scene, sonar, POSE, FORWARD, seed=42)
-    b = ping(scene, sonar, POSE, FORWARD, seed=42)
+    a = ping_beam(scene, sonar, POSE, FORWARD, seed=42)
+    b = ping_beam(scene, sonar, POSE, FORWARD, seed=42)
     for name in ("bottom", "surface", "object_", "volume", "multipath",
                  "noise"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    c = ping(scene, sonar, POSE, FORWARD, seed=43)
+    c = ping_beam(scene, sonar, POSE, FORWARD, seed=43)
     assert not np.array_equal(a.total, c.total)
 
 
@@ -1007,17 +1008,41 @@ def record_traces(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("empty", [False, True], ids=["scenario1", "empty"])
-def test_a_ping_traces_exactly_twice(scenario1, monkeypatch, empty):
+@pytest.mark.parametrize("case", ["scenario1", "empty", "scenario2"])
+def test_a_ping_traces_exactly_twice(scenario1, scenario2, monkeypatch, case):
     """A ping of at most one chunk (raysim.PING_CHUNK_RAYS) makes one trace
     of the rays and one retrace of their bounces, even in a scene with
-    nothing to hit: perfbench's traced runs name the primary and multipath
-    spans by these two calls. Every 20k-ray workload is one chunk."""
-    scene = (Scene(env=scenario1.env, bottom=None, surface_enabled=False)
-             if empty else build_scene(scenario1))
+    nothing to hit, and however many beams it forms: scenario2 has three.
+    perfbench's traced runs name the primary and multipath spans by these
+    two calls. Every 20k-ray workload is one chunk."""
+    sc = scenario2 if case == "scenario2" else scenario1
+    scene = (Scene(env=sc.env, bottom=None, surface_enabled=False)
+             if case == "empty" else build_scene(sc))
     calls = record_traces(monkeypatch)
-    ping(scene, scenario1.sonar, scenario1.pose, FORWARD, seed=1)
+    ping(scene, sc.sonar, sc.pose, seed=1)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("num_beams", [1, 3])
+def test_impact_terms_are_worked_out_once_per_chunk(scenario2, monkeypatch,
+                                                    num_beams):
+    """Only the receive gains depend on the beam: each chunk works out the
+    backscatter of its direct hits and of its bounces once, for every beam
+    of the ping. A 20k-ray ping in chunks of 4000 rays is 5 chunks."""
+    monkeypatch.setattr(raysim, "PING_CHUNK_RAYS", 4000)
+    calls = []
+    coeff = raysim._boundary_coeff_linear
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return coeff(*args)
+
+    monkeypatch.setattr(raysim, "_boundary_coeff_linear", counted)
+    sonar = replace(scenario2.sonar, num_rays=20000,
+                    beams=scenario2.sonar.beams[:num_beams])
+    ping(build_scene(scenario2), sonar, scenario2.pose, seed=1)
+    assert len(calls) == 2 * 5
+    assert min(calls) > 0
 
 
 @pytest.mark.parametrize("n_rays", [1, 20000])
@@ -1035,8 +1060,8 @@ def test_a_ping_traces_no_unlit_ray(scenario1, monkeypatch, n_rays):
 
     monkeypatch.setattr(raysim, "sample_ray_directions", rear)
     sonar = replace(scenario1.sonar, num_rays=n_rays)
-    pr = ping(build_scene(scenario1), sonar, POSE, FORWARD,
-              seed=4)
+    pr = ping_beam(build_scene(scenario1), sonar, POSE, FORWARD,
+                   seed=4)
     for name in COMPONENTS:
         assert not np.any(getattr(pr, name)), name
     assert [len(d) for d in calls] == [0, 0]
@@ -1054,7 +1079,7 @@ def test_a_ping_traces_exactly_its_lit_rays(scenario2, monkeypatch):
                          yaw_rad=math.radians(15.0), name="tx")
     sonar = replace(scenario2.sonar, num_rays=20000, transmitter=tx)
     seed = 31
-    ping(build_scene(scenario2), sonar, pose, beam, seed=seed)
+    ping_beam(build_scene(scenario2), sonar, pose, beam, seed=seed)
 
     c = scenario2.env.sound_speed()
     d = sample_ray_directions(sonar.num_rays, np.random.default_rng(seed))
@@ -1090,14 +1115,50 @@ def test_a_ping_does_not_depend_on_how_its_rays_are_chunked(
         scene = replace(scene, objects=(box,))
     sonar = replace(sc.sonar, num_rays=20000)
     assert raysim.PING_CHUNK_RAYS >= sonar.num_rays
-    whole = ping(scene, sonar, sc.pose, beam, seed=3)
+    whole = ping_beam(scene, sonar, sc.pose, beam, seed=3)
     monkeypatch.setattr(raysim, "PING_CHUNK_RAYS", 4999)
-    chunked = ping(scene, sonar, sc.pose, beam, seed=3)
+    chunked = ping_beam(scene, sonar, sc.pose, beam, seed=3)
     for name in COMPONENTS:
         np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name),
                                       err_msg=name)
     assert np.any(whole.multipath > 0.0)
     assert np.any(whole.object_ > 0.0) == (case == "mesh")
+
+
+@pytest.mark.parametrize("case, seeds, num_rays", [
+    ("step", (1, 2), 20000),
+    ("icosphere", (1, 2), 20000),
+    ("yawed", (1, 2), 20000),
+    ("step", (3,), raysim.PING_CHUNK_RAYS + 4001),
+], ids=["step", "icosphere", "yawed", "step_chunks"])
+def test_every_row_is_the_one_beam_ping_of_its_beam(scenario1, scenario2, case,
+                                                    seeds, num_rays):
+    """A ping traces one transmission and weighs it per receive beam. Row k
+    of every component must equal, bit for bit, the ping of a sonar with
+    sonar.beams[k] alone from the same seed: scenario2's three beams over
+    the step mesh, the same beams over scenario1 with the mesh_sim
+    icosphere, and a receive beam yawed 10 deg beside a level one; once over
+    more rays than one chunk (raysim.PING_CHUNK_RAYS)."""
+    sc, beams = scenario2, scenario2.sonar.beams
+    if case != "step":
+        sc = scenario1
+    scene = build_scene(sc)
+    if case == "icosphere":
+        scene = replace(scene, objects=(mesh_sim_icosphere(),))
+    if case == "yawed":
+        beams = (FORWARD, BeamOrientation(yaw_rad=math.radians(10.0), name="y10"))
+    sonar = replace(sc.sonar, beams=beams, num_rays=num_rays)
+    for seed in seeds:
+        stacked = ping(scene, sonar, sc.pose, seed=seed)
+        assert stacked.bottom.shape == (len(beams), stacked.layout.num_bins)
+        for k, beam in enumerate(beams):
+            alone = ping_beam(scene, sonar, sc.pose, beam, seed=seed)
+            for name in COMPONENTS + ("noise",):
+                assert np.array_equal(getattr(stacked.row(k), name),
+                                      getattr(alone, name)), (seed, beam.name, name)
+            assert np.count_nonzero(alone.multipath) > 10, beam.name
+        if case == "icosphere":
+            assert np.count_nonzero(stacked.object_) > 0
 
 
 @pytest.mark.parametrize("a, b", [(1, 2), (4999, 15001), (65536, 7)])
@@ -1131,8 +1192,8 @@ def test_ping_memory_does_not_grow_with_the_ray_count(scenario1):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            ping(scene, sonar, scenario1.pose, FORWARD,
-                 seed=1)
+            ping_beam(scene, sonar, scenario1.pose, FORWARD,
+                      seed=1)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -1151,15 +1212,15 @@ def test_a_yawed_ping_is_the_level_ping_turned(scenario1, monkeypatch, yaw_deg):
     monkeypatch.setattr(raysim, "PING_CHUNK_RAYS", 4999)
     scene = build_scene(scenario1)
     sonar = replace(scenario1.sonar, num_rays=20000)
-    level = ping(scene, sonar, scenario1.pose, FORWARD, seed=11)
+    level = ping_beam(scene, sonar, scenario1.pose, FORWARD, seed=11)
     yaw = math.radians(yaw_deg)
     turn = rotation_matrix_yaw(yaw)
     draw = raysim.sample_ray_directions
     monkeypatch.setattr(raysim, "sample_ray_directions",
                         lambda n, rng: draw(n, rng) @ turn.T)
     beam = BeamOrientation(yaw_rad=yaw, name="turned")
-    turned = ping(scene, replace(sonar, transmitter=beam), scenario1.pose, beam,
-                  seed=11)
+    turned = ping_beam(scene, replace(sonar, transmitter=beam), scenario1.pose, beam,
+                       seed=11)
     for name in COMPONENTS:
         np.testing.assert_allclose(getattr(turned, name), getattr(level, name),
                                    rtol=1e-12, atol=0.0, err_msg=name)
@@ -1179,13 +1240,13 @@ def test_a_mirrored_ping_is_bit_identical(scenario2, monkeypatch):
         return BeamOrientation(pitch_rad=math.radians(10.0),
                                yaw_rad=math.radians(yaw_deg), name="b")
 
-    port = ping(scene, replace(sonar, transmitter=beam(-20.0)),
-                scenario2.pose, beam(-20.0), seed=12)
+    port = ping_beam(scene, replace(sonar, transmitter=beam(-20.0)),
+                     scenario2.pose, beam(-20.0), seed=12)
     draw = raysim.sample_ray_directions
     monkeypatch.setattr(raysim, "sample_ray_directions",
                         lambda n, rng: draw(n, rng) * np.array([1.0, -1.0, 1.0]))
-    starboard = ping(scene, replace(sonar, transmitter=beam(20.0)),
-                     scenario2.pose, beam(20.0), seed=12)
+    starboard = ping_beam(scene, replace(sonar, transmitter=beam(20.0)),
+                          scenario2.pose, beam(20.0), seed=12)
     for name in COMPONENTS:
         np.testing.assert_array_equal(getattr(starboard, name),
                                       getattr(port, name), err_msg=name)
@@ -1202,8 +1263,8 @@ def test_a_source_level_shift_moves_every_bin_by_as_many_db(scenario1,
         scene = build_scene(sc)
         for beam in sc.sonar.beams:
             lo, hi = (
-                ping(scene, replace(sc.sonar, source_level_db=level), sc.pose,
-                     beam, seed=5)
+                ping_beam(scene, replace(sc.sonar, source_level_db=level), sc.pose,
+                          beam, seed=5)
                 for level in (0.0, shift_db))
             for name in COMPONENTS:
                 a, b = getattr(lo, name), getattr(hi, name)
@@ -1218,7 +1279,7 @@ def test_a_source_level_shift_moves_every_bin_by_as_many_db(scenario1,
 def test_ping_components_and_layout(scenario1, s1_layout):
     scene = flat_scene(scenario1.env)
     sonar = replace(scenario1.sonar, num_rays=4000)
-    pr = ping(scene, sonar, POSE, FORWARD, seed=7)
+    pr = ping_beam(scene, sonar, POSE, FORWARD, seed=7)
     assert pr.layout.num_bins == s1_layout.num_bins
     for arr in (pr.bottom, pr.surface, pr.object_, pr.volume, pr.multipath,
                 pr.noise):
@@ -1239,18 +1300,18 @@ def test_a_flat_bottom_at_or_above_the_sonar_is_rejected(scenario1):
     """A floor above the sonar would return nothing, silently."""
     for depth in (3.0, POSE.depth_m):
         with pytest.raises(ValueError, match=f"{depth} m lies at or above"):
-            ping(Scene(env=scenario1.env, bottom=FlatBottom(depth)),
-                 scenario1.sonar, POSE, FORWARD, seed=1)
+            ping_beam(Scene(env=scenario1.env, bottom=FlatBottom(depth)),
+                      scenario1.sonar, POSE, FORWARD, seed=1)
 
 
 def test_obstacle_adds_energy_at_its_bin(scenario1):
     scene = flat_scene(scenario1.env)
     box = box_mesh((10.0, 0.0, 6.0), (2.0, 2.0, 2.0), ObjectMaterial())
     with_box = flat_scene(scenario1.env, objects=(box,))
-    empty = ping(scene, scenario1.sonar, POSE, FORWARD,
-                 seed=999)
-    loaded = ping(with_box, scenario1.sonar, POSE, FORWARD,
-                  seed=999)
+    empty = ping_beam(scene, scenario1.sonar, POSE, FORWARD,
+                      seed=999)
+    loaded = ping_beam(with_box, scenario1.sonar, POSE, FORWARD,
+                       seed=999)
     assert loaded.object_.sum() > 0.0
     spike = int(np.argmax(loaded.object_))
     # the echo concentrates near the front face, nine-plus meters out
@@ -1270,7 +1331,7 @@ def test_mean_ping_converges_toward_expectation(scenario1, s1_layout):
         sonar = replace(scenario1.sonar, num_rays=n_rays)
         acc = np.zeros(s1_layout.num_bins)
         for k in range(4):
-            acc += ping(scene, sonar, POSE, FORWARD, seed=seed0 + k).total
+            acc += ping_beam(scene, sonar, POSE, FORWARD, seed=seed0 + k).total
         gap = to_db(acc[eligible] / 4.0) - null.total_db[eligible]
         return float(np.sqrt(np.mean(gap * gap)))
 
@@ -1287,8 +1348,8 @@ def test_an_impact_next_to_the_sonar_lands_in_the_first_bin(scenario1):
     plate = TriangleMesh(
         vertices=[(-1.0, -1.0, z), (1.0, -1.0, z), (1.0, 1.0, z), (-1.0, 1.0, z)],
         faces=[(0, 1, 2), (0, 2, 3)])
-    pr = ping(flat_scene(scenario1.env, objects=(plate,)), scenario1.sonar,
-              POSE, FORWARD, seed=1)
+    pr = ping_beam(flat_scene(scenario1.env, objects=(plate,)), scenario1.sonar,
+                   POSE, FORWARD, seed=1)
     assert pr.object_[0] > 0.0
     assert pr.object_[-1] == 0.0
 
@@ -1311,8 +1372,8 @@ def test_multipath_matches_image_source_expectation(scenario1, s1_layout,
     f = sonar.frequency_khz
     receive = BeamOrientation(pitch_rad=math.radians(receive_pitch_deg))
     seed = 2024
-    pr = ping(flat_scene(env, volume_enabled=False), sonar, POSE, receive,
-              seed=seed)
+    pr = ping_beam(flat_scene(env, volume_enabled=False), sonar, POSE, receive,
+                   seed=seed)
 
     d = sample_ray_directions(sonar.num_rays, np.random.default_rng(seed))
     dz = np.abs(d[:, 2])

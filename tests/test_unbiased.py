@@ -29,8 +29,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flsim import FlatBottom, build_scene, expected_null, ping
+from flsim import FlatBottom, build_scene, expected_null
 from flsim.db import to_linear
+from one_beam import ping_beam
 
 K = 8
 N_RAYS = 100_000
@@ -65,7 +66,7 @@ def test_bottom_and_surface_are_unbiased_in_standard_errors(
                     bottom=FlatBottom(depth_m=pose.depth_m + pose.altitude_m))
     sonar = replace(sc.sonar, num_rays=N_RAYS)
     null = expected_null(scene, sonar, pose, beam)
-    pings = [ping(scene, sonar, pose, beam, seed=seed) for seed in range(K)]
+    pings = [ping_beam(scene, sonar, pose, beam, seed=seed) for seed in range(K)]
     for name in ("bottom", "surface"):
         x = np.array([getattr(p, name) for p in pings])
         mean = x.mean(axis=0)
