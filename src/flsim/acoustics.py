@@ -31,6 +31,16 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def _check_linear(name: str, value_db: float) -> None:
+    try:
+        finite = math.isfinite(10.0 ** (value_db / 10.0))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must have a finite linear intensity "
+                         f"(at most about 3082.5 dB), got {value_db}")
+
+
 @dataclass(frozen=True)
 class EnvironmentParams:
     """Water column and seabed state.
@@ -143,15 +153,7 @@ class SonarConfig:
             raise ValueError(f"num_rays must be an integer, got {self.num_rays!r}")
         if self.num_rays < 1:
             raise ValueError(f"num_rays must be >= 1, got {self.num_rays}")
-        try:
-            source_factor = 10.0 ** (self.source_level_db / 10.0)
-        except OverflowError:
-            source_factor = math.inf
-        if not math.isfinite(source_factor):
-            raise ValueError(
-                "source_level_db must have a finite linear intensity "
-                f"(at most about 3082.5 dB), got {self.source_level_db}"
-            )
+        _check_linear("source_level_db", self.source_level_db)
         if len(self.beams) < 1:
             raise ValueError("beams must contain at least one BeamOrientation")
         for i, beam in enumerate(self.beams):

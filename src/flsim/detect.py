@@ -45,10 +45,12 @@ class HypothesisModel:
     alt_offset_db: float
 
     def __post_init__(self):
-        if not 0 < self.sigma_db < math.inf:
-            raise ValueError(f"sigma_db must be finite and > 0, got {self.sigma_db}")
-        if not math.isfinite(self.alt_offset_db):
-            raise ValueError(f"alt_offset_db must be finite, got {self.alt_offset_db}")
+        if not 0 < self.sigma_db * self.sigma_db < math.inf:
+            raise ValueError("sigma_db must be finite and > 0, with a finite "
+                             f"nonzero square, got {self.sigma_db}")
+        if not math.isfinite(self.alt_offset_db * self.alt_offset_db):
+            raise ValueError("alt_offset_db must be finite, with a finite "
+                             f"square, got {self.alt_offset_db}")
         mean = np.asarray(self.null_mean_db, dtype=float)
         object.__setattr__(self, "null_mean_db", mean)
 
@@ -142,7 +144,7 @@ def detect_ping(
             f"{ping_return.layout.num_bins} vs {null_return.layout.num_bins}"
         )
     model = HypothesisModel(
-        null_mean_db=null_return.total_db,
+        null_mean_db=to_db(null_return.total),
         sigma_db=sigma_db,
         alt_offset_db=alt_offset_db,
     )

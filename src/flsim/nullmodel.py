@@ -6,8 +6,9 @@ backscatter coefficients, with the beam pattern averaged over the ensonified
 ring (bottom, surface) or gated shell (volume) by numerical quadrature.
 Every quantity stays in linear intensity from the quadrature to the per-bin
 sum: each cell is one scatter.echo_intensity, the term the ping evaluates,
-with the beam-pattern average as its gain. dB appears only in the returned
-record, NullModelReturn, whose components are the per-bin sums in dB.
+with the beam-pattern average as its gain. The returned record,
+NullModelReturn, holds the linear per-bin sums, as PingReturn does; dB
+appears only where a curve is written or tested.
 
 expected_null(scene, sonar, pose, beam) is the expectation of the ping's
 row for that beam with the scene's objects removed and its floor flat at
@@ -75,7 +76,7 @@ from .acoustics import (
     beam_pattern,
     range_resolution,
 )
-from .db import NO_RESPONSE, to_db, to_linear
+from .db import to_db, to_linear
 from .geometry import (
     BinLayout,
     SonarPose,
@@ -105,22 +106,22 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class NullModelReturn:
-    """Expected per-bin intensities and their components, all in dB."""
+    """Expected per-bin linear intensities by component, 0 where a
+    component returns nothing."""
 
     layout: BinLayout
-    bottom_db: np.ndarray
-    surface_db: np.ndarray
-    volume_db: np.ndarray
+    bottom: np.ndarray
+    surface: np.ndarray
+    volume: np.ndarray
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.bottom + self.surface + self.volume
 
     @property
     def total_db(self) -> np.ndarray:
-        """Per-bin power sum of the three components."""
-        total = (
-            to_linear(self.bottom_db)
-            + to_linear(self.surface_db)
-            + to_linear(self.volume_db)
-        )
-        return to_db(total)
+        """The total in dB, as the benchmark's reference curves hold it."""
+        return to_db(self.total)
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -402,15 +403,15 @@ def _cells(env, sonar, layout):
 
 
 def _cell_sum(component, env, sonar, cells, coeff, measure, averages):
-    """Expected reverberation level per bin (dB): the power sum over each
-    bin's resolution cells, all cells of all bins in one batch.
+    """Expected reverberation per bin (linear): the sum over each bin's
+    resolution cells, all cells of all bins in one batch.
 
     cells is _cells' result; coeff (dB) and measure give each cell's
     backscatter coefficient and ensonified area or volume, a measure of 0
     marking a cell that returns nothing. averages(wet) gives the ring or
     shell beam-pattern averages (linear) of the wet cells, the indices of
     the cells with a positive measure. The coupled average is the one gain
-    of echo_intensity, and the per-bin sums are the one conversion to dB.
+    of echo_intensity.
     """
     a, b, _, m, cell_len = cells
     alpha_w = absorption_coeff(sonar.frequency_khz, env)
@@ -424,7 +425,7 @@ def _cell_sum(component, env, sonar, cells, coeff, measure, averages):
                               f"({a[cell]:.4f}, {b[cell]:.4f}] m: {err}") from err
     intensity = echo_intensity(sonar.source_level_db, b - cell_len / 2.0,
                                alpha_w, to_linear(coeff), measure, bp)
-    return to_db(intensity.reshape(-1, m).sum(axis=1))
+    return intensity.reshape(-1, m).sum(axis=1)
 
 
 def bottom_return_bins(
@@ -434,8 +435,8 @@ def bottom_return_bins(
     beam: BeamOrientation,
     layout: BinLayout,
 ) -> np.ndarray:
-    """Expected bottom reverberation level per bin (dB, NO_RESPONSE where
-    the bottom is out of reach)."""
+    """Expected bottom reverberation per bin (linear, 0 where the bottom
+    is out of reach)."""
     return _ring_return_bins(
         "bottom", pose.altitude_m,
         lambda g: bottom_coeff(env.bottom_type, g, sonar.frequency_khz),
@@ -449,7 +450,7 @@ def surface_return_bins(
     beam: BeamOrientation,
     layout: BinLayout,
 ) -> np.ndarray:
-    """Expected surface reverberation level per bin; the bottom pipeline
+    """Expected surface reverberation per bin; the bottom pipeline
     mirrored above the sonar with the surface coefficient."""
     return _ring_return_bins(
         "surface", -pose.depth_m,
@@ -458,7 +459,7 @@ def surface_return_bins(
 
 
 def _ring_return_bins(component, z, coeff_of, env, sonar, pose, beam, layout):
-    """Expected reverberation level per bin (dB) of the plane at signed
+    """Expected reverberation per bin (linear) of the plane at signed
     vertical offset z from the sonar (down positive), whose backscatter
     coefficient (dB) at a grazing angle is coeff_of(grazing)."""
     offset = abs(z)
@@ -485,7 +486,7 @@ def volume_return_bins(
     beam: BeamOrientation,
     layout: BinLayout,
 ) -> np.ndarray:
-    """Expected volume reverberation level per bin (dB). The ensonified
+    """Expected volume reverberation per bin (linear). The ensonified
     volume of a cell is the full hollow shell; the bottom and surface cuts
     are accounted for by the gated beam-pattern average."""
     a, b, _, _, _ = cells = _cells(env, sonar, layout)
@@ -513,11 +514,11 @@ def expected_null(
 ) -> NullModelReturn:
     """Expected per-bin return of beam, its row of ping(scene, sonar, pose),
     with the scene's objects removed and its floor flat at pose.altitude_m
-    below the sonar: the power sum of the bottom, surface and volume
-    reverberation, each computed when the scene has it and NO_RESPONSE
-    otherwise. The bins are layout_for(scene.env, sonar), the ones ping
-    fills. A flat bottom elsewhere than at that floor raises ValueError; a
-    mesh bottom is flattened, as the null hypothesis has no obstacle."""
+    below the sonar: the sum of the bottom, surface and volume
+    reverberation, each computed when the scene has it and 0 otherwise.
+    The bins are layout_for(scene.env, sonar), the ones ping fills. A flat
+    bottom elsewhere than at that floor raises ValueError; a mesh bottom is
+    flattened, as the null hypothesis has no obstacle."""
     if isinstance(scene.bottom, FlatBottom):
         floor_m = pose.depth_m + pose.altitude_m
         if not math.isclose(scene.bottom.depth_m, floor_m, rel_tol=1e-9):
@@ -526,18 +527,13 @@ def expected_null(
                 f"the floor at depth + altitude = {floor_m} m")
     env = scene.env
     layout = layout_for(env, sonar)
-    parts = {}
+    components = (("bottom", scene.bottom is not None, bottom_return_bins),
+                  ("surface", scene.surface_enabled, surface_return_bins),
+                  ("volume", scene.volume_enabled, volume_return_bins))
     try:
-        for name, present, component in (
-            ("bottom_db", scene.bottom is not None, bottom_return_bins),
-            ("surface_db", scene.surface_enabled, surface_return_bins),
-            ("volume_db", scene.volume_enabled, volume_return_bins),
-        ):
-            parts[name] = (
-                component(env, sonar, pose, beam, layout)
-                if present
-                else np.full(layout.num_bins, NO_RESPONSE)
-            )
+        parts = {name: component(env, sonar, pose, beam, layout) if present
+                 else np.zeros(layout.num_bins)
+                 for name, present, component in components}
     except QuadratureError as err:
         raise QuadratureError(f"beam {beam.name!r}: {err}") from err
     return NullModelReturn(layout=layout, **parts)

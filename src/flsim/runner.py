@@ -2,11 +2,10 @@
 detection, with CSV and JSON outputs.
 
 Every output is deterministic for a given scenario: one generator per
-(beam, ping) is spawned from the scenario seed keyed by (beam index, ping
-index), rows are written in a fixed order and metadata carries no
-timestamps, so rerunning a command reproduces its files byte for byte. A
-ping traces one transmission for every beam and draws its rays from beam
-0's generator; beam k's noise comes from beam k's.
+ping is spawned from the scenario seed keyed by (0, ping index), rows are
+written in a fixed order and metadata carries no timestamps, so rerunning
+a command reproduces its files byte for byte. A ping draws its rays, then
+the noise of all its beams, beam 0's first, from that one generator.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ def _fmt_lambda(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _ping_rng(seed: int, beam_idx: int, ping_idx: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(beam_idx, ping_idx))
+def _ping_rng(seed: int, ping_idx: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, ping_idx))
     return np.random.default_rng(seq)
 
 
@@ -127,12 +126,8 @@ def run_null(scenario: Scenario, out_dir: str) -> dict:
         null = nulls[beam.name]
         _write_bins(
             out_dir, f"null_{_beam_slug(beam.name)}.csv", null.bin_centers,
-            {
-                "total_db": map(_fmt_db, null.total_db),
-                "bottom_db": map(_fmt_db, null.bottom_db),
-                "surface_db": map(_fmt_db, null.surface_db),
-                "volume_db": map(_fmt_db, null.volume_db),
-            },
+            {f"{name}_db": map(_fmt_db, to_db(getattr(null, name)))
+             for name in ("total", "bottom", "surface", "volume")},
         )
     _write_meta(out_dir, "null_meta.json", scenario, "null")
     return nulls
@@ -146,12 +141,13 @@ def simulate(scenario: Scenario) -> dict:
     beams = scenario.sonar.beams
     pings = {beam.name: [] for beam in beams}
     for ping_idx in range(scenario.num_pings):
-        rngs = [_ping_rng(scenario.seed, k, ping_idx) for k in range(len(beams))]
-        result = ping(scene, scenario.sonar, scenario.pose, seed=rngs[0])
+        rng = _ping_rng(scenario.seed, ping_idx)
+        result = add_noise(
+            ping(scene, scenario.sonar, scenario.pose, seed=rng),
+            scenario.sonar, scenario.env, seed=rng,
+            enabled=scenario.noise_enabled)
         for k, beam in enumerate(beams):
-            pings[beam.name].append(add_noise(
-                result.row(k), scenario.sonar, scenario.env, seed=rngs[k],
-                enabled=scenario.noise_enabled))
+            pings[beam.name].append(result.row(k))
     return {name: {"pings": p, "mean_linear": np.mean([x.total for x in p], axis=0)}
             for name, p in pings.items()}
 
@@ -195,7 +191,7 @@ def compare_beam(
     """Per-bin gaps between the simulated mean and the expectation, and the
     verdict over the comparison window. Returns (gaps_db, eligible, passed):
     gaps are nan where either side has no response."""
-    expected = null.total_db
+    expected = to_db(null.total)
     mean_db = to_db(mean_linear)
     centers = null.bin_centers
     gaps = np.full(expected.shape, np.nan)
@@ -234,7 +230,7 @@ def run_compare(scenario: Scenario, out_dir: str) -> bool:
         _write_bins(
             out_dir, f"compare_{_beam_slug(beam.name)}.csv", null.bin_centers,
             {
-                "expected_db": map(_fmt_db, null.total_db),
+                "expected_db": map(_fmt_db, to_db(null.total)),
                 "sim_mean_db": map(_fmt_db, to_db(mean_linear)),
                 "gap_db": ("null" if np.isnan(g) else f"{g:.6f}" for g in gaps),
                 "evaluated": (str(int(e)) for e in eligible),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import transmission_loss
+from .acoustics import _check_linear, transmission_loss
 from .db import to_linear
 
 # The surface coefficient grows like tan(grazing)^beta with beta > 2 near
@@ -102,10 +102,13 @@ def surface_coeff(wind_knots, grazing_rad, f_khz):
 
 
 def volume_coeff(sp_db: float, f_khz: float) -> float:
-    """Volume backscattering coefficient S_V = Sp + 7*log10(f) in dB/m^3."""
+    """Volume backscattering coefficient S_V = Sp + 7*log10(f) in dB/m^3.
+    Raises ValueError when S_V has no finite linear intensity."""
     if f_khz <= 0:
         raise ValueError(f"f_khz must be > 0, got {f_khz}")
-    return sp_db + 7.0 * math.log10(f_khz)
+    s_v = sp_db + 7.0 * math.log10(f_khz)
+    _check_linear("particle_density_db + 7*log10(f)", s_v)
+    return s_v
 
 
 def echo_intensity(source_level_db: float, distance_m, alpha_w_db_km: float,

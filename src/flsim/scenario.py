@@ -32,7 +32,8 @@ import yaml
 from .acoustics import BeamOrientation, EnvironmentParams, SonarConfig
 from .geometry import SonarPose, layout_for
 from .raysim import FlatBottom, Scene, TriangleMesh, box_mesh
-from .scatter import ObjectMaterial
+from .detect import HypothesisModel
+from .scatter import ObjectMaterial, volume_coeff
 
 import numpy as np
 
@@ -363,8 +364,9 @@ def _sonar(node: dict, transmitter: dict) -> SonarConfig:
 
 
 def _build(normalized: dict) -> Scenario:
-    """The typed components of a normalized document. The bin layout and
-    the scene are built too, so that every error shows at load."""
+    """The typed components of a normalized document. The bin layout, the
+    scene, the volume coefficient and the detector's model are built too, so
+    that every error shows at load."""
     pose_node = normalized["pose"]
     env = _at("scenario.environment", EnvironmentParams,
               depth_m=pose_node["depth_m"], **normalized["environment"])
@@ -377,6 +379,11 @@ def _build(normalized: dict) -> Scenario:
         pitch_rad=math.radians(pose_node["pitch_deg"]),
     )
     scenario = Scenario(raw=normalized, env=env, sonar=sonar, pose=pose)
+    _at("scenario.environment", volume_coeff, env.particle_density_db,
+        sonar.frequency_khz)
+    detect = normalized["detect"]
+    _at("scenario.detect", HypothesisModel, null_mean_db=(),
+        sigma_db=detect["sigma_db"], alt_offset_db=detect["alt_offset_db"])
     _at("scenario.sonar", layout_for, env, sonar)
     build_scene(scenario)
     return scenario

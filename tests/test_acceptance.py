@@ -84,9 +84,9 @@ def _window_level(linear, centers, lo, hi):
 def test_01_flat_scenario_mean_tracks_expectation(s1run, s1_layout):
     null = s1run["null"]
     mean_db = to_db(s1run["mean"])
-    eligible = (null.total_db >= -120.0) & (s1_layout.centers <= 20.0)
+    eligible = (to_db(null.total) >= -120.0) & (s1_layout.centers <= 20.0)
     assert int(eligible.sum()) >= 60
-    gaps = mean_db[eligible] - null.total_db[eligible]
+    gaps = mean_db[eligible] - to_db(null.total)[eligible]
     assert np.all(np.isfinite(gaps))
     worst = float(np.max(np.abs(gaps)))
     assert worst <= 3.0
@@ -141,7 +141,7 @@ def test_03c_step_rise_stands_ten_db_above_expectation(s2run, s1_layout):
     excesses = {}
     for name in ("forward", "down20", "up20"):
         mean_db = to_db(s2run["results"][name]["mean_linear"])
-        null_db = s2run["nulls"][name].total_db
+        null_db = to_db(s2run["nulls"][name].total)
         gap = np.where(is_response(null_db), mean_db - null_db, -np.inf)
         excesses[name], where = _window_peak(gap, centers, 34.0, 37.0)
         assert excesses[name] >= 10.0, (name, excesses[name], where)
@@ -178,7 +178,7 @@ def test_04_bottom_energy_matches_analytic_per_meter_bin(scenario1):
     for k in range(10):
         acc += ping_beam(scene, sonar, scenario1.pose, beam, seed=4242 + k).bottom
     mean_db = to_db(acc / 10.0)
-    gaps = mean_db[5:40] - null.bottom_db[5:40]
+    gaps = mean_db[5:40] - to_db(null.bottom)[5:40]
     assert np.all(np.isfinite(gaps))
     worst = float(np.max(np.abs(gaps)))
     assert worst < 1.0
@@ -191,11 +191,11 @@ def test_05_energy_bookkeeping_identities(s1run, s1_layout, scenario1):
     null = s1run["null"]
     worst = 0.0
     for n in range(s1_layout.num_bins):
-        want = power_sum_db([null.bottom_db[n], null.surface_db[n],
-                             null.volume_db[n]])
-        assert is_response(want) == is_response(null.total_db[n])
+        want = power_sum_db([to_db(null.bottom)[n], to_db(null.surface)[n],
+                             to_db(null.volume)[n]])
+        assert is_response(want) == is_response(to_db(null.total)[n])
         if is_response(want):
-            worst = max(worst, abs(float(null.total_db[n] - want)))
+            worst = max(worst, abs(float(to_db(null.total)[n] - want)))
     assert worst < 1e-9
 
     # ring areas telescope to the full disc
@@ -219,8 +219,9 @@ def test_05_energy_bookkeeping_identities(s1run, s1_layout, scenario1):
     fine_sonar = replace(scenario1.sonar, bandwidth_hz=40000.0)
     fine = expected_null(build_scene(scenario1), fine_sonar, scenario1.pose,
                          scenario1.sonar.beams[0])
-    both = is_response(null.total_db) & is_response(fine.total_db)
-    drift = float(np.max(np.abs(fine.total_db[both] - null.total_db[both])))
+    both = is_response(to_db(null.total)) & is_response(to_db(fine.total))
+    drift = float(np.max(np.abs(to_db(fine.total)[both]
+                                - to_db(null.total)[both])))
     assert drift < 0.2
     print(f"criterion 5 PASS: power sums exact to {worst:.1e} dB, ring "
           f"areas telescope, shell volume within 1% of Monte-Carlo, "

@@ -142,9 +142,10 @@ def test_model_requires_positive_sigma():
 
 @pytest.mark.parametrize("sigma_db, alt_offset_db", [
     (math.inf, 3.0), (math.nan, 3.0), (3.0, math.nan), (3.0, math.inf),
-    (3.0, -math.inf)])
+    (3.0, -math.inf), (1e200, 3.0), (1e-200, 3.0), (3.0, 1e200)])
 def test_model_rejects_non_finite_parameters(sigma_db, alt_offset_db):
-    """A non-finite spread or offset would make pd_pfa return (nan, nan)."""
+    """A non-finite spread or offset would make pd_pfa return (nan, nan),
+    and one whose square is not finite and nonzero would overflow the test."""
     with pytest.raises(ValueError, match="must be finite"):
         HypothesisModel(null_mean_db=np.zeros(3), sigma_db=sigma_db,
                         alt_offset_db=alt_offset_db)

@@ -258,9 +258,9 @@ def test_ring_bins_are_invariant_under_a_common_yaw(request, name, beam_name):
     for component in (bottom_return_bins, surface_return_bins):
         def curve(yaw):
             transmitter = replace(scenario.sonar.transmitter, yaw_rad=yaw)
-            return component(
+            return to_db(component(
                 scenario.env, replace(scenario.sonar, transmitter=transmitter),
-                scenario.pose, replace(beam, yaw_rad=yaw), layout)
+                scenario.pose, replace(beam, yaw_rad=yaw), layout))
 
         level = curve(0.0)
         live = level != NO_RESPONSE
@@ -370,8 +370,8 @@ def test_shell_average_at_a_hemisphere_edge_is_decided_exactly(scenario2):
 
 
 def test_bottom_bins_dry_region_no_response(scenario1, s1_layout):
-    bottom = bottom_return_bins(scenario1.env, scenario1.sonar, POSE, FORWARD,
-                                s1_layout)
+    bottom = to_db(bottom_return_bins(scenario1.env, scenario1.sonar, POSE,
+                                      FORWARD, s1_layout))
     # slant ranges at or below the altitude never reach the floor
     assert np.all(bottom[:20] == NO_RESPONSE)
     assert bottom[20] > NO_RESPONSE
@@ -381,7 +381,7 @@ def test_bottom_onset_bin_follows_altitude(scenario1, s1_layout):
     pose = SonarPose(altitude_m=5.1, depth_m=7.0)
     bottom = bottom_return_bins(scenario1.env, scenario1.sonar, pose, FORWARD,
                                 s1_layout)
-    first = int(np.argmax(bottom > NO_RESPONSE)) + 1
+    first = int(np.argmax(bottom > 0.0)) + 1
     assert first == 21  # the bin containing 5.1 m
 
 
@@ -389,7 +389,7 @@ def test_surface_onset_bin_follows_depth(scenario1, s1_layout):
     pose = SonarPose(altitude_m=5.0, depth_m=7.1)
     surface = surface_return_bins(scenario1.env, scenario1.sonar, pose,
                                   FORWARD, s1_layout)
-    first = int(np.argmax(surface > NO_RESPONSE)) + 1
+    first = int(np.argmax(surface > 0.0)) + 1
     assert first == 29  # the bin containing 7.1 m
 
 
@@ -403,8 +403,8 @@ def test_symmetric_pose_bottom_surface_differ_only_in_coefficient(scenario1):
     sonar = make_sonar(bandwidth_hz=2000.0)  # delta_y > bin length -> m = 1
     pose = SonarPose(altitude_m=6.0, depth_m=6.0)
     layout = BinLayout(bin_length_m=0.25, num_bins=120)
-    bottom = bottom_return_bins(env, sonar, pose, FORWARD, layout)
-    surface = surface_return_bins(env, sonar, pose, FORWARD, layout)
+    bottom = to_db(bottom_return_bins(env, sonar, pose, FORWARD, layout))
+    surface = to_db(surface_return_bins(env, sonar, pose, FORWARD, layout))
     wet = bottom > NO_RESPONSE
     assert np.array_equal(wet, surface > NO_RESPONSE)
     for n in np.nonzero(wet)[0] + 1:
@@ -424,7 +424,7 @@ def test_single_cell_pipeline_reduces_to_per_bin_formula(scenario1):
     assert range_resolution(c, sonar.bandwidth_hz) > sonar.bin_length_m
     layout = BinLayout(bin_length_m=0.25, num_bins=100)
     alpha = absorption_coeff(sonar.frequency_khz, env)
-    bottom = bottom_return_bins(env, sonar, POSE, FORWARD, layout)
+    bottom = to_db(bottom_return_bins(env, sonar, POSE, FORWARD, layout))
     for n in (21, 41, 81):
         a, b = layout.edge(n - 1), layout.edge(n)
         r_a, r_b = ring_radius(a, 5.0), ring_radius(b, 5.0)
@@ -453,7 +453,7 @@ def test_bottom_curve_against_straight_line_reference(scenario1, s1_layout):
     h = POSE.altitude_m
 
     theta = np.linspace(-math.pi, math.pi, 2**17 + 1)
-    bottom = bottom_return_bins(env, sonar, POSE, FORWARD, s1_layout)
+    bottom = to_db(bottom_return_bins(env, sonar, POSE, FORWARD, s1_layout))
     for n in (21, 41, 101, 161):
         acc = 0.0
         for i in range(m):
@@ -510,8 +510,8 @@ def test_volume_first_bin_has_small_finite_value(scenario1, s1_layout):
     composition bounds it from above; the early bins rise with the growing
     shell volume while spreading loss is still clamped."""
     env = scenario1.env
-    volume = volume_return_bins(env, scenario1.sonar, POSE, FORWARD,
-                                s1_layout)
+    volume = to_db(volume_return_bins(env, scenario1.sonar, POSE, FORWARD,
+                                      s1_layout))
     assert volume[0] > NO_RESPONSE
     v1 = 4.0 / 3.0 * math.pi * 0.25**3
     s_v = -90.0 + 7.0 * math.log10(450.0)
@@ -522,17 +522,17 @@ def test_volume_first_bin_has_small_finite_value(scenario1, s1_layout):
 def test_volume_bins_all_finite_for_level_beam(scenario1, s1_layout):
     volume = volume_return_bins(scenario1.env, scenario1.sonar, POSE, FORWARD,
                                 s1_layout)
-    assert np.all(volume > NO_RESPONSE)
+    assert np.all(volume > 0.0)
 
 
 def test_volume_particle_density_shift(scenario1, s1_layout):
     """The particle density enters as a pure additive term."""
-    base = volume_return_bins(scenario1.env, scenario1.sonar, POSE, FORWARD,
-                              s1_layout)
+    base = to_db(volume_return_bins(scenario1.env, scenario1.sonar, POSE,
+                                    FORWARD, s1_layout))
     from dataclasses import replace
     env_up = replace(scenario1.env, particle_density_db=-70.0)
-    up = volume_return_bins(env_up, scenario1.sonar, POSE, FORWARD,
-                            s1_layout)
+    up = to_db(volume_return_bins(env_up, scenario1.sonar, POSE, FORWARD,
+                                  s1_layout))
     np.testing.assert_allclose(up, base + 20.0, atol=1e-9)
 
 
@@ -541,10 +541,8 @@ def test_source_level_shifts_every_finite_bin(scenario1):
     base = expected_null(scene, scenario1.sonar, POSE, FORWARD)
     sonar_up = make_sonar(source_level_db=12.0)
     up = expected_null(scene, sonar_up, POSE, FORWARD)
-    for lo, hi in ((base.bottom_db, up.bottom_db),
-                   (base.surface_db, up.surface_db),
-                   (base.volume_db, up.volume_db),
-                   (base.total_db, up.total_db)):
+    for name in ("bottom", "surface", "volume", "total"):
+        lo, hi = to_db(getattr(base, name)), to_db(getattr(up, name))
         finite = lo > NO_RESPONSE
         np.testing.assert_array_equal(finite, hi > NO_RESPONSE)
         np.testing.assert_allclose(hi[finite], lo[finite] + 12.0, atol=1e-9)
@@ -553,23 +551,49 @@ def test_source_level_shifts_every_finite_bin(scenario1):
 def test_total_is_power_sum_of_components():
     one = NullModelReturn(
         layout=BinLayout(bin_length_m=1.0, num_bins=1),
-        bottom_db=np.array([-50.0]),
-        surface_db=np.array([-50.0]),
-        volume_db=np.array([NO_RESPONSE]),
+        bottom=to_linear(np.array([-50.0])),
+        surface=to_linear(np.array([-50.0])),
+        volume=np.zeros(1),
     )
-    assert one.total_db[0] == pytest.approx(-46.98970004336019, abs=1e-9)
+    assert to_db(one.total)[0] == pytest.approx(-46.98970004336019, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+@pytest.mark.parametrize("change,lacking", [
+    ({}, None), ({"bottom": None}, "bottom"),
+    ({"surface_enabled": False}, "surface"),
+    ({"volume_enabled": False}, "volume")],
+    ids=["all", "no_bottom", "no_surface", "no_volume"])
+def test_null_record_is_linear_like_the_ping(request, name, change, lacking):
+    """Every beam's record holds finite non-negative linear components, 0
+    for a component the scene lacks; the total is their sum bit for bit and
+    total_db is its dB."""
+    scenario = request.getfixturevalue(name)
+    scene = replace(build_scene(scenario), **change)
+    for beam in scenario.sonar.beams:
+        null = expected_null(scene, scenario.sonar, scenario.pose, beam)
+        parts = [null.bottom, null.surface, null.volume]
+        for part in parts:
+            assert part.shape == (null.layout.num_bins,)
+            assert np.all(np.isfinite(part) & (part >= 0.0)), beam.name
+        if lacking:
+            assert np.all(getattr(null, lacking) == 0.0), beam.name
+        assert np.array_equal(null.total, parts[0] + parts[1] + parts[2])
+        assert np.any(null.total > 0.0)
+        np.testing.assert_array_equal(null.total_db, to_db(null.total))
 
 
 def test_expected_null_power_sum_identity(scenario1, s1_layout):
     null = expected_null(build_scene(scenario1), scenario1.sonar, POSE,
                          FORWARD)
+    total_db = to_db(null.total)
     for n in range(s1_layout.num_bins):
-        want = power_sum_db([null.bottom_db[n], null.surface_db[n],
-                             null.volume_db[n]])
+        want = power_sum_db([to_db(null.bottom[n]), to_db(null.surface[n]),
+                             to_db(null.volume[n])])
         if want == NO_RESPONSE:
-            assert null.total_db[n] == NO_RESPONSE
+            assert total_db[n] == NO_RESPONSE
         else:
-            assert abs(null.total_db[n] - want) < 1e-9
+            assert abs(total_db[n] - want) < 1e-9
 
 
 def test_expected_null_default_layout(scenario1):
@@ -585,15 +609,15 @@ def test_expected_null_default_layout(scenario1):
     {}], ids=["no_bottom", "no_surface", "no_volume", "all"])
 def test_null_and_ping_share_the_scenes_components(scenario1, change):
     """The null computes a component exactly when the scene has it: a null
-    component is all NO_RESPONSE exactly when the ping's is all zero."""
+    component is all zero exactly when the ping's is."""
     scene = replace(build_scene(scenario1), **change)
     sonar = replace(scenario1.sonar, num_rays=2000)
     null = expected_null(scene, sonar, POSE, FORWARD)
     pr = ping_beam(scene, sonar, POSE, FORWARD, seed=1)
     for name in ("bottom", "surface", "volume"):
-        empty = np.all(getattr(null, f"{name}_db") == NO_RESPONSE)
+        empty = np.all(getattr(null, name) == 0.0)
         assert empty == np.all(getattr(pr, name) == 0.0), name
-    assert sum(np.all(getattr(null, f"{name}_db") == NO_RESPONSE)
+    assert sum(np.all(getattr(null, name) == 0.0)
                for name in ("bottom", "surface", "volume")) == len(change)
 
 
@@ -609,8 +633,8 @@ def test_the_transmitter_is_the_sonars(scenario2):
     restored = replace(pitched, transmitter=level.transmitter)
     base, moved, back = (expected_null(scene, sonar, scenario2.pose, down20)
                          for sonar in (level, pitched, restored))
-    assert not np.array_equal(moved.total_db, base.total_db)
-    for name in ("bottom_db", "surface_db", "volume_db", "total_db"):
+    assert not np.array_equal(moved.total, base.total)
+    for name in ("bottom", "surface", "volume", "total"):
         np.testing.assert_array_equal(getattr(back, name), getattr(base, name))
 
 
@@ -630,7 +654,7 @@ def test_refinement_halving_resolution_is_stable(scenario1):
     base = expected_null(scene, scenario1.sonar, POSE, FORWARD)
     fine = expected_null(scene, make_sonar(bandwidth_hz=40000.0), POSE,
                          FORWARD)
-    both = (base.total_db > NO_RESPONSE) & (fine.total_db > NO_RESPONSE)
-    assert np.array_equal(base.total_db > NO_RESPONSE,
-                          fine.total_db > NO_RESPONSE)
-    assert np.max(np.abs(fine.total_db[both] - base.total_db[both])) < 0.2
+    base_db, fine_db = to_db(base.total), to_db(fine.total)
+    both = (base_db > NO_RESPONSE) & (fine_db > NO_RESPONSE)
+    assert np.array_equal(base_db > NO_RESPONSE, fine_db > NO_RESPONSE)
+    assert np.max(np.abs(fine_db[both] - base_db[both])) < 0.2

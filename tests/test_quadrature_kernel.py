@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import flsim.nullmodel as nullmodel
-from flsim import NO_RESPONSE, QuadratureError, build_scene, expected_null
+from flsim import NO_RESPONSE, QuadratureError, build_scene, expected_null, to_db
 from flsim.geometry import beam_angles_surface, rotate_to_sonar_frame
 from flsim.runner import compute_null
 
@@ -292,8 +292,8 @@ def _assert_curves_match_oracle(scenario, beam):
     got = expected_null(*args)
     with mock.patch.object(nullmodel, "_nested_trapezoid", oracle_kernel):
         want = expected_null(*args)
-    for name in ("bottom_db", "surface_db", "volume_db"):
-        a, b = getattr(got, name), getattr(want, name)
+    for name in ("bottom", "surface", "volume"):
+        a, b = to_db(getattr(got, name)), to_db(getattr(want, name))
         assert np.array_equal(a == NO_RESPONSE, b == NO_RESPONSE), name
         live = a != NO_RESPONSE
         assert np.max(np.abs(a[live] - b[live]), initial=0.0) <= 1e-9, name

@@ -1324,7 +1324,7 @@ def test_mean_ping_converges_toward_expectation(scenario1, s1_layout):
     expectation over the well-populated bins."""
     scene = flat_scene(scenario1.env)
     null = expected_null(scene, scenario1.sonar, POSE, FORWARD)
-    eligible = (null.total_db >= -120.0) & (s1_layout.centers <= 20.0)
+    eligible = (to_db(null.total) >= -120.0) & (s1_layout.centers <= 20.0)
     assert int(eligible.sum()) >= 60
 
     def rms_gap(n_rays, seed0):
@@ -1332,7 +1332,7 @@ def test_mean_ping_converges_toward_expectation(scenario1, s1_layout):
         acc = np.zeros(s1_layout.num_bins)
         for k in range(4):
             acc += ping_beam(scene, sonar, POSE, FORWARD, seed=seed0 + k).total
-        gap = to_db(acc[eligible] / 4.0) - null.total_db[eligible]
+        gap = to_db(acc[eligible] / 4.0) - to_db(null.total)[eligible]
         return float(np.sqrt(np.mean(gap * gap)))
 
     coarse = rms_gap(5000, 9005)

@@ -8,7 +8,6 @@ import yaml
 
 from flsim import (
     BinLayout,
-    NO_RESPONSE,
     NullModelReturn,
     to_linear,
 )
@@ -20,9 +19,10 @@ from flsim.runner import (
     run_detect,
     run_null,
     run_sim,
+    simulate,
     with_overrides,
 )
-from flsim.scenario import serialize
+from flsim.scenario import loads, serialize
 
 
 def _read_rows(path):
@@ -34,13 +34,38 @@ def _read_rows(path):
 
 
 def test_ping_rng_streams_are_keyed_and_stable():
-    a = _ping_rng(101, 0, 3).standard_normal(4)
-    b = _ping_rng(101, 0, 3).standard_normal(4)
+    a = _ping_rng(101, 3).standard_normal(4)
+    b = _ping_rng(101, 3).standard_normal(4)
     np.testing.assert_array_equal(a, b)
-    c = _ping_rng(101, 1, 3).standard_normal(4)
-    d = _ping_rng(101, 0, 4).standard_normal(4)
+    keyed = np.random.default_rng(
+        np.random.SeedSequence(entropy=101, spawn_key=(0, 3)))
+    np.testing.assert_array_equal(a, keyed.standard_normal(4))
+    c = _ping_rng(102, 3).standard_normal(4)
+    d = _ping_rng(101, 4).standard_normal(4)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_noisy_first_beam_is_the_one_beam_run(scenario2):
+    """One generator draws a transmission's rays, then the noise of all its
+    beams with beam 0's first, so beam 0 of a noisy run is the noisy run of
+    a document with that beam alone, bit for bit."""
+    doc = yaml.safe_load(serialize(scenario2))
+    doc["sonar"]["num_rays"] = 500
+    doc["run"].update(num_pings=2, noise_enabled=True)
+    fan = simulate(loads(yaml.safe_dump(doc)))
+    doc["sonar"]["beams"] = doc["sonar"]["beams"][:1]
+    alone = simulate(loads(yaml.safe_dump(doc)))
+    assert list(alone) == ["forward"]
+    for got, want in zip(fan["forward"]["pings"], alone["forward"]["pings"],
+                         strict=True):
+        assert np.all(want.noise > 0.0)
+        for name in ("bottom", "surface", "object_", "volume", "multipath",
+                     "noise"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name), name)
+    assert not np.array_equal(fan["down20"]["pings"][0].noise,
+                              fan["forward"]["pings"][0].noise)
 
 
 def test_run_null_writes_a_curve_per_beam(scenario1, tmp_path):
@@ -111,9 +136,9 @@ def test_compare_beam_gap_logic():
     layout = BinLayout(bin_length_m=1.0, num_bins=4)
     null = NullModelReturn(
         layout=layout,
-        bottom_db=np.array([-100.0, -95.0, NO_RESPONSE, -90.0]),
-        surface_db=np.full(4, NO_RESPONSE),
-        volume_db=np.full(4, NO_RESPONSE),
+        bottom=to_linear(np.array([-100.0, -95.0, -np.inf, -90.0])),
+        surface=np.zeros(4),
+        volume=np.zeros(4),
     )
     mean = to_linear(np.array([-100.5, -98.4, -100.0, -89.0]))
     gaps, eligible, passed = compare_beam(
@@ -292,3 +317,23 @@ def test_cli_rejects_an_overflowing_source_level_at_load(tmp_path, capsys,
     path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
     assert main(["sim", "--scenario", str(path), "--out", str(tmp_path / "s"),
                  "--rays", "200", "--pings", "1"]) == 0
+
+
+@pytest.mark.parametrize("section,key,value,command", [
+    ("environment", "particle_density_db", 4000.0, "null"),
+    ("detect", "alt_offset_db", 1e200, "detect"),
+], ids=["particle_density_db", "alt_offset_db"])
+def test_cli_rejects_an_overflowing_field_at_load(tmp_path, capsys, scenario1,
+                                                  section, key, value, command):
+    """A value that loads but would overflow a float in a command's
+    arithmetic is rejected at load, in one error line naming it."""
+    doc = yaml.safe_load(serialize(scenario1))
+    doc[section][key] = value
+    path = tmp_path / "doc.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    assert main([command, "--scenario", str(path), "--out",
+                 str(tmp_path / "o"), "--rays", "200", "--pings", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario.{section}: {key} ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
