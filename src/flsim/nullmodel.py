@@ -25,43 +25,32 @@ out once; the bottom and the surface (one plane pipeline, _ring_return_bins,
 given the plane's signed offset and backscatter function) and the volume
 compute a measure and a coefficient per cell, and _cell_sum sums the
 cells' intensities into bins, with the beam-pattern averages of all wet
-cells taken in one batch by _ring_averages or _shell_averages. Quadrature
-is one batched kernel, _nested_trapezoid, for the 1-D ring and 2-D shell
-integrals alike: every row (an interval of a ring's gated arc, or a shell)
-starts at 16 trapezoid panels, each doubling evaluates only the new nested
-nodes of the rows still active, CHUNK_NODES at a time, and a row leaves
-once a doubling changes it by at most 0.01 dB, else QuadratureError names
-the beam, component, bin and cell. A node evaluates the gain once per
-distinct (pitch, yaw) orientation.
+cells taken in one batch by _ring_averages or _shell_averages.
 
-Integration domains are the closed-form gate intervals, built for all rows
-of a component in one array expression, so integrands stay smooth. A ring's
-gated arc (_ring_arcs) is where the ring point lies in both orientations'
-front hemispheres, with azimuth measured from the centre of the receive
-arc, which then never wraps; a shell's is the psi band of each theta_h
-column, or, for a yawed beam, pointwise gating over the whole strip. The
-volume cutoffs are the planes' grazing angles where a plane lies short of
-the cell midpoint, and inf (no cut) elsewhere.
+Quadrature is two fixed rules under one doubling check, _doubled: n runs
+16, 32, ... until a row's n and 2n estimates agree to TOLERANCE_DB, else
+past MAX_NODES QuadratureError names the beam, component, bin and cell.
+The rules take BLOCK_NODES nodes at a time, all inside every orientation's
+front hemisphere, where they evaluate the uncut beam_pattern, once per
+distinct (pitch, yaw).
 
-A closed-form row's domain is the hemisphere cut itself: a ring arc, or an
-unyawed shell's psi band, lies in every orientation's closed front
-hemisphere. So such a row evaluates the uncut beam_pattern, which is
-continuous at the row ends, where the beam-frame x component is 0: an end
-node takes the pattern's limit from inside the row, whichever way one ulp
-of an arc cosine rounds it, and the trapezoid keeps its O(h^2) end error.
-Only the pointwise-gated rows of a yawed shell apply the cut, beam_gain.
-
-Unyawed beams (every orientation at yaw 0 and |pitch| < pi/2) integrate
-only the mirror half of each row. Their ring arcs are symmetric about
-theta_r = 0 and their shell rows about theta_h = 0, and the integrand is
-even there: negating theta_r or theta_h flips only the sign of the beam-frame
-theta, and the gain is even in theta. So the kernel keeps the nodes at or
-right of the midpoint, on the coordinates the full grid gives them, and
-counts those right of it twice; the panel counts are those of the full grid.
+- Rings: n-node Gauss-Legendre on every interval of a ring's gated arc
+  (_ring_arcs, closed-form at any pitch and yaw), azimuth measured from
+  the receive arc's centre so that the arc never wraps.
+- Volume: a shell's average is the gain product over the (theta_h,
+  theta_v) strip [-pi/2, pi/2] x [-pi, pi] where psi = atan2(v_z, v_x)
+  lies in the shell's band, over 2 pi^2. With the order swapped it is
+  K(hi) - K(lo), K the antiderivative of one profile per beam, H(psi): the
+  theta_h integral (n-node Gauss-Legendre) of the gain product times
+  d theta_v / d psi, as a degree-n Chebyshev interpolant over the
+  orientations' common front half-circle. The cutoffs are the planes'
+  grazing angles where a plane lies short of the cell midpoint, else inf.
+  A yawed beam has no such profile; its volume raises QuadratureError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,7 +61,6 @@ from .acoustics import (
     EnvironmentParams,
     SonarConfig,
     absorption_coeff,
-    beam_gain,
     beam_pattern,
     range_resolution,
 )
@@ -92,12 +80,16 @@ from .raysim import FlatBottom, Scene
 from .scatter import bottom_coeff, echo_intensity, surface_coeff, volume_coeff
 
 TOLERANCE_DB = 0.01
-MAX_PANELS = 2**18
+MAX_NODES = 2**12
+# Integrand nodes evaluated per block, at most, so memory stays bounded
+# whatever the node count.
+BLOCK_NODES = 2**14
 
 
 class QuadratureError(RuntimeError):
-    """Raised when panel doubling fails to converge within the panel cap.
-    row is the index of the first failing row of a batched integral."""
+    """Raised when node doubling fails to converge within MAX_NODES nodes,
+    or for a yawed beam's volume, which has no profile. row is the owner of
+    the first row still changing."""
 
     def __init__(self, message: str, row: int = 0):
         super().__init__(message)
@@ -129,143 +121,95 @@ class NullModelReturn:
 
 
 # ---------------------------------------------------------------------------
-# Batched nested trapezoid integration
-
-# Integrand nodes evaluated per block, at most: about one 129 x 129 shell
-# grid, the largest the bundled scenarios converge on (folded, a 128-panel
-# shell grid is 65 x 129).
-CHUNK_NODES = 2**14
+# Fixed rules and the doubling check
 
 
-def _converged(previous, current):
-    """Per-row test that a doubling changed the estimate by at most
-    TOLERANCE_DB, as a dB ratio of two positive estimates (or two zeros)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_db = np.abs(10.0 * np.log10(current / previous))
-    positive = (previous > 0.0) & (current > 0.0)
-    return ((previous == 0.0) & (current == 0.0)) | (
-        positive & (ratio_db <= TOLERANCE_DB))
-
-
-def _new_nodes(n: int, dims: int) -> list:
-    """Nodes of the n-panel trapezoid rule missing from the n/2-panel rule
-    (all of them at the first level, n = 16), as tensor blocks
-    ((ix, wx), (iu, wu)) of node indices and trapezoid weights along x, u."""
-    every = (np.arange(n + 1), np.ones(n + 1))
-    every[1][[0, -1]] = 0.5
-    odd = (np.arange(1, n, 2), np.ones(n // 2))
-    if dims == 1:
-        return [(every if n == 16 else odd, (np.zeros(1, int), np.ones(1)))]
-    if n == 16:
-        return [(every, every)]
-    return [(odd, every), ((every[0][::2], every[1][::2]), odd)]
-
-
-def _nested_trapezoid(f, lo, hi, dims: int, even: bool = False):
-    """Integrate every row r of f over [lo[r], hi[r]] (times [0, 1] in u
-    when dims is 2) by panel doubling on nested nodes. When even, every row
-    of f is even in x about its midpoint, and only the nodes at or right of
-    it are evaluated.
-
-    f(rows, x, u) returns the integrand of rows at nodes x of shape
-    (len(rows), nx, 1) and u of shape (nu,) (None in 1-D), shaped
-    (len(rows), nx, nu). Each row gets the estimate and panel count of a
-    row-by-row doubling on np.linspace nodes, up to rounding. Rows double
-    together while a row's new nodes fit in one chunk, then one at a time
-    in order, so a row that never converges costs no more than the rows
-    before it. Returns the estimates and panel counts (0 for an empty
-    interval), or raises QuadratureError for the first row not converged
-    at the cap.
-    """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    max_panels = MAX_PANELS if dims == 1 else math.isqrt(MAX_PANELS)
-    estimate, panels = np.zeros(lo.size), np.zeros(lo.size, dtype=int)
-    batched = 16
-    while batched < max_panels and 3 ** (dims - 1) * batched**dims <= CHUNK_NODES:
-        batched *= 2
-    rows = np.flatnonzero(hi - lo > 0.0)
-    for row in _double(f, lo, hi, rows, estimate, panels, dims, even, 16,
-                       batched):
-        if _double(f, lo, hi, np.array([row]), estimate, panels, dims, even,
-                   2 * batched, max_panels).size:
+def _doubled(estimate, owner: np.ndarray, jointly: bool = False) -> np.ndarray:
+    """Estimates of rows 0..owner.size-1 by an n-node rule, n = 16, 32, ...:
+    estimate(n, rows) gives the n-node estimates of rows, and a row keeps
+    its 2n estimate once it agrees with its n estimate to TOLERANCE_DB, or,
+    jointly, once every row does (rows read from one interpolant can agree
+    by chance while it is still unresolved). Past MAX_NODES, QuadratureError
+    names the owner of the first row still changing."""
+    result = np.zeros(owner.size)
+    rows = changing = np.arange(owner.size)
+    coarse, n = np.full(owner.size, np.nan), 16
+    while rows.size:
+        if n > MAX_NODES:
             raise QuadratureError(f"quadrature did not converge to {TOLERANCE_DB} "
-                                  f"dB within {MAX_PANELS} panels", int(row))
-    return estimate, panels
+                                  f"dB within {MAX_NODES} nodes",
+                                  int(owner[changing[0]]))
+        fine = estimate(n, rows)
+        result[rows] = fine
+        with np.errstate(divide="ignore", invalid="ignore"):
+            done = ((coarse == 0.0) & (fine == 0.0)) | (
+                (coarse > 0.0) & (fine > 0.0)
+                & (np.abs(10.0 * np.log10(fine / coarse)) <= TOLERANCE_DB))
+        changing = rows[~done]
+        if jointly:
+            done[:] = done.all()
+        rows, coarse, n = rows[~done], fine[~done], 2 * n
+    return result
 
 
-def _double(f, lo, hi, active, estimate, panels, dims, even, n, stop):
-    """Take rows at n/2 panels (none when n is 16) through the levels n,
-    2n, ... up to stop, each evaluating only its new nodes and forming
-    T(2n) = T(n) / 2**dims + h * (weighted sum over them); a row leaves once
-    _converged accepts a doubling. When even, a new node left of the
-    midpoint counts as its mirror partner. Updates estimate and panels in
-    place and returns the rows still active."""
-    while active.size and n <= stop:
-        step = (hi[active] - lo[active]) / n
-        total = np.zeros(active.size)
-        for (ix, wx), (iu, wu) in _new_nodes(n, dims):
-            if even:
-                keep = ix >= n // 2
-                ix, wx = ix[keep], np.where(ix[keep] > n // 2, 2.0, 1.0) * wx[keep]
-            u = None if dims == 1 else np.where(iu == n, 1.0, iu * (1.0 / n))
-            cols = min(ix.size, max(1, CHUNK_NODES // iu.size))
-            per_chunk = max(1, CHUNK_NODES // (cols * iu.size))
-            for r0 in range(0, active.size, per_chunk):
-                rs = slice(r0, r0 + per_chunk)
-                rows = active[rs]
-                for c0 in range(0, ix.size, cols):
-                    cs = slice(c0, c0 + cols)
-                    # the same node coordinates np.linspace(lo, hi, n + 1) gives
-                    x = ix[cs] * step[rs, None] + lo[rows, None]
-                    x = np.where(ix[cs] == n, hi[rows, None], x)
-                    total[rs] += f(rows, x[:, :, None], u) @ wu @ wx[cs]
-        current = estimate[active] / 2**dims + step / n ** (dims - 1) * total
-        done = np.zeros(active.size, bool) if n == 16 else _converged(
-            estimate[active], current)
-        estimate[active], panels[active] = current, n
-        active = active[~done]
-        n *= 2
-    return active
+@functools.cache
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-node Gauss-Legendre rule on [-1, 1]: five
+    Newton steps on Legendre's recurrence from cos(pi (i + 3/4) / (n + 1/2)),
+    in O(n) memory (numpy's leggauss builds an n x n matrix)."""
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(5):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / slope
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
 
 
-def _row_averages(f, lo, hi, owner, count, dims, divisor, even) -> np.ndarray:
-    """Sum of the integrals of each owner's rows over divisor, in linear
-    intensity, for owners 0..count-1; 0 for an owner without rows. A
-    QuadratureError carries the failing row's owner."""
-    try:
-        integral, _ = _nested_trapezoid(f, lo, hi, dims, even)
-    except QuadratureError as err:
-        raise QuadratureError(str(err), int(owner[err.row])) from err
-    return np.bincount(owner, weights=integral, minlength=count) / divisor
+def _gauss_sums(f, count: int, n: int) -> np.ndarray:
+    """The n-node Gauss-Legendre sums over [-1, 1] of f(k, t) for rows
+    k = 0..count-1, evaluated BLOCK_NODES nodes at a time: f takes a column
+    of rows k and a row of nodes t and returns their (rows, nodes) values."""
+    t, w = _gauss_legendre(n)
+    cols = min(n, BLOCK_NODES)
+    per_block = BLOCK_NODES // cols
+    total = np.zeros(count)
+    for r0 in range(0, count, per_block):
+        k = np.arange(r0, min(r0 + per_block, count))
+        for c0 in range(0, n, cols):
+            total[k] += f(k[:, None], t[c0:c0 + cols]) @ w[c0:c0 + cols]
+    return total
 
 
-def _unyawed(orientations: list) -> bool:
-    """Whether every (pitch, yaw) orientation has yaw 0 and |pitch| < pi/2,
-    which makes every ring and shell row even about its midpoint."""
-    return all(yaw == 0.0 and abs(pitch) < math.pi / 2.0
-               for pitch, yaw in orientations)
+def _chebyshev_interpolant(f, n: int, domain) -> np.polynomial.Chebyshev:
+    """Chebyshev.interpolate(f, n, domain) in O(n) memory: the values at the
+    n + 1 first-kind Chebyshev points, turned into coefficients by a DCT-II
+    taken with an FFT (interpolate builds an (n + 1)^2 Vandermonde matrix)."""
+    m = n + 1
+    angle = math.pi * (np.arange(m) + 0.5) / m
+    lo, hi = domain
+    values = f((hi + lo) / 2.0 + (hi - lo) / 2.0 * np.cos(angle))
+    spectrum = np.fft.rfft(np.concatenate([values, values[::-1]]))[:m]
+    coef = (spectrum * np.exp(-0.5j * math.pi * np.arange(m) / m)).real / m
+    coef[0] /= 2.0
+    return np.polynomial.Chebyshev(coef, domain)
 
 
-def _gain_product(v, orientations, angles, sonar, c, gate=None) -> np.ndarray:
-    """Product over the (pitch, yaw) orientations of the beam gain at world
-    vectors v (..., 3) under the angles convention, each distinct orientation
-    evaluated once (a repeated one enters as g*g). Without gate, v lies on a
-    closed-form row, inside every front hemisphere, and the uncut
-    beam_pattern is evaluated; gate(psi, pitch), when given, zeroes an
-    orientation's beam_gain outside its admitted band."""
+def _gain_product(v, orientations, angles, sonar, c) -> np.ndarray:
+    """Product over the (pitch, yaw) orientations of the uncut beam_pattern
+    at world vectors v (..., 3) under the angles convention, each distinct
+    orientation evaluated once (a repeated one enters as g*g)."""
     flat = v.reshape(-1, 3)
     gains = {}
     for pitch, yaw in dict.fromkeys(orientations):
         vb = rotate_to_sonar_frame(flat, pitch, yaw).reshape(v.shape)
-        theta, psi = angles(vb)
-        gains[pitch, yaw] = (
-            beam_pattern(theta, psi, sonar, c) if gate is None else
-            np.where(gate(psi, pitch), beam_gain(theta, psi, sonar, c), 0.0))
+        gains[pitch, yaw] = beam_pattern(*angles(vb), sonar, c)
     return math.prod(gains[o] for o in orientations)
 
 
 # ---------------------------------------------------------------------------
-# Closed-form gate intervals
+# Ring (bottom/surface) beam-pattern averages
 
 
 def _ring_arcs(rho, z: float, orientations: list):
@@ -300,28 +244,26 @@ def _ring_arcs(rho, z: float, orientations: list):
     return keep // 3, lo[keep], hi[keep], receive
 
 
-# ---------------------------------------------------------------------------
-# Ring (bottom/surface) beam-pattern averages
-
-
 def _ring_averages(rho, z: float, orientations: list, sonar: SonarConfig,
                    c: float) -> np.ndarray:
     """Beam-pattern averages (linear) around the rings of radii rho at
-    vertical offset z, in one batch with a row per interval of a ring's gated
-    arc; 0 for a ring wholly outside the gate. A row end strictly inside
-    (-pi, pi) is a hemisphere edge, where the uncut pattern is continuous."""
+    vertical offset z: Gauss-Legendre on every interval of a ring's gated
+    arc, one row each; 0 for a ring wholly outside the gate."""
     owner, lo, hi, centre = _ring_arcs(rho, z, orientations)
-    radius, phase = (t[:, None, None] for t in (
-        np.asarray(rho, dtype=float)[owner], centre[owner]))
+    radius = np.asarray(rho, dtype=float)[owner]
+    mid, half = (hi + lo) / 2.0 + centre[owner], (hi - lo) / 2.0
 
-    def integrand(rows, theta_r, u):
-        r, theta = radius[rows], theta_r + phase[rows]
-        v = np.stack(np.broadcast_arrays(
-            r * np.cos(theta), r * np.sin(theta), z), axis=-1)
-        return _gain_product(v, orientations, beam_angles_surface, sonar, c)
+    def estimate(n, rows):
+        def f(k, t):
+            r, theta = radius[rows[k]], mid[rows[k]] + half[rows[k]] * t
+            v = np.stack(np.broadcast_arrays(
+                r * np.cos(theta), r * np.sin(theta), z), axis=-1)
+            return _gain_product(v, orientations, beam_angles_surface, sonar, c)
 
-    return _row_averages(integrand, lo, hi, owner, len(rho), 1, 2.0 * math.pi,
-                         _unyawed(orientations))
+        return half[rows] * _gauss_sums(f, rows.size, n)
+
+    integral = _doubled(estimate, owner)
+    return np.bincount(owner, weights=integral, minlength=len(rho)) / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -331,54 +273,49 @@ def _ring_averages(rho, z: float, orientations: list, sonar: SonarConfig,
 def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
                     c: float) -> np.ndarray:
     """Beam-pattern averages (linear) over the shells gated by the bottom and
-    surface cutoffs theta_ha, theta_hd, in one batch with a 2-D row per
-    shell; 0 where the gate is empty.
+    surface cutoffs theta_ha, theta_hd, for orientations at yaw 0; 0 where
+    the gate is empty.
 
-    Unless a beam is yawed (or pitched to the vertical), each orientation
-    admits a psi band, the cutoff band shifted with its pitch and clipped to
-    its front hemisphere, and each theta_h column integrates theta_v over
-    the intersection of the bands, mapped onto u in [0, 1]. A yawed beam is
-    gated pointwise over the whole strip. The strip covers half of the
-    parameter square, hence the factor 2. A band edge at pitch +- pi/2 is
-    an orientation's hemisphere edge, where the uncut pattern is continuous.
+    Each orientation admits a psi band, the cutoff band shifted with its
+    pitch and clipped to its front half-circle. psi is measured from the
+    receive pitch, every other pitch moved by whole turns to within pi of
+    it, so the half-circles meet in one interval, the profile's domain. The
+    cells of one call read one profile, so they converge jointly.
     """
-    gated = (theta_ha > 0.0) | (theta_hd > 0.0)
-    yawed = not _unyawed(orientations)
-    if yawed:
-        owner = np.flatnonzero(gated)
-    else:
-        pitches = [pitch for pitch, _ in orientations]
-        band_lo = np.max([np.maximum(-theta_ha + 2.0 * p, p - math.pi / 2.0)
-                          for p in pitches], axis=0)
-        band_hi = np.min([np.minimum(theta_hd + 2.0 * p, p + math.pi / 2.0)
-                          for p in pitches], axis=0)
-        owner = np.flatnonzero(gated & (band_hi > band_lo))
-        psi_lo, psi_hi = (t[owner][:, None, None] for t in (band_lo, band_hi))
-    ha, hd = (t[owner][:, None, None] for t in (theta_ha, theta_hd))
+    receive = orientations[0][0]
+    near = [p - 2.0 * math.pi * round((p - receive) / (2.0 * math.pi))
+            for p, _ in orientations]
+    band_lo = np.max([np.maximum(-theta_ha + p + q, q - math.pi / 2.0)
+                      for (p, _), q in zip(orientations, near)], axis=0)
+    band_hi = np.min([np.minimum(theta_hd + p + q, q + math.pi / 2.0)
+                      for (p, _), q in zip(orientations, near)], axis=0)
+    owner = np.flatnonzero(band_hi > band_lo)
+    domain = [max(near) - math.pi / 2.0, min(near) + math.pi / 2.0]
 
-    def integrand(rows, theta_h, u):
-        gate = None
-        if yawed:
-            theta_v, width = -math.pi + u * 2.0 * math.pi, 2.0 * math.pi
+    def profile(n, psi):
+        cos_p, sin_p = np.cos(psi), np.sin(psi)
 
-            def gate(psi, pitch):
-                return (psi > -ha[rows] + pitch) & (psi < hd[rows] + pitch)
-        else:
-            # theta_v at which the world vertical angle reaches a band edge
+        def f(k, t):
+            # (cos, sin) of theta_v are (cos psi, sin psi cos theta_h) / norm,
+            # d theta_v / d psi = cos theta_h / norm^2; v is scaled by norm.
+            theta_h = t * (math.pi / 2.0)
             cos_h = np.cos(theta_h)
-            tv_lo = np.arctan2(np.sin(psi_lo[rows]) * cos_h, np.cos(psi_lo[rows]))
-            tv_hi = np.arctan2(np.sin(psi_hi[rows]) * cos_h, np.cos(psi_hi[rows]))
-            width = tv_hi - tv_lo
-            theta_v = tv_lo + u * width
-        v = np.stack(np.broadcast_arrays(
-            np.cos(theta_h) * np.cos(theta_v), np.sin(theta_h), np.sin(theta_v)),
-            axis=-1)
-        return _gain_product(v, orientations, beam_angles_volume, sonar, c,
-                             gate) * width
+            norm2 = cos_p[k] ** 2 + (sin_p[k] * cos_h) ** 2
+            v = np.stack(np.broadcast_arrays(
+                cos_h * cos_p[k], np.sin(theta_h) * np.sqrt(norm2),
+                sin_p[k] * cos_h), axis=-1)
+            return _gain_product(v, orientations, beam_angles_volume, sonar,
+                                 c) * cos_h / norm2
 
-    lo = np.full(owner.size, -math.pi / 2.0)
-    return _row_averages(integrand, lo, -lo, owner, theta_ha.size, 2,
-                         2.0 * math.pi**2, not yawed)
+        return math.pi / 2.0 * _gauss_sums(f, psi.size, n)
+
+    def estimate(n, rows):
+        k = _chebyshev_interpolant(lambda psi: profile(n, psi), n, domain).integ()
+        return k(band_hi[owner[rows]]) - k(band_lo[owner[rows]])
+
+    integral = _doubled(estimate, owner, jointly=True)
+    return np.bincount(owner, weights=integral,
+                       minlength=theta_ha.size) / (2.0 * math.pi**2)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +425,8 @@ def volume_return_bins(
 ) -> np.ndarray:
     """Expected volume reverberation per bin (linear). The ensonified
     volume of a cell is the full hollow shell; the bottom and surface cuts
-    are accounted for by the gated beam-pattern average."""
+    are accounted for by the gated beam-pattern average. A yawed beam
+    raises QuadratureError."""
     a, b, _, _, _ = cells = _cells(env, sonar, layout)
     volume = 4.0 / 3.0 * math.pi * (b**3 - a**3)
     # A plane at or beyond a cell's midpoint cannot clip its shell: that
@@ -498,6 +436,8 @@ def volume_return_bins(
         for plane in (pose.altitude_m, pose.depth_m)
     )
     orientations = beam_orientations(pose, beam, sonar.transmitter)
+    if any(yaw != 0.0 for _, yaw in orientations):
+        raise QuadratureError("volume: no shell profile for a yawed beam")
     c = env.sound_speed()
     return _cell_sum(
         "volume", env, sonar, cells,

@@ -216,7 +216,7 @@ def test_beam_pattern_is_the_uncut_beam_gain():
 
 
 def test_beam_pattern_is_continuous_at_the_hemisphere_edge():
-    """The null model's row-end nodes lie on |theta| = pi/2 up to rounding;
+    """The null model's ring rows end on |theta| = pi/2 up to rounding;
     the pattern there must not depend on which side of the edge they fall."""
     c = ENV_SHALLOW.sound_speed()
     edge = math.pi / 2

@@ -1,8 +1,14 @@
 import math
+import tempfile
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import flsim.nullmodel as nullmodel
 from flsim import (
@@ -28,6 +34,7 @@ from flsim.acoustics import absorption_coeff, range_resolution
 from flsim.db import to_db, to_linear
 from flsim.geometry import (
     beam_angles_surface,
+    beam_angles_volume,
     beam_orientations,
     grazing_between,
     layout_for,
@@ -36,12 +43,20 @@ from flsim.geometry import (
 )
 from flsim.nullmodel import (
     TOLERANCE_DB,
-    _nested_trapezoid,
+    _doubled,
+    _gauss_sums,
     _ring_averages,
     _shell_averages,
 )
+from flsim.runner import compute_null
 from flsim.scatter import bottom_coeff, surface_coeff
 from one_beam import ping_beam
+
+# database=None stores no examples, but Hypothesis caches the constants it
+# finds in local source files under its home directory; keep that cache out
+# of the tree.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 POSE = SonarPose(altitude_m=5.0, depth_m=7.0)
 FORWARD = BeamOrientation(name="forward")
@@ -67,31 +82,60 @@ def omni_sonar(c):
     return make_sonar(horizontal_len_m=lam * 1e-6, vertical_len_m=lam * 1e-6)
 
 
-# --- adaptive quadrature --------------------------------------------------------
+# --- fixed rules and the doubling check ---------------------------------------
 
 
-def test_adaptive_trapezoid_smooth_integral():
-    # converges to the 0.01 dB ratio tolerance, not machine precision
-    (got,), _ = _nested_trapezoid(lambda rows, x, u: np.sin(x), [0.0],
-                                  [math.pi], 1)
-    assert got == pytest.approx(2.0, abs=1e-3)
+def _gauss_estimate(f, lo, hi):
+    """estimate(n, rows) for _doubled: the n-node Gauss-Legendre integral of
+    f over [lo, hi], one row."""
+    half = (hi - lo) / 2.0
+    return lambda n, rows: half * _gauss_sums(
+        lambda k, t: f(lo + half * (t + 1.0)), rows.size, n)
 
 
-def test_adaptive_trapezoid_raises_on_divergent_integrand():
-    """A non-integrable singularity keeps growing with every panel doubling
+def test_doubled_gauss_legendre_smooth_integral():
+    # 16 and 32 nodes already agree to machine precision here
+    (got,) = _doubled(_gauss_estimate(np.sin, 0.0, math.pi), np.zeros(1, int))
+    assert got == pytest.approx(2.0, rel=1e-14)
+
+
+def test_doubled_raises_on_divergent_integrand():
+    """A non-integrable singularity keeps growing with every node doubling
     and must surface as a diagnostic, not a silent wrong answer."""
-    def f(rows, x, u):
-        return 1.0 / np.abs(x - 1.0 / math.pi)
-
+    f = _gauss_estimate(lambda x: (x - 1.0 / math.pi) ** -2, 0.0, 1.0)
     with pytest.raises(QuadratureError):
-        _nested_trapezoid(f, [0.0], [1.0], 1)
+        _doubled(f, np.zeros(1, int))
+
+
+def test_doubled_keeps_a_row_until_its_estimates_agree(monkeypatch):
+    """Row 0 agrees at once and keeps its 32-node estimate; row 1 doubles
+    with n up to 128 nodes; jointly, row 0 waits for row 1; past MAX_NODES
+    the error names the owner of the first row still changing."""
+    calls = []
+
+    def estimate(n, rows):
+        calls.append((n, rows.tolist()))
+        return np.where(rows == 0, 1.0, min(n, 128))
+
+    owner = np.array([7, 9])
+    np.testing.assert_array_equal(_doubled(estimate, owner), [1.0, 128.0])
+    assert calls == [(16, [0, 1]), (32, [0, 1]), (64, [1]), (128, [1]),
+                     (256, [1])]
+    calls.clear()
+    _doubled(estimate, owner, jointly=True)
+    assert calls == [(16, [0, 1]), (32, [0, 1]), (64, [0, 1]),
+                     (128, [0, 1]), (256, [0, 1])]
+    monkeypatch.setattr("flsim.nullmodel.MAX_NODES", 64)
+    with pytest.raises(QuadratureError) as exc:
+        _doubled(estimate, owner, jointly=True)
+    assert exc.value.row == 9
 
 
 def test_quadrature_error_names_beam_component_and_bin(scenario1, monkeypatch):
-    """With a panel cap no integral can meet, the first cell to integrate
+    """With a node cap no integral can meet, the first cell to integrate
     fails: the bottom's first wet bin, 21 at 5 m altitude, the surface's, 29
     at 7 m depth, or the first volume bin."""
-    monkeypatch.setattr("flsim.nullmodel.MAX_PANELS", 16)
+    monkeypatch.setattr("flsim.nullmodel.MAX_NODES", 16)
     scene = build_scene(scenario1)
     with pytest.raises(QuadratureError) as exc:
         expected_null(scene, scenario1.sonar, POSE, FORWARD)
@@ -173,9 +217,9 @@ def test_ring_average_transmit_receive_coupling(scenario1, s1_layout):
 
 def test_ring_average_at_a_hemisphere_edge_is_decided_exactly(scenario2):
     """up20's bottom arcs end on hemisphere edges, where the uncut pattern
-    is continuous, so an end node's value does not hang on which side of
-    the edge it rounds to: one ulp of the radius moves the average by
-    rounding only (it moved it by 2.5e-3 relative with the cut gain)."""
+    is continuous, so the average does not hang on which side of the edge
+    an arc end rounds to: one ulp of the radius moves it by rounding only
+    (2.5e-3 relative with the cut gain on trapezoid nodes)."""
     up20 = next(b for b in scenario2.sonar.beams if b.name == "up20")
     orientations = beam_orientations(scenario2.pose, up20,
                                      scenario2.sonar.transmitter)
@@ -204,10 +248,9 @@ def _ring_midpoint_reference(rho, z, orientations, sonar, c, nodes=2**16):
 def test_ring_averages_match_a_fine_midpoint_grid(scenario2, monkeypatch):
     """Every 25th wet ring of each scenario2 bottom and surface, and the
     rings of up20's bottom bins 22 and 25, against a 2^16-node midpoint
-    reference. Once a row's ends are right the trapezoid converges as
-    O(h^2), so a doubling that changes it by at most TOLERANCE_DB leaves
-    about a third of that: each ring within TOLERANCE_DB / 2, and each
-    component's mean gap, a bias, within 0.001 dB."""
+    reference: each ring within TOLERANCE_DB / 2, and each component's mean
+    gap, a bias, within 0.001 dB. Gauss-Legendre, once two doublings agree,
+    leaves far less; the trapezoid it replaced left up to 0.0031 dB."""
     rings = []
 
     def recording(rho, z, orientations, sonar, c):
@@ -244,6 +287,57 @@ def test_ring_averages_match_a_fine_midpoint_grid(scenario2, monkeypatch):
             assert gaps.size >= 20, where
             assert np.max(np.abs(gaps)) <= TOLERANCE_DB / 2.0, where
             assert abs(np.mean(gaps)) <= 0.001, where
+
+
+@st.composite
+def orientation_lists(draw, yaw, pitch):
+    """The orientation list one average integrates: receive and transmit
+    (sometimes the same)."""
+    rx = (draw(pitch), draw(yaw))
+    tx = draw(st.one_of(st.just(rx), st.tuples(pitch, yaw)))
+    return [rx, tx]
+
+
+turns = st.floats(-math.pi, math.pi, exclude_min=True)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    rho=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 60.0)), min_size=1,
+                 max_size=4),
+    z=st.one_of(st.floats(0.5, 15.0), st.floats(-15.0, -0.5)),
+    orientations=orientation_lists(turns, turns),
+)
+def test_ring_arcs_match_front_hemisphere(rho, z, orientations):
+    """A point of a ring lies in a returned row exactly when it has
+    beam-frame x > 0 for every orientation, on 20 001 azimuths measured
+    from the receive arc's centre, away from the row ends; and a row end
+    strictly inside (-pi, pi) lies on a hemisphere edge (x = 0), so a row
+    lies in the closed front hemispheres, where the null evaluates the
+    uncut pattern."""
+    owner, lo, hi, centre = nullmodel._ring_arcs(rho, z, orientations)
+    assert np.all(np.diff(owner) >= 0)
+    assert np.all((-math.pi <= lo) & (lo < hi) & (hi <= math.pi))
+    theta = np.linspace(-math.pi, math.pi, 20_001)
+    for k, r in enumerate(rho):
+        world = theta + centre[k]
+        v = np.stack([r * np.cos(world), r * np.sin(world),
+                      np.full_like(world, z)], axis=-1)
+        front = np.all([rotate_to_sonar_frame(v, pitch, yaw)[:, 0] > 0.0
+                        for pitch, yaw in orientations], axis=0)
+        inside = np.zeros(theta.size, bool)
+        far = np.ones(theta.size, bool)
+        for a, b in zip(lo[owner == k], hi[owner == k]):
+            inside |= (theta >= a) & (theta <= b)
+            far &= (np.abs(theta - a) > 1e-9) & (np.abs(theta - b) > 1e-9)
+        np.testing.assert_array_equal(inside[far], front[far])
+        for end in np.concatenate([lo[owner == k], hi[owner == k]]):
+            if abs(end) < math.pi:
+                w = end + centre[k]
+                point = [r * math.cos(w), r * math.sin(w), z]
+                x = [rotate_to_sonar_frame(point, pitch, yaw)[0]
+                     for pitch, yaw in orientations]
+                assert min(map(abs, x)) <= 1e-9 * (r + abs(z))
 
 
 @pytest.mark.parametrize("name,beam_name", [("scenario1", "forward"),
@@ -335,25 +429,27 @@ def test_sphere_average_open_water_reference(scenario1):
     assert to_db(got) == pytest.approx(ref, abs=0.05)
 
 
-def test_sphere_average_yawed_fallback_matches_fast_path(scenario1, s1_layout):
-    """A vanishing yaw forces the pointwise-gated fallback, which must agree
-    with the aligned-gate integration."""
-    c = scenario1.env.sound_speed()
-    sonar = scenario1.sonar
-    a, b = s1_layout.edge(80), s1_layout.edge(81)
-    theta_ha = np.array([math.asin(2.0 * POSE.altitude_m / (a + b))])
-    theta_hd = np.array([math.asin(2.0 * POSE.depth_m / (a + b))])
-    (fast,) = _shell_averages(theta_ha, theta_hd, LEVEL, sonar, c)
-    yawed = beam_orientations(POSE, BeamOrientation(yaw_rad=1e-12), FORWARD)
-    (nudged,) = _shell_averages(theta_ha, theta_hd, yawed, sonar, c)
-    assert to_db(nudged) == pytest.approx(to_db(fast), abs=0.1)
+def test_a_yawed_beams_volume_raises_at_once(scenario1):
+    """The volume's profile needs every orientation at yaw 0, so a yawed
+    beam's volume raises QuadratureError naming the beam and the volume,
+    before any quadrature; its rings still compute."""
+    scene = build_scene(scenario1)
+    layout = layout_for(scenario1.env, scenario1.sonar)
+    for degrees in (0.01, 10.0, 90.0):
+        beam = BeamOrientation(yaw_rad=math.radians(degrees), name="yawed")
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError, match="beam 'yawed': volume"):
+            expected_null(scene, scenario1.sonar, POSE, beam)
+        assert time.perf_counter() - start < 1.0
+        for component in (bottom_return_bins, surface_return_bins):
+            curve = component(scenario1.env, scenario1.sonar, POSE, beam, layout)
+            assert np.all(np.isfinite(curve)) and np.any(curve > 0.0)
 
 
 def test_shell_average_at_a_hemisphere_edge_is_decided_exactly(scenario2):
-    """up20's psi band ends on its hemisphere edge, where the uncut pattern
-    is continuous, so an end node's value does not hang on which side of
-    the edge it rounds to: one ulp of the other cutoff moves the average by
-    rounding only (it moved it by 3.7e-9 relative with the cut gain)."""
+    """up20's psi band ends on its hemisphere edge: one ulp of the other
+    cutoff moves the average by rounding only (3.7e-9 relative with the cut
+    gain on trapezoid nodes)."""
     up20 = next(b for b in scenario2.sonar.beams if b.name == "up20")
     orientations = beam_orientations(scenario2.pose, up20,
                                      scenario2.sonar.transmitter)
@@ -364,6 +460,132 @@ def test_shell_average_at_a_hemisphere_edge_is_decided_exactly(scenario2):
                         scenario2.sonar, c)[0]
         for ha in (cutoff, np.nextafter(cutoff, 0.0)))
     assert below == pytest.approx(at, rel=1e-14)
+
+
+def _strip_reference(theta_ha, theta_hd, orientations, sonar, c, n_h=96,
+                     n_v=64, samples=512):
+    """The gated shell average by a (theta_h, theta_v) tensor grid over the
+    strip [-pi/2, pi/2] x [-pi, pi], independent of the null's bands: each
+    orientation gates pointwise (front hemisphere, psi > -theta_ha + pitch,
+    psi < theta_hd + pitch, psi in its beam frame). numpy's Gauss-Legendre
+    in theta_h; in each column the gate's edges are bracketed and bisected,
+    and each admitted piece, also split at the multiples of pi/2, gets
+    Gauss-Legendre in theta_v, so no node straddles an edge. The brackets
+    are `samples` steps of the world angle atan2(v_z, v_x), which squeezes
+    a column's pieces towards theta_v = 0 and pi as cos(theta_h) falls."""
+
+    def vectors(theta_h, theta_v):
+        return np.stack(np.broadcast_arrays(
+            np.cos(theta_h) * np.cos(theta_v), np.sin(theta_h),
+            np.sin(theta_v)), axis=-1)
+
+    def admitted(theta_h, theta_v):
+        ok = True
+        for pitch, yaw in orientations:
+            vb = rotate_to_sonar_frame(vectors(theta_h, theta_v), pitch, yaw)
+            psi = beam_angles_volume(vb)[1]
+            ok = ok & (vb[..., 0] > 0.0) & (psi > -theta_ha + pitch) & (
+                psi < theta_hd + pitch)
+        return ok
+
+    def gain(theta_h, theta_v):
+        g = 1.0
+        for pitch, yaw in orientations:
+            vb = rotate_to_sonar_frame(vectors(theta_h, theta_v), pitch, yaw)
+            g = g * beam_gain(*beam_angles_volume(vb), sonar, c)
+        return g
+
+    th, wh = np.polynomial.legendre.leggauss(n_h)
+    th, wh = th * math.pi / 2.0, wh * math.pi / 2.0
+    world = np.linspace(-math.pi, math.pi, samples + 1)
+    tv = np.arctan2(np.sin(world) * np.cos(th)[:, None], np.cos(world))
+    tv[:, -1] = math.pi
+    flags = admitted(th[:, None], tv)
+    col, j = np.nonzero(flags[:, 1:] != flags[:, :-1])
+    a, b, inside_a = tv[col, j], tv[col, j + 1], flags[col, j]
+    for _ in range(60):
+        mid = (a + b) / 2.0
+        same = admitted(th[col], mid) == inside_a
+        a, b = np.where(same, mid, a), np.where(same, b, mid)
+    edges = (a + b) / 2.0
+    t, w = np.polynomial.legendre.leggauss(n_v)
+    total = 0.0
+    for i in range(n_h):
+        cuts = np.sort(np.concatenate([edges[col == i],
+                                       np.arange(-2, 3) * (math.pi / 2.0)]))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if hi > lo and admitted(th[i], (lo + hi) / 2.0):
+                x = (lo + hi) / 2.0 + (hi - lo) / 2.0 * t
+                total += wh[i] * (hi - lo) / 2.0 * np.dot(w, gain(th[i], x))
+    return total / (2.0 * math.pi**2)
+
+
+def _assert_shells_match_strip_reference(cutoffs, orientations, sonar, c, tol):
+    """Shell averages of the (theta_ha, theta_hd) pairs against
+    _strip_reference, within tol dB, responding in the same cells."""
+    theta_ha, theta_hd = (np.array(side, dtype=float) for side in zip(*cutoffs))
+    got = _shell_averages(theta_ha, theta_hd, orientations, sonar, c)
+    for (ha, hd), value in zip(cutoffs, got):
+        ref = _strip_reference(ha, hd, orientations, sonar, c)
+        assert (value > 0.0) == (ref > 0.0), (ha, hd)
+        if ref > 0.0:
+            assert abs(to_db(value) - to_db(ref)) <= tol, (ha, hd)
+
+
+def _volume_cutoffs(scenario, sonar, step):
+    """The (theta_ha, theta_hd) of every step-th cell of scenario's volume,
+    as volume_return_bins gates it."""
+    layout = layout_for(scenario.env, sonar)
+    a, b, _, _, _ = nullmodel._cells(scenario.env, sonar, layout)
+    sides = [np.where(plane < (a + b) / 2.0, grazing_between(a, b, plane),
+                      math.inf)[::step]
+             for plane in (scenario.pose.altitude_m, scenario.pose.depth_m)]
+    return list(zip(*sides))
+
+
+def test_shell_averages_match_a_fine_tensor_grid(scenario2):
+    """Every 37th cell of each scenario2 beam's volume, uncut, half cut and
+    cut, against the tensor grid, within 1e-4 dB."""
+    c = scenario2.env.sound_speed()
+    cutoffs = _volume_cutoffs(scenario2, scenario2.sonar, 37)
+    assert any(math.isinf(ha) for ha, _ in cutoffs)
+    for beam in scenario2.sonar.beams:
+        orientations = beam_orientations(scenario2.pose, beam,
+                                         scenario2.sonar.transmitter)
+        _assert_shells_match_strip_reference(cutoffs, orientations,
+                                             scenario2.sonar, c, 1e-4)
+
+
+def test_one_profiles_cells_converge_jointly(scenario2):
+    """With a 20 mm vertical aperture, down20's volume cells 392 and 393 (bin
+    66) agreed between 16 and 32 profile nodes while the profile was still
+    unresolved, 1.4 dB below the tensor grid; the cells of one profile now
+    leave together."""
+    sonar = replace(scenario2.sonar, vertical_len_m=0.02)
+    down20 = next(b for b in scenario2.sonar.beams if b.name == "down20")
+    orientations = beam_orientations(scenario2.pose, down20, sonar.transmitter)
+    cutoffs = _volume_cutoffs(scenario2, sonar, 1)[390:396]
+    _assert_shells_match_strip_reference(
+        cutoffs, orientations, sonar, scenario2.env.sound_speed(), 1e-4)
+
+
+@pytest.mark.parametrize("degrees", [80.0, 90.0, 100.0])
+def test_steep_pitch_shell_averages_match_a_fine_tensor_grid(scenario1,
+                                                             degrees):
+    """scenario1's beam pitched to 80, 90 and 100 degrees under its level
+    transmitter, within 0.002 dB: the profile's domain, measured from the
+    receive pitch, reaches psi = pi/2, where the psi bands of the adaptive
+    trapezoid failed to converge (80 and 90) or gave way to a pointwise
+    gate, 0.029 dB off (100). The grid and a 1e-5 dB doubling check agree
+    to 1e-5 dB; at TOLERANCE_DB the profile is off by up to 7e-4 dB."""
+    c = scenario1.env.sound_speed()
+    beam = BeamOrientation(pitch_rad=math.radians(degrees), name="steep")
+    orientations = beam_orientations(scenario1.pose, beam,
+                                     scenario1.sonar.transmitter)
+    cutoffs = [(math.inf, math.inf), (1.4, math.inf), (math.inf, 0.3),
+               (1.4, 0.3), (0.5, 0.5)]
+    _assert_shells_match_strip_reference(cutoffs, orientations,
+                                         scenario1.sonar, c, 0.002)
 
 
 # --- per-bin pipelines ----------------------------------------------------------------
@@ -658,3 +880,55 @@ def test_refinement_halving_resolution_is_stable(scenario1):
     both = (base_db > NO_RESPONSE) & (fine_db > NO_RESPONSE)
     assert np.array_equal(base_db > NO_RESPONSE, fine_db > NO_RESPONSE)
     assert np.max(np.abs(fine_db[both] - base_db[both])) < 0.2
+
+
+def test_scenario2_null_gain_evaluations(scenario2, monkeypatch):
+    """Work tripwire, independent of host speed: compute_null(scenario2)
+    evaluates 403 488 ring gains and 110 000 shell gains, 513 488 in all
+    (nodes times distinct orientations). The adaptive trapezoid it replaced
+    evaluated 144 662 and 3 177 620 in all."""
+    evaluations = {"ring": 0, "shell": 0}
+    gain_product = nullmodel._gain_product
+
+    def counting(v, orientations, angles, *args):
+        kind = "ring" if angles is beam_angles_surface else "shell"
+        evaluations[kind] += v.size // 3 * len(dict.fromkeys(orientations))
+        return gain_product(v, orientations, angles, *args)
+
+    monkeypatch.setattr(nullmodel, "_gain_product", counting)
+    compute_null(scenario2)
+    assert evaluations["ring"] + evaluations["shell"] <= 600_000
+    print(f"compute_null(scenario2) evaluated {evaluations} gains")
+
+
+@pytest.mark.parametrize("name,scale", [("scenario1", 1.0), ("scenario2", 1.0),
+                                        ("scenario1", 10.0)])
+def test_expected_null_memory_stays_bounded(request, name, scale):
+    """Every rule is evaluated BLOCK_NODES nodes at a time, so the traced
+    peak of one beam's null stays under 3 MB, also with both apertures ten
+    times longer, where the rules reach 512 (rings) and 1024 (volume) nodes;
+    evaluated in one block, that volume peaked at 138 MB. One untraced call
+    first loads numpy.fft and numpy.polynomial (0.9 MB of modules, once per
+    process) and caches the Gauss-Legendre nodes."""
+    scenario = request.getfixturevalue(name)
+    sonar = replace(scenario.sonar,
+                    horizontal_len_m=scenario.sonar.horizontal_len_m * scale,
+                    vertical_len_m=scenario.sonar.vertical_len_m * scale)
+    scene = build_scene(scenario)
+    expected_null(scene, sonar, scenario.pose, sonar.beams[0])
+    for beam in sonar.beams:
+        tracemalloc.start()
+        try:
+            expected_null(scene, sonar, scenario.pose, beam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000, (beam.name, peak)
+
+
+def test_scenario1_null_curves_take_under_1_5_s(scenario1):
+    start = time.perf_counter()
+    compute_null(scenario1)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5
+    print(f"compute_null(scenario1) took {elapsed * 1000.0:.0f} ms")

@@ -1,6 +1,7 @@
 import json
 import filecmp
 import os
+import time
 
 import numpy as np
 import pytest
@@ -247,6 +248,24 @@ def test_cli_reports_quadrature_diagnostics(tmp_path, monkeypatch):
     monkeypatch.setattr("flsim.runner.expected_null", explode)
     assert main(["null", "--scenario", "scenario1",
                  "--out", str(tmp_path / "q")]) == 3
+
+
+def test_cli_reports_a_yawed_beams_volume_at_once(tmp_path, capsys,
+                                                   scenario1):
+    """A yawed beam has no volume profile: `null` exits 3 within a second,
+    naming the beam, and writes no curve."""
+    doc = yaml.safe_load(serialize(scenario1))
+    doc["sonar"]["beams"] = [{"name": "yaw10", "pitch_deg": 0.0,
+                              "yaw_deg": 10.0}]
+    path = tmp_path / "yawed.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["null", "--scenario", str(path),
+                 "--out", str(tmp_path / "n")]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("numerical diagnostic: beam 'yaw10': volume")
+    assert not list((tmp_path / "n").glob("*.csv"))
 
 
 def _document_with_scene(tmp_path, scenario1, scene):
