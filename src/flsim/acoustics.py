@@ -258,39 +258,36 @@ def sinc(x):
     map to zero response rather than a rounding residue.
     """
     arr = np.asarray(x, dtype=float)
-    out = np.ones(arr.shape)
-    nonzero = arr != 0.0
-    ax = arr[nonzero]
-    vals = np.sin(np.pi * ax) / (np.pi * ax)
-    vals[ax == np.round(ax)] = 0.0
-    out[nonzero] = vals
+    with np.errstate(invalid="ignore"):  # 0 / 0 at x = 0, replaced below
+        ratio = np.sin(np.pi * arr) / (np.pi * arr)
+    out = np.where(arr == np.round(arr), arr == 0.0, ratio)
     return out if out.ndim else float(out)
 
 
-def beam_pattern(theta, psi, sonar: SonarConfig, c: float):
-    """Linear intensity of the two-way aperture pattern at (theta, psi) with
-    no hemisphere cut: the product of two sinc factors in amplitude, squared,
-    continuous across |theta| = pi/2 and |psi| = pi/2. Accepts scalars or
-    arrays."""
-    lam = wavelength(c, sonar.frequency_khz)
-    alpha = sinc(np.sin(theta) * np.cos(psi) * sonar.horizontal_len_m / lam)
-    beta = sinc(np.sin(psi) * sonar.vertical_len_m / lam)
-    amp = alpha * beta
+def aperture_factor(cosine, length_m: float, sonar: SonarConfig, c: float):
+    """One-way amplitude factor sinc(length_m * cosine / lambda) of the
+    aperture side length_m at the beam-frame direction cosine along it."""
+    return sinc(cosine * length_m / wavelength(c, sonar.frequency_khz))
+
+
+def beam_pattern(v, sonar: SonarConfig, c: float):
+    """Linear intensity of the two-way aperture pattern, uncut, at beam-frame
+    unit vectors v (..., 3) in direction cosines, "sine space" (Van Trees,
+    Optimum Array Processing, 2002, ch. 2): (sinc(L_H v_y / lambda) sinc(L_V
+    v_z / lambda))^2, with v_y = sin(theta) cos(psi) and v_z = sin(psi)."""
+    v = np.asarray(v, dtype=float)
+    amp = (aperture_factor(v[..., 1], sonar.horizontal_len_m, sonar, c)
+           * aperture_factor(v[..., 2], sonar.vertical_len_m, sonar, c))
     return amp * amp
 
 
-def beam_gain(theta, psi, sonar: SonarConfig, c: float):
-    """Linear intensity gain at (theta, psi): beam_pattern inside the open
-    front hemisphere (|theta| < pi/2 and |psi| < pi/2), evaluated only there,
-    and zero outside it. Accepts scalars or arrays."""
-    theta, psi = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                     np.asarray(psi, dtype=float))
-    inside = (np.abs(theta) < np.pi / 2) & (np.abs(psi) < np.pi / 2)
-    gain = np.zeros(inside.shape)
-    gain[inside] = beam_pattern(theta[inside], psi[inside], sonar, c)
-    if gain.ndim == 0:
-        return float(gain)
-    return gain
+def beam_gain(v, sonar: SonarConfig, c: float):
+    """Linear intensity gain at beam-frame unit vectors v (..., 3):
+    beam_pattern inside the open front hemisphere v_x > 0 (|theta| < pi/2
+    and |psi| < pi/2) and zero outside it; a 3-vector gives a float."""
+    v = np.asarray(v, dtype=float)
+    gain = np.where(v[..., 0] > 0.0, beam_pattern(v, sonar, c), 0.0)
+    return gain if gain.ndim else float(gain)
 
 
 def range_resolution(c: float, bandwidth_hz: float) -> float:

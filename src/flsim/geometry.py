@@ -3,7 +3,7 @@
 Ensonified ring radii, areas and grazing angles for a locally flat bottom
 (mirrored for the surface; the grazing angle is also the volume gate's
 cutoff), hollow-shell volumes with the bottom and surface cuts removed, and
-the frame rotation and beam-angle conventions shared with the
+the frame rotation and the volume's in-plane convention shared with the
 expected-return integrals.
 
 Coordinate convention: x forward along the vehicle, y to starboard, z down.
@@ -155,30 +155,15 @@ def rotate_to_sonar_frame(v, pitch_rad: float, yaw_rad: float = 0.0):
     return np.asarray(v, dtype=float) @ m.T
 
 
-def beam_angles_surface(v):
-    """Beam-pattern angles (theta, psi) of direction vectors, with psi
-    measured from the horizontal plane of the beam frame:
-    theta = atan2(v_y, v_x), psi = atan2(v_z, hypot(v_x, v_y)).
-
-    Accepts a 3-vector or an (..., 3) array; returns a pair of arrays.
-    """
-    v = np.asarray(v, dtype=float)
-    theta = np.arctan2(v[..., 1], v[..., 0])
-    psi = np.arctan2(v[..., 2], np.hypot(v[..., 0], v[..., 1]))
-    return theta, psi
-
-
-def beam_angles_volume(v):
-    """Beam-pattern angles (theta, psi) under the in-plane convention used
-    by the volume integrals: theta = atan2(v_y, v_x), psi = atan2(v_z, v_x).
-
-    The two conventions agree when v_y = 0 and are kept as separate
-    operations because each integral is defined in terms of its own.
-    """
-    v = np.asarray(v, dtype=float)
-    theta = np.arctan2(v[..., 1], v[..., 0])
-    psi = np.arctan2(v[..., 2], v[..., 0])
-    return theta, psi
+def in_plane_cosines(v):
+    """Beam-frame vectors v (..., 3) off the y and z axes under the volume's
+    in-plane convention theta = atan2(v_y, v_x), psi = atan2(v_z, v_x): the
+    unit vector (cos theta |cos psi|, sin theta cos psi, sin psi), in front
+    where v is, whose y and z the beam pattern reads at those angles."""
+    x, y, z = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    h_xz = np.hypot(x, z)
+    scale = np.hypot(x, y) * h_xz
+    return np.stack([x * np.abs(x) / scale, y * x / scale, z / h_xz], axis=-1)
 
 
 def spherical_cap_volume(radius: float, plane_distance: float) -> float:

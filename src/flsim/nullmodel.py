@@ -31,8 +31,8 @@ Quadrature is two fixed rules under one doubling check, _doubled: n runs
 16, 32, ... until a row's n and 2n estimates agree to TOLERANCE_DB, else
 past MAX_NODES QuadratureError names the beam, component, bin and cell.
 The rules take BLOCK_NODES nodes at a time, all inside every orientation's
-front hemisphere, where they evaluate the uncut beam_pattern, once per
-distinct (pitch, yaw).
+front hemisphere, where they evaluate the uncut beam_pattern on unit
+vectors in each distinct orientation's frame (volume: in_plane_cosines).
 
 - Rings: n-node Gauss-Legendre on every interval of a ring's gated arc
   (_ring_arcs, closed-form at any pitch and yaw), azimuth measured from
@@ -68,10 +68,9 @@ from .db import to_db, to_linear
 from .geometry import (
     BinLayout,
     SonarPose,
-    beam_angles_surface,
-    beam_angles_volume,
     beam_orientations,
     grazing_between,
+    in_plane_cosines,
     layout_for,
     ring_radius,
     rotate_to_sonar_frame,
@@ -196,15 +195,15 @@ def _chebyshev_interpolant(f, n: int, domain) -> np.polynomial.Chebyshev:
     return np.polynomial.Chebyshev(coef, domain)
 
 
-def _gain_product(v, orientations, angles, sonar, c) -> np.ndarray:
+def _gain_product(v, orientations, sonar, c, in_plane=False) -> np.ndarray:
     """Product over the (pitch, yaw) orientations of the uncut beam_pattern
-    at world vectors v (..., 3) under the angles convention, each distinct
-    orientation evaluated once (a repeated one enters as g*g)."""
-    flat = v.reshape(-1, 3)
+    at world unit vectors v (..., 3), or at in_plane_cosines of any v, each
+    distinct orientation evaluated once (a repeated one enters as g*g)."""
     gains = {}
     for pitch, yaw in dict.fromkeys(orientations):
-        vb = rotate_to_sonar_frame(flat, pitch, yaw).reshape(v.shape)
-        gains[pitch, yaw] = beam_pattern(*angles(vb), sonar, c)
+        vb = rotate_to_sonar_frame(v, pitch, yaw)
+        gains[pitch, yaw] = beam_pattern(in_plane_cosines(vb) if in_plane
+                                         else vb, sonar, c)
     return math.prod(gains[o] for o in orientations)
 
 
@@ -258,7 +257,8 @@ def _ring_averages(rho, z: float, orientations: list, sonar: SonarConfig,
             r, theta = radius[rows[k]], mid[rows[k]] + half[rows[k]] * t
             v = np.stack(np.broadcast_arrays(
                 r * np.cos(theta), r * np.sin(theta), z), axis=-1)
-            return _gain_product(v, orientations, beam_angles_surface, sonar, c)
+            return _gain_product(v / np.hypot(r, z)[..., None], orientations,
+                                 sonar, c)
 
         return half[rows] * _gauss_sums(f, rows.size, n)
 
@@ -304,8 +304,8 @@ def _shell_averages(theta_ha, theta_hd, orientations: list, sonar: SonarConfig,
             v = np.stack(np.broadcast_arrays(
                 cos_h * cos_p[k], np.sin(theta_h) * np.sqrt(norm2),
                 sin_p[k] * cos_h), axis=-1)
-            return _gain_product(v, orientations, beam_angles_volume, sonar,
-                                 c) * cos_h / norm2
+            return _gain_product(v, orientations, sonar, c,
+                                 in_plane=True) * cos_h / norm2
 
         return math.pi / 2.0 * _gauss_sums(f, psi.size, n)
 

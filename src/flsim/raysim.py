@@ -35,10 +35,10 @@ scatter.echo_intensity.
 
 One ping is one transmission that forms every receive beam: row k of each
 component belongs to sonar.beams[k] (PingReturn.row). Only the receive
-gains, bp_r and bp_r2, depend on the beam, so the draw, cull, trace, bounce
-and the rest of each echo are worked out once, and each beam adds its gains
-in a one-beam ping's order: every row is bit-identical to the ping of a
-sonar with that beam alone, from the same seed.
+gains depend on the beam. The draw, cull, trace and bounce are worked out
+once, one _beam_gains call weighs every beam, each echo is one (beams,
+impacts) expression, and each row adds in a one-beam ping's order: every
+row is bit-identical to the ping of a sonar with that beam alone.
 
 ping runs its whole body (direction draw, beam weights, trace, echoes,
 bounce) over chunks of PING_CHUNK_RAYS rays, adding each chunk into the
@@ -70,6 +70,7 @@ analytic expectation with the noise term switched off.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -79,14 +80,13 @@ from .acoustics import (
     EnvironmentParams,
     SonarConfig,
     absorption_coeff,
-    beam_gain,
+    aperture_factor,
     noise_level_band,
 )
 from .db import to_linear
 from .geometry import (
     BinLayout,
     SonarPose,
-    beam_angles_surface,
     beam_orientations,
     bin_index,
     layout_for,
@@ -430,12 +430,25 @@ class PingReturn:
             "bottom", "surface", "object_", "volume", "multipath", "noise")})
 
 
-def _beam_weights(dirs, orientation, sonar, c):
-    """Beam gain at world directions dirs of the beam pointed at the
-    (pitch, yaw) orientation of geometry.beam_orientations. A direction may
-    be any nonzero vector: the gain depends on its direction only."""
-    theta, psi = beam_angles_surface(rotate_to_sonar_frame(dirs, *orientation))
-    return beam_gain(theta, psi, sonar, c)
+def _project(dirs, row):
+    """dirs (n, 3) dotted with row elementwise, one order for any n."""
+    return dirs[:, 0] * row[0] + dirs[:, 1] * row[1] + dirs[:, 2] * row[2]
+
+
+def _beam_gains(dirs, orientations, sonar, c):
+    """(orientations, rays) beam_gain at world unit vectors dirs, each beam
+    frame's rows projected by _project (a BLAS product's sums can depend on
+    the shape) and each distinct row's aperture factor taken once: beams at
+    yaw 0 share the horizontal one, beams at pitch 0 the vertical one."""
+    factor = functools.cache(lambda row, length_m: aperture_factor(
+        _project(dirs, row), length_m, sonar, c))
+    gains = np.empty((len(orientations), dirs.shape[0]))
+    for k, orientation in enumerate(orientations):
+        # The frame's rows, its axes in world coordinates, as cache keys.
+        x, y, z = map(tuple, rotate_to_sonar_frame(np.eye(3), *orientation).T)
+        amp = factor(y, sonar.horizontal_len_m) * factor(z, sonar.vertical_len_m)
+        gains[k] = np.where(_project(dirs, x) > 0.0, amp * amp, 0.0)
+    return gains
 
 
 def _boundary_coeff_linear(kind, grazing, roughness, env, f_khz):
@@ -507,10 +520,14 @@ def ping(
 
     def add_chunk(d):
         """Add the rays d to every beam; no per-ray array outlives it."""
-        bp_t = _beam_weights(d, tx, sonar, c)
-        # An unlit ray adds exactly +0.0 to every bin, so only lit rays go on.
-        lit = np.nonzero(bp_t > 0.0)[0]
-        d, bp_t = d[lit], bp_t[lit]
+        # Only lit rays go on, and no sinc is taken behind the transmitter
+        # (np.compress picks rows faster than a mask does).
+        tx_axis = rotate_to_sonar_frame(np.eye(3), *tx)[:, 0]
+        d = np.compress(_project(d, tx_axis) > 0.0, d, axis=0)
+        gains = _beam_gains(d, [tx, *receivers], sonar, c)
+        lit = gains[0] > 0.0
+        d, gains = np.compress(lit, d, axis=0), np.compress(lit, gains, axis=1)
+        bp_t, w = gains[0], gains[0] * gains[1:]
 
         kind, t, points, normals, grazing, roughness = _trace_batch(
             scene, origin, d, 0.0, t_max
@@ -534,17 +551,16 @@ def ping(
         gi = idx[hit2]
         bins2, echo2 = _echo(t[gi] + t2[hit2], kind2[hit2], grazing2[hit2],
                              roughness2[hit2], env, sonar, layout)
-        to_sonar = points2[hit2] - origin
+        to_sonar = np.compress(hit2, points2, axis=0) - origin
+        to_sonar /= np.linalg.norm(to_sonar, axis=1, keepdims=True)
+        bp_r2 = _beam_gains(to_sonar, receivers, sonar, c)
 
-        # The gain depends on the orientation only, so a receive beam that
-        # points where the transmitter does reuses the transmit weights.
-        for k, rx in enumerate(receivers):
-            bp_r = bp_t if rx == tx else _beam_weights(d, rx, sonar, c)
-            w = bp_t * bp_r
-            np.add.at(tally[k], (kinds_h, bins), echo(w[hit]))
-            np.add.at(per_last[k], last_bin, w)
-            bp_r2 = _beam_weights(to_sonar, rx, sonar, c)
-            np.add.at(multipath[k], bins2, echo2(bp_t[gi], bp_r2))
+        direct = echo(np.compress(hit, w, axis=1))
+        bounced = echo2(bp_t[gi], bp_r2)
+        for k in range(num_beams):
+            np.add.at(tally[k], (kinds_h, bins), direct[k])
+            np.add.at(per_last[k], last_bin, w[k])
+            np.add.at(multipath[k], bins2, bounced[k])
 
     for start in range(0, n_rays, PING_CHUNK_RAYS):
         add_chunk(sample_ray_directions(min(PING_CHUNK_RAYS, n_rays - start),

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import flsim.nullmodel as nullmodel
+from flsim import raysim
 from flsim import (
     BeamOrientation,
     EnvironmentParams,
@@ -29,6 +31,7 @@ from flsim.acoustics import (
     noise_turbulence,
     sinc,
 )
+from flsim.geometry import beam_orientations, rotate_to_sonar_frame
 
 ENV_SHALLOW = EnvironmentParams(
     temperature_c=10.0,
@@ -167,17 +170,28 @@ def test_wavelength():
         wavelength(1500.0, 0.0)
 
 
+def direction(theta, psi):
+    """Beam-frame unit vectors at azimuth theta and elevation psi, psi from
+    the beam's horizontal plane: (cos psi cos theta, cos psi sin theta,
+    sin psi)."""
+    theta, psi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(psi, dtype=float))
+    return np.stack([np.cos(psi) * np.cos(theta), np.cos(psi) * np.sin(theta),
+                     np.sin(psi)], axis=-1)
+
+
 def test_beam_gain_boresight_is_unity():
     c = ENV_SHALLOW.sound_speed()
-    assert beam_gain(0.0, 0.0, SONAR, c) == 1.0
+    assert beam_gain([1.0, 0.0, 0.0], SONAR, c) == 1.0
 
 
 def test_beam_gain_zero_outside_front_hemisphere():
+    """On the hemisphere's edge, v_x = 0 (theta or psi = +-pi/2), and
+    behind it."""
     c = ENV_SHALLOW.sound_speed()
-    for theta, psi in ((math.pi / 2, 0.0), (-math.pi / 2, 0.0),
-                       (0.0, math.pi / 2), (0.0, -math.pi / 2),
-                       (3.0, 0.1), (0.1, -2.0)):
-        assert beam_gain(theta, psi, SONAR, c) == 0.0
+    for v in ((0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0),
+              (0.0, 0.0, -1.0), direction(3.0, 0.1), direction(0.1, -2.0)):
+        assert beam_gain(v, SONAR, c) == 0.0
 
 
 def test_beam_gain_vertical_null():
@@ -185,8 +199,8 @@ def test_beam_gain_vertical_null():
     c = ENV_SHALLOW.sound_speed()
     lam = wavelength(c, SONAR.frequency_khz)
     psi_null = math.asin(lam / SONAR.vertical_len_m)
-    assert beam_gain(0.0, psi_null, SONAR, c) == 0.0
-    assert beam_gain(0.0, 0.9 * psi_null, SONAR, c) > 0.0
+    assert beam_gain(direction(0.0, psi_null), SONAR, c) == 0.0
+    assert beam_gain(direction(0.0, 0.9 * psi_null), SONAR, c) > 0.0
 
 
 def test_beam_gain_symmetry_on_seeded_grid():
@@ -194,8 +208,8 @@ def test_beam_gain_symmetry_on_seeded_grid():
     rng = np.random.default_rng(11)
     theta = rng.uniform(-1.4, 1.4, size=60)
     psi = rng.uniform(-1.4, 1.4, size=60)
-    g = beam_gain(theta, psi, SONAR, c)
-    g_mirror = beam_gain(-theta, -psi, SONAR, c)
+    g = beam_gain(direction(theta, psi), SONAR, c)
+    g_mirror = beam_gain(direction(-theta, -psi), SONAR, c)
     assert np.all(g >= 0.0) and np.all(g <= 1.0)
     np.testing.assert_allclose(g, g_mirror, rtol=0.0, atol=1e-12)
 
@@ -207,12 +221,13 @@ def test_beam_pattern_is_the_uncut_beam_gain():
     rng = np.random.default_rng(12)
     theta = rng.uniform(-math.pi / 2, math.pi / 2, size=200)
     psi = rng.uniform(-math.pi / 2, math.pi / 2, size=200)
-    inside = (np.abs(theta) < math.pi / 2) & (np.abs(psi) < math.pi / 2)
-    np.testing.assert_array_equal(beam_gain(theta, psi, SONAR, c)[inside],
-                                  beam_pattern(theta, psi, SONAR, c)[inside])
-    behind = (theta + math.pi, psi)
-    assert np.all(beam_gain(*behind, SONAR, c) == 0.0)
-    assert np.any(beam_pattern(*behind, SONAR, c) > 0.0)
+    v = direction(theta, psi)
+    inside = v[:, 0] > 0.0
+    np.testing.assert_array_equal(beam_gain(v, SONAR, c)[inside],
+                                  beam_pattern(v, SONAR, c)[inside])
+    behind = direction(theta + math.pi, psi)
+    assert np.all(beam_gain(behind, SONAR, c) == 0.0)
+    assert np.any(beam_pattern(behind, SONAR, c) > 0.0)
 
 
 def test_beam_pattern_is_continuous_at_the_hemisphere_edge():
@@ -221,18 +236,94 @@ def test_beam_pattern_is_continuous_at_the_hemisphere_edge():
     c = ENV_SHALLOW.sound_speed()
     edge = math.pi / 2
     for psi in (0.0, 0.05, -0.3, 0.7, 1.2):
-        at = beam_pattern(edge, psi, SONAR, c)
+        at = beam_pattern(direction(edge, psi), SONAR, c)
         assert at > 0.0
         for side in (-math.inf, math.inf):
             for theta in (np.nextafter(edge, side), -np.nextafter(edge, side)):
-                assert beam_pattern(theta, psi, SONAR, c) == pytest.approx(
-                    at, rel=1e-12)
+                assert beam_pattern(direction(theta, psi), SONAR,
+                                    c) == pytest.approx(at, rel=1e-12)
 
 
 def test_beam_pattern_loss_no_response_behind():
     c = ENV_SHALLOW.sound_speed()
-    assert to_db(beam_gain(math.pi, 0.0, SONAR, c)) == NO_RESPONSE
-    assert to_db(beam_gain(0.0, 0.0, SONAR, c)) == 0.0
+    assert to_db(beam_gain([-1.0, 0.0, 0.0], SONAR, c)) == NO_RESPONSE
+    assert to_db(beam_gain([1.0, 0.0, 0.0], SONAR, c)) == 0.0
+
+
+def _angle_pattern(theta, psi, sonar, c):
+    """The uncut pattern as it was written on angles, before direction
+    cosines: sinc(L_H sin(theta) cos(psi) / lambda) * sinc(L_V sin(psi) /
+    lambda), squared."""
+    lam = wavelength(c, sonar.frequency_khz)
+    amp = (sinc(np.sin(theta) * np.cos(psi) * sonar.horizontal_len_m / lam)
+           * sinc(np.sin(psi) * sonar.vertical_len_m / lam))
+    return amp * amp
+
+
+def _angle_gain(vb, sonar, c):
+    """The beam gain of beam-frame vectors vb in the (theta, psi) form:
+    theta = atan2(v_y, v_x), psi = atan2(v_z, hypot(v_x, v_y)), the pattern
+    kept where |theta| < pi/2 and |psi| < pi/2."""
+    theta = np.arctan2(vb[..., 1], vb[..., 0])
+    psi = np.arctan2(vb[..., 2], np.hypot(vb[..., 0], vb[..., 1]))
+    inside = (np.abs(theta) < math.pi / 2) & (np.abs(psi) < math.pi / 2)
+    return np.where(inside, _angle_pattern(theta, psi, sonar, c), 0.0)
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+def test_direction_cosine_kernel_matches_the_angle_form(request, name):
+    """Oracle for the one gain kernel: beam_gain and beam_pattern, raysim's
+    (orientations, rays) gains and the null's gain product (rings, and the
+    volume's in-plane convention) against the (theta, psi) form, within
+    1e-10 relative, with the same exact zeros. Seeded directions in every
+    orientation of the scenario's beams and transmitter, and two yawed
+    ones; beam-frame vectors exactly on v_x = 0, where both give 0, and at
+    the first horizontal and vertical sinc nulls, where both give exactly
+    0."""
+    sc = request.getfixturevalue(name)
+    sonar, pose, c = sc.sonar, sc.pose, sc.env.sound_speed()
+    orientations = list(dict.fromkeys(
+        o for b in sonar.beams
+        for o in beam_orientations(pose, b, sonar.transmitter)))
+    orientations += [(pose.pitch_rad + 0.2, 0.5), (pose.pitch_rad - 0.35, -2.0)]
+    rng = np.random.default_rng(31)
+    world = rng.standard_normal((4000, 3))
+    world /= np.linalg.norm(world, axis=1, keepdims=True)
+
+    rays = raysim._beam_gains(world, orientations, sonar, c)
+    for k, orientation in enumerate(orientations):
+        vb = rotate_to_sonar_frame(world, *orientation)
+        want = _angle_gain(vb, sonar, c)
+        assert np.count_nonzero(want) > 1000
+        for got in (beam_gain(vb, sonar, c), rays[k]):
+            np.testing.assert_array_equal(got == 0.0, want == 0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        theta = np.arctan2(vb[:, 1], vb[:, 0])
+        uncut = _angle_pattern(
+            theta, np.arctan2(vb[:, 2], np.hypot(vb[:, 0], vb[:, 1])), sonar, c)
+        for got in (beam_pattern(vb, sonar, c),
+                    nullmodel._gain_product(world, [orientation], sonar, c)):
+            np.testing.assert_allclose(got, uncut, rtol=1e-10, atol=0.0)
+        in_plane = _angle_pattern(theta, np.arctan2(vb[:, 2], vb[:, 0]),
+                                  sonar, c)
+        np.testing.assert_allclose(
+            nullmodel._gain_product(world, [orientation], sonar, c,
+                                    in_plane=True),
+            in_plane, rtol=1e-10, atol=0.0)
+
+    a = rng.uniform(-math.pi, math.pi, 64)
+    edge = np.stack([np.zeros(64), np.cos(a), np.sin(a)], axis=-1)
+    lam = wavelength(c, sonar.frequency_khz)
+    y, z = lam / sonar.horizontal_len_m, lam / sonar.vertical_len_m
+    nulls = np.array([[math.sqrt(1.0 - y * y), y, 0.0],
+                      [math.sqrt(1.0 - z * z), 0.0, z]])
+    for vb in (edge, nulls):
+        assert np.all(_angle_gain(vb, sonar, c) == 0.0)
+        assert np.all(beam_gain(vb, sonar, c) == 0.0)
+    # The level frame's rows are the world axes, so its projections are
+    # these vectors exactly.
+    assert np.all(raysim._beam_gains(np.vstack([edge, nulls]), [(0.0, 0.0)],
+                                     sonar, c) == 0.0)
 
 
 def test_beam_orientation_normalizes_angle():

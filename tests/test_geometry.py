@@ -9,9 +9,8 @@ from flsim import (
     bin_index,
 )
 from flsim.geometry import (
-    beam_angles_surface,
-    beam_angles_volume,
     grazing_between,
+    in_plane_cosines,
     ring_areas,
     ring_radius,
     rotate_to_sonar_frame,
@@ -148,17 +147,18 @@ def test_rotate_preserves_norm_on_seeded_grid():
 
 
 def test_beam_angle_conventions():
+    """The pattern reads (sin theta cos psi, sin psi), the y and z direction
+    cosines: of the unit vector itself under the surface convention, and of
+    in_plane_cosines(v) under the volume's in-plane one, which is read off
+    the y and z axes (1e-12 rad from them here)."""
     # boresight
-    theta, psi = beam_angles_surface(np.array([1.0, 0.0, 0.0]))
-    assert theta == 0.0 and psi == 0.0
+    assert in_plane_cosines(np.array([1.0, 0.0, 0.0])).tolist() == [1.0, 0.0, 0.0]
     # straight down: vertical angle +pi/2 in both conventions
-    _, psi = beam_angles_surface(np.array([0.0, 0.0, 1.0]))
-    assert psi == pytest.approx(math.pi / 2)
-    _, psi_v = beam_angles_volume(np.array([0.0, 0.0, 1.0]))
-    assert psi_v == pytest.approx(math.pi / 2)
-    # abeam to port: horizontal angle -pi/2
-    theta, _ = beam_angles_surface(np.array([0.0, -1.0, 0.0]))
-    assert theta == pytest.approx(-math.pi / 2)
+    assert in_plane_cosines(np.array([1e-12, 0.0, 1.0]))[2] == pytest.approx(
+        math.sin(math.pi / 2))
+    # abeam to port: horizontal angle -pi/2, so sin theta cos psi = -1
+    assert in_plane_cosines(np.array([1e-12, -1.0, 0.0]))[1] == pytest.approx(
+        math.sin(-math.pi / 2))
 
 
 def test_beam_angle_conventions_differ_off_axis():
@@ -166,10 +166,11 @@ def test_beam_angle_conventions_differ_off_axis():
     the volume one within the vertical slice; they agree on the axes and
     differ in between."""
     v = np.array([1.0, 1.0, 1.0])
-    _, psi_s = beam_angles_surface(v)
-    _, psi_v = beam_angles_volume(v)
+    psi_s = math.asin(v[2] / np.linalg.norm(v))
+    psi_v = math.asin(in_plane_cosines(v)[2])
     assert psi_s == pytest.approx(math.atan2(1.0, math.sqrt(2.0)))
     assert psi_v == pytest.approx(math.atan2(1.0, 1.0))
+    assert np.linalg.norm(in_plane_cosines(v)) == pytest.approx(1.0)
 
 
 # --- shell volumes ------------------------------------------------------------------

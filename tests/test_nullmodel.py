@@ -33,10 +33,9 @@ from flsim import (
 from flsim.acoustics import absorption_coeff, range_resolution
 from flsim.db import to_db, to_linear
 from flsim.geometry import (
-    beam_angles_surface,
-    beam_angles_volume,
     beam_orientations,
     grazing_between,
+    in_plane_cosines,
     layout_for,
     ring_radius,
     rotate_to_sonar_frame,
@@ -187,9 +186,7 @@ def test_ring_average_reference_quadrature(scenario1, s1_layout):
     theta = np.linspace(-math.pi, math.pi, 2**21 + 1)
     v = np.stack([rho * np.cos(theta), rho * np.sin(theta),
                   np.full_like(theta, h)], axis=-1)
-    th = np.arctan2(v[:, 1], v[:, 0])
-    ps = np.arctan2(v[:, 2], np.hypot(v[:, 0], v[:, 1]))
-    gain = beam_gain(th, ps, sonar, c)
+    gain = beam_gain(v / np.linalg.norm(v, axis=1, keepdims=True), sonar, c)
     ref = to_db(float(np.trapezoid(gain * gain, theta)) / (2.0 * math.pi))
 
     (got,) = _ring_averages([rho], h, LEVEL, sonar, c)
@@ -237,11 +234,10 @@ def _ring_midpoint_reference(rho, z, orientations, sonar, c, nodes=2**16):
     (-pi, pi], every node evaluated pointwise; no node lies on an edge."""
     theta = -math.pi + (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
     v = np.stack(np.broadcast_arrays(
-        rho * np.cos(theta), rho * np.sin(theta), z), axis=-1)
+        rho * np.cos(theta), rho * np.sin(theta), z), axis=-1) / np.hypot(rho, z)
     gain = np.ones(nodes)
     for pitch, yaw in orientations:
-        vb = rotate_to_sonar_frame(v, pitch, yaw)
-        gain *= beam_gain(*beam_angles_surface(vb), sonar, c)
+        gain *= beam_gain(rotate_to_sonar_frame(v, pitch, yaw), sonar, c)
     return gain.mean()
 
 
@@ -385,15 +381,15 @@ def _sphere_reference(sonar, c, theta_ha, theta_hd, n_h=4096, n_v=8192):
     acc = 0.0
     weights_h = np.ones(n_h + 1)
     weights_h[0] = weights_h[-1] = 0.5
-    for i in range(0, n_h + 1, 512):
-        sl = slice(i, min(i + 512, n_h + 1))
+    for i in range(0, n_h + 1, 128):
+        sl = slice(i, min(i + 128, n_h + 1))
         th = theta_h[sl]
         vx = np.cos(th)[:, None] * cos_v[None, :]
         vy = np.broadcast_to(np.sin(th)[:, None], (th.size, n_v + 1))
         vz = np.broadcast_to(sin_v[None, :], (th.size, n_v + 1))
-        t_ang = np.arctan2(vy, vx)
         p_ang = np.arctan2(vz, vx)
-        gain = beam_gain(t_ang, p_ang, sonar, c)
+        gain = beam_gain(in_plane_cosines(np.stack([vx, vy, vz], axis=-1)),
+                         sonar, c)
         gate = (p_ang > -theta_ha) & (p_ang < theta_hd)
         vals = np.where(gate, gain * gain, 0.0)
         vals[:, 0] *= 0.5
@@ -483,7 +479,7 @@ def _strip_reference(theta_ha, theta_hd, orientations, sonar, c, n_h=96,
         ok = True
         for pitch, yaw in orientations:
             vb = rotate_to_sonar_frame(vectors(theta_h, theta_v), pitch, yaw)
-            psi = beam_angles_volume(vb)[1]
+            psi = np.arctan2(vb[..., 2], vb[..., 0])
             ok = ok & (vb[..., 0] > 0.0) & (psi > -theta_ha + pitch) & (
                 psi < theta_hd + pitch)
         return ok
@@ -492,7 +488,7 @@ def _strip_reference(theta_ha, theta_hd, orientations, sonar, c, n_h=96,
         g = 1.0
         for pitch, yaw in orientations:
             vb = rotate_to_sonar_frame(vectors(theta_h, theta_v), pitch, yaw)
-            g = g * beam_gain(*beam_angles_volume(vb), sonar, c)
+            g = g * beam_gain(in_plane_cosines(vb), sonar, c)
         return g
 
     th, wh = np.polynomial.legendre.leggauss(n_h)
@@ -688,9 +684,9 @@ def test_bottom_curve_against_straight_line_reference(scenario1, s1_layout):
             if area <= 0.0:
                 continue
             rho = (r_a + r_b) / 2.0
-            th = np.arctan2(rho * np.sin(theta), rho * np.cos(theta))
-            ps = np.arctan2(h, rho)
-            gain = beam_gain(th, np.full_like(th, ps), sonar, c)
+            v = np.stack([rho * np.cos(theta), rho * np.sin(theta),
+                          np.full_like(theta, h)], axis=-1)
+            gain = beam_gain(v / math.hypot(rho, h), sonar, c)
             avg = float(np.trapezoid(gain * gain, theta)) / (2.0 * math.pi)
             s_b = bottom_coeff(env.bottom_type, grazing_between(a, b, h),
                                sonar.frequency_khz)
@@ -890,14 +886,15 @@ def test_scenario2_null_gain_evaluations(scenario2, monkeypatch):
     evaluations = {"ring": 0, "shell": 0}
     gain_product = nullmodel._gain_product
 
-    def counting(v, orientations, angles, *args):
-        kind = "ring" if angles is beam_angles_surface else "shell"
+    def counting(v, orientations, sonar, c, in_plane=False):
+        kind = "shell" if in_plane else "ring"
         evaluations[kind] += v.size // 3 * len(dict.fromkeys(orientations))
-        return gain_product(v, orientations, angles, *args)
+        return gain_product(v, orientations, sonar, c, in_plane)
 
     monkeypatch.setattr(nullmodel, "_gain_product", counting)
     compute_null(scenario2)
     assert evaluations["ring"] + evaluations["shell"] <= 600_000
+    assert evaluations == {"ring": 403_488, "shell": 110_000}
     print(f"compute_null(scenario2) evaluated {evaluations} gains")
 
 

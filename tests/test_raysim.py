@@ -28,11 +28,7 @@ from flsim import (
 from flsim import raysim
 from flsim.acoustics import absorption_coeff, beam_gain, transmission_loss
 from flsim.db import to_linear
-from flsim.geometry import (
-    beam_angles_surface,
-    rotate_to_sonar_frame,
-    rotation_matrix_yaw,
-)
+from flsim.geometry import rotate_to_sonar_frame, rotation_matrix_yaw
 from flsim.raysim import (
     BOUNCE_MIN_T,
     KIND_BOTTOM,
@@ -1067,6 +1063,34 @@ def test_a_ping_traces_no_unlit_ray(scenario1, monkeypatch, n_rays):
     assert [len(d) for d in calls] == [0, 0]
 
 
+def test_beam_gains_take_each_distinct_factor_once(scenario1, monkeypatch):
+    """_beam_gains takes one aperture factor per distinct beam-frame row:
+    for a level transmitter, the same beam as a receiver, level beams
+    yawed +-15 deg, and a beam pitched 20 deg at yaw 0 and at yaw 10 deg,
+    4 horizontal factors (yaw 0 shares one) and 3 vertical ones (pitch 0
+    shares one), not 2 for each of the 6 orientations; and each gain row
+    is the one of a call with that orientation alone, bit for bit."""
+    calls = []
+    factor = raysim.aperture_factor
+
+    def counting(cosine, length_m, sonar, c):
+        calls.append(length_m)
+        return factor(cosine, length_m, sonar, c)
+
+    monkeypatch.setattr(raysim, "aperture_factor", counting)
+    sonar, c = scenario1.sonar, scenario1.env.sound_speed()
+    down, y10, y15 = (math.radians(a) for a in (20.0, 10.0, 15.0))
+    orientations = [(0.0, 0.0), (0.0, 0.0), (0.0, y15), (0.0, -y15),
+                    (down, 0.0), (down, y10)]
+    d = sample_ray_directions(5000, np.random.default_rng(2))
+    gains = raysim._beam_gains(d, orientations, sonar, c)
+    assert sorted(calls) == sorted([sonar.horizontal_len_m] * 4
+                                   + [sonar.vertical_len_m] * 3)
+    for k, orientation in enumerate(orientations):
+        np.testing.assert_array_equal(
+            gains[k], raysim._beam_gains(d, [orientation], sonar, c)[0])
+
+
 def test_a_ping_traces_exactly_its_lit_rays(scenario2, monkeypatch):
     """scenario2's down20 beam with a transmitter pitched -30 deg and yawed
     15 deg: its receive and transmit weights differ, and the lit set is not
@@ -1086,7 +1110,7 @@ def test_a_ping_traces_exactly_its_lit_rays(scenario2, monkeypatch):
 
     def bp_t(v):
         vb = rotate_to_sonar_frame(v, pose.pitch_rad + tx.pitch_rad, tx.yaw_rad)
-        return beam_gain(*beam_angles_surface(vb), sonar, c)
+        return beam_gain(vb, sonar, c)
 
     lit = bp_t(d) > 0.0
     assert 0 < lit.sum() < sonar.num_rays
@@ -1130,7 +1154,8 @@ def test_a_ping_does_not_depend_on_how_its_rays_are_chunked(
     ("icosphere", (1, 2), 20000),
     ("yawed", (1, 2), 20000),
     ("step", (3,), raysim.PING_CHUNK_RAYS + 4001),
-], ids=["step", "icosphere", "yawed", "step_chunks"])
+    ("sharing", (4,), 20000),
+], ids=["step", "icosphere", "yawed", "step_chunks", "sharing"])
 def test_every_row_is_the_one_beam_ping_of_its_beam(scenario1, scenario2, case,
                                                     seeds, num_rays):
     """A ping traces one transmission and weighs it per receive beam. Row k
@@ -1138,7 +1163,10 @@ def test_every_row_is_the_one_beam_ping_of_its_beam(scenario1, scenario2, case,
     sonar.beams[k] alone from the same seed: scenario2's three beams over
     the step mesh, the same beams over scenario1 with the mesh_sim
     icosphere, and a receive beam yawed 10 deg beside a level one; once over
-    more rays than one chunk (raysim.PING_CHUNK_RAYS)."""
+    more rays than one chunk (raysim.PING_CHUNK_RAYS). The sharing case
+    takes every path by which beams share gain factors: forward, the
+    transmitter itself; level beams yawed +-15 deg (the vertical factor);
+    down20 at yaw 0 (the horizontal one) and down20 yawed 10 deg (none)."""
     sc, beams = scenario2, scenario2.sonar.beams
     if case != "step":
         sc = scenario1
@@ -1147,6 +1175,14 @@ def test_every_row_is_the_one_beam_ping_of_its_beam(scenario1, scenario2, case,
         scene = replace(scene, objects=(mesh_sim_icosphere(),))
     if case == "yawed":
         beams = (FORWARD, BeamOrientation(yaw_rad=math.radians(10.0), name="y10"))
+    if case == "sharing":
+        down = math.radians(20.0)
+        beams = (FORWARD,
+                 BeamOrientation(yaw_rad=math.radians(15.0), name="y15"),
+                 BeamOrientation(yaw_rad=math.radians(-15.0), name="y-15"),
+                 BeamOrientation(pitch_rad=down, name="down20"),
+                 BeamOrientation(pitch_rad=down, yaw_rad=math.radians(10.0),
+                                 name="down20_y10"))
     sonar = replace(sc.sonar, beams=beams, num_rays=num_rays)
     for seed in seeds:
         stacked = ping(scene, sonar, sc.pose, seed=seed)
@@ -1395,7 +1431,7 @@ def test_multipath_matches_image_source_expectation(scenario1, s1_layout,
     def gain(v, beam):
         vb = rotate_to_sonar_frame(v, POSE.pitch_rad + beam.pitch_rad,
                                    beam.yaw_rad)
-        return beam_gain(*beam_angles_surface(vb), sonar, c)
+        return beam_gain(vb, sonar, c)
 
     value = (to_linear(sonar.source_level_db
                        - transmission_loss(length, absorption_coeff(f, env))
