@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .db import power_sum_db
+
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> None:
     if not lo <= value <= hi:
@@ -338,14 +340,12 @@ def noise_thermal(f_khz: float) -> float:
 
 def noise_level(f_khz: float, env: EnvironmentParams) -> float:
     """Isotropic noise level NL (dB re 1 Hz band): power sum of all sources."""
-    components = (
+    return power_sum_db([
         noise_turbulence(f_khz),
         noise_traffic(f_khz, env.shipping_density),
         noise_sea_state(f_khz, env.wind_knots),
         noise_thermal(f_khz),
-    )
-    total = sum(10.0 ** (nl / 10.0) for nl in components)
-    return 10.0 * math.log10(total)
+    ])
 
 
 def noise_level_band(f_khz: float, env: EnvironmentParams, bandwidth_hz: float) -> float:

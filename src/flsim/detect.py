@@ -22,7 +22,6 @@ import numpy as np
 
 from .db import is_response, to_db
 from .raysim import PingReturn
-from .nullmodel import NullModelReturn
 
 
 def _q_function(x: float) -> float:
@@ -130,7 +129,7 @@ class DetectionResult:
 
 def detect_ping(
     ping_return: PingReturn,
-    null_return: NullModelReturn,
+    null_return: PingReturn,
     *,
     gamma: float,
     sigma_db: float,

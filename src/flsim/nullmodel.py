@@ -6,14 +6,15 @@ backscatter coefficients, with the beam pattern averaged over the ensonified
 ring (bottom, surface) or gated shell (volume) by numerical quadrature.
 Every quantity stays in linear intensity from the quadrature to the per-bin
 sum: each cell is one scatter.echo_intensity, the term the ping evaluates,
-with the beam-pattern average as its gain. The returned record,
-NullModelReturn, holds the linear per-bin sums, as PingReturn does; dB
-appears only where a curve is written or tested.
+with the beam-pattern average as its gain. dB appears only where a curve
+is written or tested.
 
 expected_null(scene, sonar, pose, beam) is the expectation of the ping's
 row for that beam with the scene's objects removed and its floor flat at
 pose.altitude_m: the same bins (layout_for), the same transmitter
-(sonar.transmitter) and the components the scene has.
+(sonar.transmitter) and the components the scene has. Its record is the
+ping's, a one-beam PingReturn, whose object_ (no obstacle), multipath (not
+modelled yet) and noise (none is added) are 0.
 
 The average is coupled: the transmit and receive patterns are averaged as
 one product in linear intensity, normalized by the full integration
@@ -30,9 +31,10 @@ cells taken in one batch by _ring_averages or _shell_averages.
 Quadrature is two fixed rules under one doubling check, _doubled: n runs
 16, 32, ... until a row's n and 2n estimates agree to TOLERANCE_DB, else
 past MAX_NODES QuadratureError names the beam, component, bin and cell.
-The rules take BLOCK_NODES nodes at a time, all inside every orientation's
-front hemisphere, where they evaluate the uncut beam_pattern on unit
-vectors in each distinct orientation's frame (volume: in_plane_cosines).
+The rules take whole rows of nodes, at most BLOCK_NODES at a time, all
+inside every orientation's front hemisphere, where they evaluate the uncut
+beam_pattern on unit vectors in each distinct orientation's frame (volume:
+in_plane_cosines).
 
 - Rings: n-node Gauss-Legendre on every interval of a ring's gated arc
   (_ring_arcs, closed-form at any pitch and yaw), azimuth measured from
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from .acoustics import (
     beam_pattern,
     range_resolution,
 )
-from .db import to_db, to_linear
+from .db import to_linear
 from .geometry import (
     BinLayout,
     SonarPose,
@@ -75,14 +76,15 @@ from .geometry import (
     ring_radius,
     rotate_to_sonar_frame,
 )
-from .raysim import FlatBottom, Scene
+from .raysim import FlatBottom, PingReturn, Scene, _check_depth
 from .scatter import bottom_coeff, echo_intensity, surface_coeff, volume_coeff
 
 TOLERANCE_DB = 0.01
 MAX_NODES = 2**12
 # Integrand nodes evaluated per block, at most, so memory stays bounded
-# whatever the node count.
+# whatever the node count. A block holds whole rows of a rule's nodes.
 BLOCK_NODES = 2**14
+assert MAX_NODES <= BLOCK_NODES
 
 
 class QuadratureError(RuntimeError):
@@ -93,30 +95,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, row: int = 0):
         super().__init__(message)
         self.row = row
-
-
-@dataclass(frozen=True)
-class NullModelReturn:
-    """Expected per-bin linear intensities by component, 0 where a
-    component returns nothing."""
-
-    layout: BinLayout
-    bottom: np.ndarray
-    surface: np.ndarray
-    volume: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.bottom + self.surface + self.volume
-
-    @property
-    def total_db(self) -> np.ndarray:
-        """The total in dB, as the benchmark's reference curves hold it."""
-        return to_db(self.total)
-
-    @property
-    def bin_centers(self) -> np.ndarray:
-        return self.layout.centers
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +146,15 @@ def _gauss_legendre(n: int):
 
 def _gauss_sums(f, count: int, n: int) -> np.ndarray:
     """The n-node Gauss-Legendre sums over [-1, 1] of f(k, t) for rows
-    k = 0..count-1, evaluated BLOCK_NODES nodes at a time: f takes a column
-    of rows k and a row of nodes t and returns their (rows, nodes) values."""
+    k = 0..count-1, evaluated at most BLOCK_NODES nodes at a time: f takes
+    a column of rows k and a row of nodes t and returns their (rows, nodes)
+    values."""
     t, w = _gauss_legendre(n)
-    cols = min(n, BLOCK_NODES)
-    per_block = BLOCK_NODES // cols
+    per_block = BLOCK_NODES // n
     total = np.zeros(count)
     for r0 in range(0, count, per_block):
         k = np.arange(r0, min(r0 + per_block, count))
-        for c0 in range(0, n, cols):
-            total[k] += f(k[:, None], t[c0:c0 + cols]) @ w[c0:c0 + cols]
+        total[k] = f(k[:, None], t) @ w
     return total
 
 
@@ -451,14 +428,17 @@ def expected_null(
     sonar: SonarConfig,
     pose: SonarPose,
     beam: BeamOrientation,
-) -> NullModelReturn:
+) -> PingReturn:
     """Expected per-bin return of beam, its row of ping(scene, sonar, pose),
     with the scene's objects removed and its floor flat at pose.altitude_m
     below the sonar: the sum of the bottom, surface and volume
-    reverberation, each computed when the scene has it and 0 otherwise.
-    The bins are layout_for(scene.env, sonar), the ones ping fills. A flat
-    bottom elsewhere than at that floor raises ValueError; a mesh bottom is
-    flattened, as the null hypothesis has no obstacle."""
+    reverberation, each computed when the scene has it and 0 otherwise, as
+    a one-beam PingReturn whose object_, multipath and noise are 0. The
+    bins are layout_for(scene.env, sonar), the ones ping fills. A flat
+    bottom elsewhere than at that floor, or an environment depth other than
+    the pose's, raises ValueError; a mesh bottom is flattened, as the null
+    hypothesis has no obstacle."""
+    _check_depth(scene, pose)
     if isinstance(scene.bottom, FlatBottom):
         floor_m = pose.depth_m + pose.altitude_m
         if not math.isclose(scene.bottom.depth_m, floor_m, rel_tol=1e-9):
@@ -470,10 +450,11 @@ def expected_null(
     components = (("bottom", scene.bottom is not None, bottom_return_bins),
                   ("surface", scene.surface_enabled, surface_return_bins),
                   ("volume", scene.volume_enabled, volume_return_bins))
+    bins = layout.num_bins
     try:
         parts = {name: component(env, sonar, pose, beam, layout) if present
-                 else np.zeros(layout.num_bins)
-                 for name, present, component in components}
+                 else np.zeros(bins) for name, present, component in components}
     except QuadratureError as err:
         raise QuadratureError(f"beam {beam.name!r}: {err}") from err
-    return NullModelReturn(layout=layout, **parts)
+    return PingReturn(layout=layout, object_=np.zeros(bins),
+                      multipath=np.zeros(bins), noise=np.zeros(bins), **parts)

@@ -83,7 +83,7 @@ from .acoustics import (
     aperture_factor,
     noise_level_band,
 )
-from .db import to_linear
+from .db import to_db, to_linear
 from .geometry import (
     BinLayout,
     SonarPose,
@@ -193,6 +193,14 @@ class Scene:
             if not isinstance(obj, TriangleMesh):
                 raise ValueError("objects must be TriangleMesh instances")
         object.__setattr__(self, "objects", objects)
+
+
+def _check_depth(scene: Scene, pose: SonarPose) -> None:
+    """Raise ValueError unless the environment's depth, where sound speed is
+    taken, is the pose's, from which the geometry is traced."""
+    if not math.isclose(scene.env.depth_m, pose.depth_m, rel_tol=1e-9):
+        raise ValueError(f"environment depth {scene.env.depth_m} m differs "
+                         f"from the pose depth {pose.depth_m} m")
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +406,9 @@ def ray_bin_volume(n, layout: BinLayout, n_rays: int):
 
 @dataclass(frozen=True)
 class PingReturn:
-    """Per-bin linear intensities of one simulated ping, by component: a
-    (beams, bins) array from ping, a (bins,) array in a row."""
+    """Per-bin linear intensities by component: a (beams, bins) array from
+    ping, a (bins,) array in a row, one beam's ping or, from expected_null,
+    its expectation."""
 
     layout: BinLayout
     bottom: np.ndarray
@@ -419,6 +428,11 @@ class PingReturn:
             + self.multipath
             + self.noise
         )
+
+    @property
+    def total_db(self) -> np.ndarray:
+        """The total in dB, as the benchmark's reference curves hold it."""
+        return to_db(self.total)
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -493,7 +507,9 @@ def ping(
     multipath intensity per beam and range bin; row k is sonar.beams[k]'s.
     seed goes to np.random.default_rng, so it may be an integer, a
     SeedSequence or a Generator, which is used as it is. A flat bottom at or
-    above the sonar raises ValueError."""
+    above the sonar, or an environment depth other than the pose's, raises
+    ValueError."""
+    _check_depth(scene, pose)
     floor = scene.bottom
     if isinstance(floor, FlatBottom) and floor.depth_m <= pose.depth_m:
         raise ValueError(f"flat bottom at {floor.depth_m} m lies at or above "

@@ -21,8 +21,8 @@ from .acoustics import absorption_coeff, max_range, range_resolution
 from .db import is_response, to_db
 from .detect import detect_ping
 from .geometry import layout_for
-from .nullmodel import NullModelReturn, expected_null
-from .raysim import add_noise, ping
+from .nullmodel import expected_null
+from .raysim import PingReturn, add_noise, ping
 from .scenario import Scenario, _beam_slug, _build, build_scene, normalize
 
 
@@ -181,7 +181,7 @@ def run_sim(scenario: Scenario, out_dir: str) -> dict:
 
 
 def compare_beam(
-    null: NullModelReturn,
+    null: PingReturn,
     mean_linear: np.ndarray,
     *,
     window_m,

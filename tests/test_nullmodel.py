@@ -2,7 +2,7 @@ import math
 import tempfile
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from flsim import (
     BinLayout,
     FlatBottom,
     NO_RESPONSE,
-    NullModelReturn,
+    PingReturn,
     QuadratureError,
     SonarConfig,
     SonarPose,
@@ -24,6 +24,7 @@ from flsim import (
     bottom_return_bins,
     build_scene,
     expected_null,
+    ping,
     power_sum_db,
     surface_return_bins,
     transmission_loss,
@@ -767,11 +768,14 @@ def test_source_level_shifts_every_finite_bin(scenario1):
 
 
 def test_total_is_power_sum_of_components():
-    one = NullModelReturn(
+    one = PingReturn(
         layout=BinLayout(bin_length_m=1.0, num_bins=1),
         bottom=to_linear(np.array([-50.0])),
         surface=to_linear(np.array([-50.0])),
+        object_=np.zeros(1),
         volume=np.zeros(1),
+        multipath=np.zeros(1),
+        noise=np.zeros(1),
     )
     assert to_db(one.total)[0] == pytest.approx(-46.98970004336019, abs=1e-9)
 
@@ -783,16 +787,27 @@ def test_total_is_power_sum_of_components():
     ({"volume_enabled": False}, "volume")],
     ids=["all", "no_bottom", "no_surface", "no_volume"])
 def test_null_record_is_linear_like_the_ping(request, name, change, lacking):
-    """Every beam's record holds finite non-negative linear components, 0
-    for a component the scene lacks; the total is their sum bit for bit and
+    """Every beam's record is a one-beam PingReturn, with the layout and
+    field shapes of a ping's row, holding finite non-negative linear
+    components, 0 for a component the scene lacks and exactly 0 object_,
+    multipath and noise; the total is the sum of the rest bit for bit and
     total_db is its dB."""
     scenario = request.getfixturevalue(name)
     scene = replace(build_scene(scenario), **change)
+    row = ping(scene, replace(scenario.sonar, num_rays=100), scenario.pose,
+               seed=0).row(0)
+    bins = (row.layout.num_bins,)
     for beam in scenario.sonar.beams:
         null = expected_null(scene, scenario.sonar, scenario.pose, beam)
+        assert isinstance(null, PingReturn), beam.name
+        assert null.layout == row.layout
+        for field in fields(PingReturn)[1:]:
+            assert getattr(null, field.name).shape == bins, field.name
+            assert getattr(row, field.name).shape == bins, field.name
+        for absent in (null.object_, null.multipath, null.noise):
+            assert np.all(absent == 0.0), beam.name
         parts = [null.bottom, null.surface, null.volume]
         for part in parts:
-            assert part.shape == (null.layout.num_bins,)
             assert np.all(np.isfinite(part) & (part >= 0.0)), beam.name
         if lacking:
             assert np.all(getattr(null, lacking) == 0.0), beam.name
@@ -863,6 +878,19 @@ def test_a_flat_bottom_off_the_pose_is_rejected(scenario1):
     scene = replace(build_scene(scenario1), bottom=FlatBottom(depth_m=30.0))
     with pytest.raises(ValueError, match=r"30\.0 m.*12\.0 m"):
         expected_null(scene, scenario1.sonar, POSE, FORWARD)
+
+
+def test_an_environment_depth_off_the_pose_is_rejected(scenario1):
+    """Sound speed is taken at env.depth_m and the geometry traced from
+    pose.depth_m, so the ping and the null refuse a scene whose two depths
+    differ, naming both."""
+    env = replace(scenario1.env, depth_m=50.0)
+    scene = replace(build_scene(scenario1), env=env)
+    match = r"50\.0 m.*7\.0 m"
+    with pytest.raises(ValueError, match=match):
+        expected_null(scene, scenario1.sonar, POSE, FORWARD)
+    with pytest.raises(ValueError, match=match):
+        ping_beam(scene, scenario1.sonar, POSE, FORWARD, seed=1)
 
 
 def test_refinement_halving_resolution_is_stable(scenario1):

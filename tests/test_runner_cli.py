@@ -9,7 +9,7 @@ import yaml
 
 from flsim import (
     BinLayout,
-    NullModelReturn,
+    PingReturn,
     to_linear,
 )
 from flsim.cli import main
@@ -135,11 +135,14 @@ def test_run_detect_marks_untestable_bins(scenario1, tmp_path):
 
 def test_compare_beam_gap_logic():
     layout = BinLayout(bin_length_m=1.0, num_bins=4)
-    null = NullModelReturn(
+    null = PingReturn(
         layout=layout,
         bottom=to_linear(np.array([-100.0, -95.0, -np.inf, -90.0])),
         surface=np.zeros(4),
+        object_=np.zeros(4),
         volume=np.zeros(4),
+        multipath=np.zeros(4),
+        noise=np.zeros(4),
     )
     mean = to_linear(np.array([-100.5, -98.4, -100.0, -89.0]))
     gaps, eligible, passed = compare_beam(
